@@ -63,7 +63,6 @@ from .gateway import (
     ServerRegistry,
     ToolCall,
     TransportError,
-    counting_transport_stub,
     jsonrpc_tools_call,
     load_registry_file,
 )

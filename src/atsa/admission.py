@@ -42,6 +42,7 @@ from .sad import MCP_SERVER_CAPABILITY, DocumentError, parse_document, verify_si
 from .trustroot import TrustRoot
 
 __all__ = [
+    "MAX_DOCUMENT_BYTES",
     "OPEN_FLAVOR_NOTE",
     "WELL_KNOWN_PATHS",
     "AdmissionGate",
@@ -142,8 +143,13 @@ def host_of(url: str) -> str:
     return host
 
 
-class _SameOriginRedirects(urllib.request.HTTPRedirectHandler):
-    """Follow redirects only within the original host; refuse the rest."""
+class SameOriginRedirects(urllib.request.HTTPRedirectHandler):
+    """Follow redirects only within the original origin; refuse the rest by
+    raising ``error``, so nothing sent with the request, such as a bearer
+    token, reaches another origin."""
+
+    def __init__(self, error: type[Exception]) -> None:
+        self.error = error
 
     def redirect_request(self, req, fp, code, msg, headers, newurl):
         original = urllib.parse.urlsplit(req.full_url)
@@ -153,24 +159,32 @@ class _SameOriginRedirects(urllib.request.HTTPRedirectHandler):
             original.hostname,
             original.port,
         ):
-            raise FetchError(f"cross-origin redirect refused: {req.full_url} -> {newurl}")
+            raise self.error(f"cross-origin redirect refused: {req.full_url} -> {newurl}")
         return super().redirect_request(req, fp, code, msg, headers, newurl)
 
 
+# A real document is a few hundred bytes; a larger body is refused unread.
+MAX_DOCUMENT_BYTES = 64 * 1024
+
+
 class HttpFetcher:
-    """Production fetcher: GET with a timeout, same-origin redirects only."""
+    """Production fetcher: GET with a timeout, same-origin redirects only,
+    bodies of at most ``MAX_DOCUMENT_BYTES``."""
 
     def __init__(self, timeout: float = 10.0) -> None:
         self.timeout = timeout
-        self._opener = urllib.request.build_opener(_SameOriginRedirects())
+        self._opener = urllib.request.build_opener(SameOriginRedirects(FetchError))
 
     def __call__(self, url: str) -> tuple[int, bytes]:
         request = urllib.request.Request(url, headers={"Accept": "application/json"})
         try:
             with self._opener.open(request, timeout=self.timeout) as response:
-                return response.status, response.read()
+                body = response.read(MAX_DOCUMENT_BYTES + 1)
+                if len(body) > MAX_DOCUMENT_BYTES:
+                    raise FetchError(f"GET {url} returned more than {MAX_DOCUMENT_BYTES} bytes")
+                return response.status, body
         except urllib.error.HTTPError as error:
-            body = error.read() if error.fp is not None else b""
+            body = error.read(MAX_DOCUMENT_BYTES) if error.fp is not None else b""
             return error.code, body
         except FetchError:
             raise

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Mapping
 
-from .admission import AdmissionGate, ConnectStatus, DenyReason, Flavor
+from .admission import AdmissionGate, ConnectStatus, DenyReason, Flavor, SameOriginRedirects
 from .audit import EVENT_TOOL_DENY, AuditLog
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "ServerRegistry",
     "ToolCall",
     "TransportError",
-    "counting_transport_stub",
     "jsonrpc_tools_call",
     "load_registry_file",
 ]
@@ -162,7 +161,9 @@ class DispatchResult:
 
 class HttpTransport:
     """POSTs JSON-RPC envelopes to a fixed URL. Request ids are monotonically
-    increasing integers; an optional bearer provider adds Authorization."""
+    increasing integers; an optional bearer provider adds Authorization.
+    Redirects are followed within the URL's origin only, so the bearer token
+    never leaves it."""
 
     def __init__(
         self,
@@ -174,6 +175,7 @@ class HttpTransport:
         self.bearer_provider = bearer_provider
         self.timeout = timeout
         self._ids = itertools.count(1)
+        self._opener = urllib.request.build_opener(SameOriginRedirects(TransportError))
 
     def next_id(self) -> int:
         return next(self._ids)
@@ -182,7 +184,7 @@ class HttpTransport:
         body = json.dumps(payload).encode("utf-8")
         request = urllib.request.Request(self.url, data=body, headers=dict(headers), method="POST")
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            with self._opener.open(request, timeout=self.timeout) as response:
                 raw = response.read()
         except urllib.error.HTTPError as exc:
             raise TransportError(f"POST {self.url} returned status {exc.code}") from exc
@@ -230,10 +232,6 @@ class CountingTransport:
         else:
             result = {"tool": name, "echo": dict(arguments)}
         return {"jsonrpc": "2.0", "id": payload.get("id"), "result": result}
-
-
-def counting_transport_stub(behaviors: Mapping[str, Any] | None = None) -> CountingTransport:
-    return CountingTransport(behaviors)
 
 
 def jsonrpc_tools_call(transport: Any, call: ToolCall) -> Any:
@@ -284,9 +282,6 @@ class Gateway:
         self.gate = gate
         self.audit = audit
         self.flavor = flavor
-
-    def is_tool_admitted(self, endpoint: str, tool_name: str) -> bool:
-        return self.registry.is_tool_admitted(endpoint, tool_name)
 
     def invoke(self, endpoint: str, call: ToolCall, flavor: Flavor | None = None) -> DispatchResult:
         flavor = self.flavor if flavor is None else flavor

@@ -13,12 +13,26 @@ Canonical form rules:
 * object keys and array members are sorted bytewise over their UTF-8
   serialization;
 * no whitespace, minimal string escaping, integers in shortest decimal form.
+
+The encoder is a pre-pass plus one ``json`` call. The pre-pass rejects
+floats, non-string keys and other types, turns tuples and mappings into lists
+and dicts, and sorts every array by the serialized text of its members. The
+``json`` call then sorts object keys by code point. Both orders are the UTF-8
+byte order the rules ask for, because code-point order equals UTF-8 byte
+order for Unicode scalar values.
+
+``verify_signature`` remembers the 1024 most recently used Ed25519 results,
+keyed on the full public key, signature and canonical body bytes, so
+re-verifying an unchanged document costs a dictionary lookup and any changed
+byte is checked afresh. Only the signature is remembered: expiry, approval, domination and
+host binding are checked on every call by ``admission``.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
@@ -151,35 +165,55 @@ def canonical_json_bytes(value: Any) -> bytes:
 
     Object keys and array members are ordered bytewise over their UTF-8
     serialization, output carries no whitespace, and strings use only the
-    escapes JSON mandates. Only ``None``, ``bool``, ``int``, ``str``, lists
-    and string-keyed mappings are encodable; anything else raises TypeError.
+    escapes JSON mandates. Only ``None``, ``bool``, ``int``, ``str``, lists,
+    tuples and string-keyed mappings are encodable; anything else raises
+    TypeError.
     """
-    return _canon(value).encode("utf-8")
+    return _ENCODER.encode(_prepare(value)).encode("utf-8")
 
 
-def _canon(value: Any) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        # json.dumps escapes exactly the mandatory set: quote, backslash,
-        # and control characters below U+0020.
-        return json.dumps(value, ensure_ascii=False)
+# json escapes exactly the mandatory set with ensure_ascii off: quote,
+# backslash, and control characters below U+0020. sort_keys orders keys by
+# code point, which is their UTF-8 byte order. The pre-pass hands it only
+# fresh dicts and lists, so there are no cycles to check for.
+_ENCODER = json.JSONEncoder(
+    ensure_ascii=False, separators=(",", ":"), sort_keys=True, check_circular=False
+)
+
+
+def _prepare(value: Any) -> Any:
+    """Copy of ``value`` that the encoder serializes canonically: tuples and
+    mappings become lists and dicts, and array members are sorted by their
+    own serialization. Raises TypeError for anything not encodable."""
+    kind = type(value)
+    if kind is str or kind is int or kind is bool or value is None:
+        return value
+    if kind is dict:
+        return _prepare_object(value)
+    if kind is list or kind is tuple:
+        return _prepare_array(value)
+    if isinstance(value, (str, int)):
+        return value
     if isinstance(value, (list, tuple)):
-        members = sorted((_canon(m) for m in value), key=lambda s: s.encode("utf-8"))
-        return "[" + ",".join(members) + "]"
+        return _prepare_array(value)
     if isinstance(value, Mapping):
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"object keys must be strings, got {type(key).__name__}")
-        items = sorted(value.items(), key=lambda kv: kv[0].encode("utf-8"))
-        return "{" + ",".join(f"{_canon(k)}:{_canon(v)}" for k, v in items) + "}"
-    raise TypeError(f"not canonicalizable: {type(value).__name__}")
+        return _prepare_object(value)
+    raise TypeError(f"not canonicalizable: {kind.__name__}")
+
+
+def _prepare_object(value: Mapping[Any, Any]) -> dict[str, Any]:
+    for key in value:
+        if not isinstance(key, str):
+            raise TypeError(f"object keys must be strings, got {type(key).__name__}")
+    return {key: _prepare(member) for key, member in value.items()}
+
+
+def _prepare_array(value: Any) -> list[Any]:
+    members = [_prepare(member) for member in value]
+    if len(members) > 1:
+        # Code-point order of the serialized text is its UTF-8 byte order.
+        members.sort(key=_ENCODER.encode)
+    return members
 
 
 def canonical_body(doc: AttestationDocument) -> bytes:
@@ -224,8 +258,18 @@ def verify_signature(doc: AttestationDocument, public_key: bytes) -> bool:
         return False
     if len(raw) != 64:
         return False
+    return _ed25519_verifies(public_key, raw, canonical_body(doc))
+
+
+# Verification is a pure function of (key, signature, body), so every result,
+# False included, may be reused. A changed byte anywhere is a different key.
+VERIFIED_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=VERIFIED_CACHE_SIZE)
+def _ed25519_verifies(public_key: bytes, signature: bytes, body: bytes) -> bool:
     try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(raw, canonical_body(doc))
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, body)
     except (InvalidSignature, ValueError):
         return False
     return True
@@ -271,6 +315,8 @@ def parse_document(raw: bytes | str) -> AttestationDocument:
         data = json.loads(raw)
     except ValueError as exc:
         raise DocumentError(f"document is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("document nests too deeply") from exc
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
 

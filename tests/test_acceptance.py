@@ -22,6 +22,7 @@ from atsa import (
     AuditLog,
     BUILTIN_SCHEME_NAMES,
     ConnectStatus,
+    CountingTransport,
     DenyReason,
     DispatchStatus,
     EVENT_CONNECT_ALLOW,
@@ -47,7 +48,6 @@ from atsa import (
     WELL_KNOWN_PATHS,
     build_vectors,
     canonical_body,
-    counting_transport_stub,
     generate_corpus,
     get_builtin_scheme,
     load_scheme,
@@ -157,7 +157,7 @@ def test_criterion_02_handwritten_evasions_all_denied_then_two_admitted(
         scheme=scheme, trust_root=trust_root, fetcher=fetcher, audit=audit,
         clock=lambda: FIXED_NOW,
     )
-    transport = counting_transport_stub(
+    transport = CountingTransport(
         {"list_labels": {"labels": []}, "create_draft": {"draftId": "d-1"}}
     )
     registry = ServerRegistry()

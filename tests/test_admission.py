@@ -18,10 +18,12 @@ from atsa import (
     EVENT_CONNECT_WARN,
     FetchError,
     Flavor,
+    HttpFetcher,
     LevelNotFoundError,
     OPEN_FLAVOR_NOTE,
     SignerRecord,
     StaticFetcher,
+    StubServerConfig,
     TrustRoot,
     VerificationRequest,
     WELL_KNOWN_PATHS,
@@ -30,9 +32,12 @@ from atsa import (
     get_builtin_scheme,
     host_of,
     serialize_document,
+    serve,
     sign_document,
     verify_server_clearance,
 )
+from atsa import sad
+from atsa.admission import MAX_DOCUMENT_BYTES
 from conftest import FIXED_NOW, NOT_AFTER, ORIGIN, SERVER_URL, fetcher_for
 
 
@@ -135,6 +140,15 @@ def test_reason_manifest_invalid(scheme, trust_root):
     assert verify_server_clearance(
         _request(wrong_version, scheme, trust_root)
     ).reason == DenyReason.manifest_invalid
+
+
+def test_deep_nesting_is_manifest_invalid(scheme, trust_root):
+    raw = (
+        b'{"v":1,"id":"x","publisher":"p","version":"1","clearance":"c",'
+        b'"capabilities":["mcp-server"],"x-deep":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    )
+    verdict = verify_server_clearance(_request(raw, scheme, trust_root))
+    assert verdict.reason == DenyReason.manifest_invalid
 
 
 def test_reason_not_mcp_server(baseline_doc, scheme, trust_root, signer):
@@ -392,6 +406,75 @@ def test_clause_order_is_documented_observably(signed_doc, scheme, trust_root):
     # same document, demoted step by step, walks the reason codes in order
     verdict = verify_server_clearance(_request(signed_doc, scheme, trust_root))
     assert verdict.allowed
+
+
+def _cached_allow(doc, scheme, trust_root, **kwargs):
+    """Verify ``doc`` twice so the second run reads the signature memo."""
+    for _ in range(2):
+        hits = sad._ed25519_verifies.cache_info().hits
+        assert verify_server_clearance(_request(doc, scheme, trust_root, **kwargs)).allowed
+    assert sad._ed25519_verifies.cache_info().hits == hits + 1
+
+
+def test_memo_keeps_clock_and_config_clauses_live(signed_doc, scheme, trust_root, signer):
+    _cached_allow(signed_doc, scheme, trust_root)
+
+    later = datetime(2028, 1, 1, tzinfo=timezone.utc)
+    assert verify_server_clearance(
+        _request(signed_doc, scheme, trust_root, now=later)
+    ).reason == DenyReason.signer_expired
+
+    low_root = TrustRoot()
+    low_root.set_trust_root(
+        [SignerRecord(signer.key_id, signer.public_key, ("PUBLIC", "INTERNAL"), not_after=NOT_AFTER)]
+    )
+    assert verify_server_clearance(
+        _request(signed_doc, scheme, low_root)
+    ).reason == DenyReason.signer_not_approved
+
+    hits = sad._ed25519_verifies.cache_info().hits
+    assert verify_server_clearance(
+        _request(signed_doc, scheme, trust_root, required=scheme.top)
+    ).reason == DenyReason.below_required
+    assert sad._ed25519_verifies.cache_info().hits == hits + 1
+
+
+def test_memo_keeps_host_binding_live(baseline_doc, scheme, trust_root, signer):
+    bound = sign_document(replace(baseline_doc, net_allowed_hosts=("tools.example",)), signer)
+    _cached_allow(bound, scheme, trust_root)
+    hits = sad._ed25519_verifies.cache_info().hits
+    verdict = verify_server_clearance(
+        _request(bound, scheme, trust_root, url="https://elsewhere.example/mcp")
+    )
+    assert verdict.reason == DenyReason.host_not_bound
+    assert sad._ed25519_verifies.cache_info().hits == hits + 1
+
+
+def _padded(doc, size):
+    body = serialize_document(doc).encode("utf-8")
+    return body + b" " * (size - len(body))
+
+
+def test_http_fetcher_caps_the_body(signed_doc, scheme, trust_root):
+    at_cap = serve(StubServerConfig(sad_bytes=_padded(signed_doc, MAX_DOCUMENT_BYTES)))
+    over_cap = serve(StubServerConfig(sad_bytes=_padded(signed_doc, MAX_DOCUMENT_BYTES + 1)))
+    try:
+        status, body = HttpFetcher(timeout=5)(at_cap.url + WELL_KNOWN_PATHS[0])
+        assert (status, len(body)) == (200, MAX_DOCUMENT_BYTES)
+        with pytest.raises(FetchError):
+            HttpFetcher(timeout=5)(over_cap.url + WELL_KNOWN_PATHS[0])
+        for stub, allowed in ((at_cap, True), (over_cap, False)):
+            request = replace(
+                _request(None, scheme, trust_root, url=stub.url + "/mcp"),
+                fetcher=HttpFetcher(timeout=5),
+            )
+            verdict = verify_server_clearance(request)
+            assert verdict.allowed is allowed
+            if not allowed:
+                assert verdict.reason == DenyReason.fetch_failed
+    finally:
+        at_cap.shutdown()
+        over_cap.shutdown()
 
 
 def _gate(scheme, trust_root, fetcher, audit=None):

@@ -21,6 +21,7 @@ from atsa import (
     verify_server_clearance,
     verify_signature,
 )
+from atsa import sad
 from atsa.conformance import (
     CorpusCase,
     FORGERY_CATEGORIES,
@@ -72,6 +73,15 @@ def test_all_vectors_pass_production_verifier(vectors):
     assert lines[0].startswith("vector 01 PASS")
     assert all(" PASS " in line for line in lines[:11])
     assert lines[-1] == "11/11 pass"
+
+
+def test_vector_verdicts_unchanged_by_a_warm_signature_memo(vectors):
+    sad._ed25519_verifies.cache_clear()
+    cold = run_vectors(vectors)
+    warm = run_vectors(vectors)
+    assert sad._ed25519_verifies.cache_info().hits > 0
+    assert warm == cold
+    assert warm.passed
 
 
 def _signer_key(vector):

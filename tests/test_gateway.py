@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -18,6 +20,7 @@ from atsa import (
     EVENT_TOOL_DENY,
     Flavor,
     Gateway,
+    HttpTransport,
     JsonRpcError,
     RegistryEntry,
     RegistryError,
@@ -25,7 +28,6 @@ from atsa import (
     ServerRegistry,
     ToolCall,
     TransportError,
-    counting_transport_stub,
     jsonrpc_tools_call,
     load_registry_file,
 )
@@ -48,7 +50,7 @@ def _entry(transport, endpoint=SERVER_URL, tools=ALLOWED, skip=False):
 
 def test_register_and_get():
     registry = ServerRegistry()
-    transport = counting_transport_stub()
+    transport = CountingTransport()
     entry = _entry(transport)
     registry.register(entry)
     assert registry.get(SERVER_URL) is entry
@@ -58,31 +60,31 @@ def test_register_and_get():
 
 def test_register_duplicate_requires_replace():
     registry = ServerRegistry()
-    registry.register(_entry(counting_transport_stub()))
+    registry.register(_entry(CountingTransport()))
     with pytest.raises(RegistryError):
-        registry.register(_entry(counting_transport_stub()))
-    swapped = _entry(counting_transport_stub(), tools={"list_labels"})
+        registry.register(_entry(CountingTransport()))
+    swapped = _entry(CountingTransport(), tools={"list_labels"})
     registry.register(swapped, replace=True)
     assert registry.get(SERVER_URL) is swapped
 
 
 def test_freeze_is_one_way():
     registry = ServerRegistry()
-    registry.register(_entry(counting_transport_stub()))
+    registry.register(_entry(CountingTransport()))
     assert not registry.frozen
     registry.freeze()
     registry.freeze()  # idempotent
     assert registry.frozen
     with pytest.raises(RegistryFrozenError):
-        registry.register(_entry(counting_transport_stub(), endpoint="https://new.example/mcp"))
+        registry.register(_entry(CountingTransport(), endpoint="https://new.example/mcp"))
     with pytest.raises(RegistryFrozenError):
-        registry.register(_entry(counting_transport_stub()), replace=True)
+        registry.register(_entry(CountingTransport()), replace=True)
     assert registry.endpoints() == (SERVER_URL,)
 
 
 def test_is_tool_admitted_is_exact():
     registry = ServerRegistry()
-    registry.register(_entry(counting_transport_stub()))
+    registry.register(_entry(CountingTransport()))
     assert registry.is_tool_admitted(SERVER_URL, "list_labels")
     assert not registry.is_tool_admitted(SERVER_URL, "List_Labels")
     assert not registry.is_tool_admitted(SERVER_URL, "list_labels ")
@@ -97,7 +99,7 @@ def _wired_gateway(scheme, trust_root, doc, *, tools=ALLOWED, skip=False, flavor
         scheme=scheme, trust_root=trust_root, fetcher=fetcher, audit=audit,
         clock=lambda: FIXED_NOW,
     )
-    transport = counting_transport_stub({"list_labels": {"labels": ["inbox"]}})
+    transport = CountingTransport({"list_labels": {"labels": ["inbox"]}})
     registry = ServerRegistry()
     registry.register(_entry(transport, tools=tools, skip=skip))
     registry.freeze()
@@ -199,7 +201,7 @@ def test_every_invoke_is_audited(scheme, trust_root, signed_doc):
 
 
 def test_envelope_shape_and_monotonic_ids():
-    transport = counting_transport_stub()
+    transport = CountingTransport()
     first = jsonrpc_tools_call(transport, ToolCall("list_labels", {"q": 1}))
     second = jsonrpc_tools_call(transport, ToolCall("create_draft", {"to": "a@b"}))
     assert first == {"tool": "list_labels", "echo": {"q": 1}}
@@ -217,7 +219,7 @@ def test_envelope_shape_and_monotonic_ids():
 
 
 def test_bearer_token_header():
-    transport = counting_transport_stub()
+    transport = CountingTransport()
     transport.bearer_provider = lambda: "sesame"
     jsonrpc_tools_call(transport, ToolCall("list_labels", {}))
     _, headers = transport.requests[0]
@@ -236,6 +238,72 @@ class _ScriptedTransport:
     def request(self, payload, headers):
         resp = self.response
         return resp(payload) if callable(resp) else resp
+
+
+class _Origin:
+    """Loopback HTTP origin that records each request's path and headers and
+    answers with ``respond(handler)``."""
+
+    def __init__(self, respond):
+        origin = self
+        self.seen = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, format, *args):
+                pass
+
+            def _handle(self):
+                self.rfile.read(int(self.headers.get("Content-Length") or 0))
+                origin.seen.append((self.command, self.path, dict(self.headers)))
+                respond(self)
+
+            do_GET = do_POST = _handle
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(
+            target=lambda: self._server.serve_forever(poll_interval=0.05), daemon=True
+        )
+        self._thread.start()
+        self.url = f"http://127.0.0.1:{self._server.server_address[1]}"
+
+    def close(self):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)
+
+
+def _redirect_to(location):
+    def respond(handler):
+        handler.send_response(302)
+        handler.send_header("Location", location)
+        handler.send_header("Content-Length", "0")
+        handler.end_headers()
+
+    return respond
+
+
+def _json_rpc_ok(handler):
+    body = json.dumps({"jsonrpc": "2.0", "id": 1, "result": {}}).encode("utf-8")
+    handler.send_response(200)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(body)))
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
+def test_http_transport_keeps_bearer_token_on_its_origin():
+    elsewhere = _Origin(_json_rpc_ok)
+    redirecting = _Origin(_redirect_to(elsewhere.url + "/mcp"))
+    try:
+        transport = HttpTransport(redirecting.url + "/mcp", bearer_provider=lambda: "sesame", timeout=5)
+        with pytest.raises(TransportError, match="cross-origin redirect refused"):
+            jsonrpc_tools_call(transport, ToolCall("list_labels", {}))
+        [(method, path, headers)] = redirecting.seen
+        assert (method, path, headers["Authorization"]) == ("POST", "/mcp", "Bearer sesame")
+        assert elsewhere.seen == []
+    finally:
+        redirecting.close()
+        elsewhere.close()
 
 
 def test_error_member_raises_jsonrpc_error():

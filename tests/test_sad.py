@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import random
 from dataclasses import replace
@@ -23,6 +24,7 @@ from atsa import (
     sign_document,
     verify_signature,
 )
+from atsa import sad
 from reference_impl import (
     random_sad_wire_text,
     reference_canonical,
@@ -147,6 +149,15 @@ def test_parse_rejects_malformed(raw):
         parse_document(raw)
 
 
+def test_parse_maps_deep_nesting_to_document_error():
+    raw = (
+        b'{"v":1,"id":"x","publisher":"p","version":"1","clearance":"c",'
+        b'"capabilities":[],"x-deep":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    )
+    with pytest.raises(DocumentError):
+        parse_document(raw)
+
+
 @pytest.mark.parametrize("v", [b"2", b"0", b"-1"])
 def test_parse_rejects_wrong_version_value(v):
     raw = (
@@ -203,6 +214,32 @@ def test_sign_overwrites_prior_signer(baseline_doc, signer):
 )
 def test_verify_false_on_mutation_never_raises(signed_doc, signer, mutate):
     assert verify_signature(mutate(signed_doc), signer.public_key) is False
+
+
+def _flip_signature_byte(doc, index=0):
+    raw = bytearray(base64.b64decode(doc.signature))
+    raw[index] ^= 0x01
+    return replace(doc, signature=base64.b64encode(bytes(raw)).decode("ascii"))
+
+
+def test_second_verify_is_a_memo_hit(signed_doc, signer):
+    assert verify_signature(signed_doc, signer.public_key)
+    hits = sad._ed25519_verifies.cache_info().hits
+    assert verify_signature(signed_doc, signer.public_key)
+    assert sad._ed25519_verifies.cache_info().hits == hits + 1
+
+
+def test_flipped_byte_misses_the_memo(signed_doc, signer):
+    assert verify_signature(signed_doc, signer.public_key)
+    assert verify_signature(signed_doc, signer.public_key)  # cached
+    assert verify_signature(replace(signed_doc, version="2.3.2"), signer.public_key) is False
+    assert verify_signature(_flip_signature_byte(signed_doc), signer.public_key) is False
+    assert verify_signature(_flip_signature_byte(signed_doc, 63), signer.public_key) is False
+    flipped_key = bytes([signer.public_key[0] ^ 0x01]) + signer.public_key[1:]
+    assert verify_signature(signed_doc, flipped_key) is False
+    # a cached False never turns into True, and the good document stays True
+    assert verify_signature(_flip_signature_byte(signed_doc), signer.public_key) is False
+    assert verify_signature(signed_doc, signer.public_key)
 
 
 def test_verify_false_with_wrong_key(signed_doc):
@@ -265,3 +302,50 @@ def test_sign_verify_property(doc, seed):
     assert verify_signature(signed, key.public_key)
     tampered = replace(signed, clearance=signed.clearance + "x")
     assert not verify_signature(tampered, key.public_key)
+
+
+_strings = st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=8)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | _strings
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_strings, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_json_values)
+def test_canonical_json_matches_oracle_property(value):
+    assert canonical_json_bytes(value) == reference_canonical(value)
+
+
+_unencodable = (
+    st.floats()
+    | st.builds(object)
+    | st.dictionaries(st.integers() | st.booleans() | st.none(), _json_values, min_size=1)
+)
+
+
+def _bury(inner):
+    before = st.lists(_scalars, max_size=3)
+    after = st.lists(_json_values, max_size=2)
+    in_list = st.tuples(before, inner, after).map(lambda t: [*t[0], t[1], *t[2]])
+    in_dict = st.tuples(st.dictionaries(_strings, _scalars, max_size=3), _strings, inner).map(
+        lambda t: {**t[0], t[1]: t[2]}
+    )
+    return in_list | in_dict
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=st.recursive(_unencodable, _bury, max_leaves=4))
+def test_canonical_json_rejects_unencodable_property(value):
+    with pytest.raises(TypeError):
+        canonical_json_bytes(value)
