@@ -27,7 +27,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -36,6 +36,7 @@ from .audit import (
     EVENT_CONNECT_DENY,
     EVENT_CONNECT_WARN,
     AuditLog,
+    _utcnow,
 )
 from .lattice import ClassificationScheme, LevelNotFoundError
 from .sad import MCP_SERVER_CAPABILITY, DocumentError, parse_document, verify_signature
@@ -311,10 +312,6 @@ def verify_server_clearance(request: VerificationRequest) -> Verdict:
             )
 
     return Verdict.allow(document.clearance, signer.key_id)
-
-
-def _utcnow() -> datetime:
-    return datetime.now(timezone.utc)
 
 
 class AdmissionGate:

@@ -15,9 +15,10 @@ import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence, TextIO
 
 from .sad import canonical_json_bytes
+from .trustroot import format_rfc3339
 
 __all__ = [
     "EVENT_CONNECT_ALLOW",
@@ -95,20 +96,25 @@ class RecordingSink:
 
 
 class JsonlAuditSink:
-    """One JSON object per line, flushed and fsynced before append returns."""
+    """One JSON object per line, flushed and fsynced before append returns.
+    The file is opened at the first write. A lone surrogate, which can only
+    sit inside a JSON string, is written as its ``\\uXXXX`` escape."""
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = os.fspath(path)
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle: TextIO | None = None
 
     def write(self, record: AuditRecord) -> None:
         line = json.dumps(record_to_wire(record), ensure_ascii=False, separators=(",", ":"))
+        if self._handle is None:
+            self._handle = open(self.path, "a", encoding="utf-8", errors="backslashreplace")
         self._handle.write(line + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
     def close(self) -> None:
-        self._handle.close()
+        if self._handle is not None:
+            self._handle.close()
 
 
 def _utcnow() -> datetime:
@@ -118,7 +124,7 @@ def _utcnow() -> datetime:
 def _format_timestamp(moment: datetime) -> str:
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
-    return moment.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+    return format_rfc3339(moment.astimezone(timezone.utc))
 
 
 class AuditLog:

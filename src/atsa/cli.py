@@ -15,6 +15,7 @@ Every repeated flag has an environment fallback: --trust-root/ATSA_TRUST_ROOT,
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import os
 import sys
@@ -107,15 +108,15 @@ def _load_trust_root(path: str, lock: bool) -> TrustRoot:
 
 def _open_audit_log(audit_path: str | None) -> AuditLog:
     """An audit file is one chain; repeated runs continue it rather than
-    starting a second genesis that a later audit-verify would flag."""
+    starting a second genesis that a later audit-verify would flag. The sink
+    opens the file at its first write, after the chain has verified, and is
+    closed when the command exits, whichever way it exits."""
     if not audit_path:
         return AuditLog()
-    path = Path(audit_path)
-    if not path.exists() or path.stat().st_size == 0:
-        return AuditLog(JsonlAuditSink(audit_path))
+    sink = click.get_current_context().with_resource(contextlib.closing(JsonlAuditSink(audit_path)))
     try:
-        existing = load_audit_jsonl(path)
-        return AuditLog.resume(existing, JsonlAuditSink(audit_path))
+        existing = load_audit_jsonl(audit_path) if Path(audit_path).exists() else []
+        return AuditLog.resume(existing, sink)
     except AuditError as exc:
         raise ConfigError(f"cannot append to audit log {audit_path}: {exc}") from exc
 
@@ -211,7 +212,9 @@ def sign(sad_path: str, key_path: str, out_path: str | None) -> None:
         raise ConfigError(f"cannot sign {sad_path}: {exc}") from exc
     signed = sign_document(document, pair)
     destination = Path(out_path or sad_path)
-    destination.write_text(serialize_document(signed) + "\n", encoding="utf-8")
+    # A lone surrogate, which can only sit inside a JSON string, is written as
+    # its \uXXXX escape instead of failing once the file is truncated.
+    destination.write_text(serialize_document(signed) + "\n", encoding="utf-8", errors="backslashreplace")
     click.echo(f"signed {destination} as {pair.key_id}")
 
 

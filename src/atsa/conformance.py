@@ -7,25 +7,31 @@ red-teaming with a deterministic campaign: given a seed and an allowlist it
 produces hostile tool names in nine categories plus forged attestation
 documents covering every admission-side forgery recipe, and the runner
 asserts that all of them are refused with zero tool-call writes.
+
+Each case family is one ordered table with a row per category:
+``_TOOL_CASES`` gives a tool-name category's generator and its anchors, built
+from the first allowlisted name; ``_FORGERIES`` gives a forgery category's
+recipe and the ``DenyReason`` it must produce. ``TOOL_CATEGORIES`` and
+``FORGERY_CATEGORIES`` are their keys, in the order the categories draw from
+the corpus's one seeded random stream.
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import random
-import urllib.parse
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .admission import (
-    WELL_KNOWN_PATHS,
     AdmissionGate,
     DenyReason,
+    Fetcher,
     Flavor,
-    StaticFetcher,
     Verdict,
     VerificationRequest,
     verify_server_clearance,
@@ -48,7 +54,7 @@ from .sad import (
     serialize_document,
     sign_document,
 )
-from .trustroot import SignerRecord, TrustRoot
+from .trustroot import SignerRecord, TrustRoot, format_rfc3339, trust_root_to_wire
 
 __all__ = [
     "FORGERY_CATEGORIES",
@@ -192,9 +198,10 @@ def build_vectors(signing_key: KeyPair | None = None) -> list[ConformanceVector]
     ]
 
 
-def _origin(url: str) -> str:
-    parts = urllib.parse.urlsplit(url)
-    return f"{parts.scheme}://{parts.netloc}"
+def _serving(body: bytes) -> Fetcher:
+    """A fetcher that answers every URL with ``body``. Verification asks for
+    the first well-known path first, so it never sees a 404."""
+    return lambda url: (200, body)
 
 
 def run_vectors(
@@ -207,14 +214,13 @@ def run_vectors(
     scheme = get_builtin_scheme("default")
     outcomes = []
     for vec in vectors:
-        fetcher = StaticFetcher({_origin(vec.server_url) + WELL_KNOWN_PATHS[0]: vec.document_bytes})
         request = VerificationRequest(
             server_url=vec.server_url,
             required_level=vec.required_level,
             now=VECTOR_NOW,
             scheme=scheme,
             trust_root=TrustRoot(vec.signers),
-            fetcher=fetcher,
+            fetcher=_serving(vec.document_bytes),
         )
         verdict = verify(request)
         if vec.expect_allow:
@@ -233,7 +239,7 @@ def write_vector_fixtures(vectors: Sequence[ConformanceVector], directory: str |
     manifest = {
         "requiredLevel": VECTOR_REQUIRED_LEVEL,
         "scheme": "default",
-        "now": VECTOR_NOW.isoformat().replace("+00:00", "Z"),
+        "now": format_rfc3339(VECTOR_NOW),
         "vectors": [],
     }
     for vec in vectors:
@@ -245,21 +251,7 @@ def write_vector_fixtures(vectors: Sequence[ConformanceVector], directory: str |
                 "title": vec.title,
                 "serverUrl": vec.server_url,
                 "document": sad_name,
-                "trustRoot": {
-                    "signers": [
-                        {
-                            "keyId": signer.key_id,
-                            "publicKey": base64.b64encode(signer.public_key).decode("ascii"),
-                            "approvedClearance": list(signer.approved_clearance),
-                            **(
-                                {"notAfter": signer.not_after.isoformat().replace("+00:00", "Z")}
-                                if signer.not_after is not None
-                                else {}
-                            ),
-                        }
-                        for signer in vec.signers
-                    ]
-                },
+                "trustRoot": trust_root_to_wire(vec.signers),
                 "expect": {
                     "allow": vec.expect_allow,
                     "reason": vec.expect_reason.value if vec.expect_reason else None,
@@ -277,40 +269,6 @@ def write_vector_fixtures(vectors: Sequence[ConformanceVector], directory: str |
 
 KIND_TOOL = "tool_name"
 KIND_ASSERTION = "forged_assertion"
-
-TOOL_CATEGORIES = (
-    "whitespace_control",
-    "separator_chaining",
-    "near_miss",
-    "path_traversal",
-    "homoglyph_zero_width_rtl",
-    "case_variant",
-    "prototype_probe",
-    "json_smuggling",
-    "unclassified",
-)
-
-FORGERY_CATEGORIES = (
-    "unsigned",
-    "wrong_signer",
-    "self_promotion",
-    "signature_tamper",
-    "post_signing_upgrade",
-    "capability_omission",
-    "level_shortfall",
-    "malformed",
-)
-
-_FORGERY_EXPECT = {
-    "unsigned": DenyReason.unsigned.value,
-    "wrong_signer": DenyReason.signer_not_trusted.value,
-    "self_promotion": DenyReason.signer_not_approved.value,
-    "signature_tamper": DenyReason.bad_signature.value,
-    "post_signing_upgrade": DenyReason.bad_signature.value,
-    "capability_omission": DenyReason.not_mcp_server.value,
-    "level_shortfall": DenyReason.below_required.value,
-    "malformed": DenyReason.manifest_invalid.value,
-}
 
 TOOL_EXPECTATION = DenyReason.tool_not_admitted.value
 
@@ -525,35 +483,22 @@ def _gen_unclassified(rng: random.Random, allowlist: Sequence[str]) -> str:
     return f"{rng.choice(_UNCLASSIFIED_WORDS)}.{rng.choice(_UNCLASSIFIED_WORDS)}{rng.randrange(1000)}"
 
 
-_TOOL_GENERATORS: dict[str, Callable[[random.Random, Sequence[str]], str]] = {
-    "whitespace_control": _gen_whitespace_control,
-    "separator_chaining": _gen_separator_chaining,
-    "near_miss": _gen_near_miss,
-    "path_traversal": _gen_path_traversal,
-    "homoglyph_zero_width_rtl": _gen_homoglyph,
-    "case_variant": _gen_case_variant,
-    "prototype_probe": _gen_prototype_probe,
-    "json_smuggling": _gen_json_smuggling,
-    "unclassified": _gen_unclassified,
+# Category -> (generator, anchors). Anchors are classic hand-written evasions
+# of the first allowlisted name, emitted before any generated case, so the
+# well-known shapes are present whatever the seed.
+_TOOL_CASES: dict[str, tuple[Callable[[random.Random, Sequence[str]], str], Callable[[str], tuple[str, ...]]]] = {
+    "whitespace_control": (_gen_whitespace_control, lambda first: (f" {first}", f"{first} ", f"{first}\n", f"{first}\x00")),
+    "separator_chaining": (_gen_separator_chaining, lambda first: (f"{first}; delete_everything", f"{first} && rm -rf /", f"{first}|sh")),
+    "near_miss": (_gen_near_miss, lambda first: (first[:-1], f"{first}s", f"{first}2")),
+    "path_traversal": (_gen_path_traversal, lambda first: (f"../{first}", f"{first}/../admin")),
+    "homoglyph_zero_width_rtl": (_gen_homoglyph, lambda first: (f"{first}\u200b", f"\u202e{first}")),
+    "case_variant": (_gen_case_variant, lambda first: (first.upper(), first.capitalize(), first.swapcase())),
+    "prototype_probe": (_gen_prototype_probe, lambda first: ("__proto__", "constructor", f"{first}.__proto__")),
+    "json_smuggling": (_gen_json_smuggling, lambda first: (f'{{"name":"{first}"}}', f'{first}"', f'"{first}"')),
+    "unclassified": (_gen_unclassified, lambda first: ("delete_everything", "admin", "exfiltrate_data")),
 }
 
-
-def _category_anchors(category: str, allowlist: Sequence[str]) -> tuple[str, ...]:
-    """Classic hand-written evasions emitted first, so the well-known shapes
-    are always present regardless of seed."""
-    first = allowlist[0]
-    anchors: dict[str, tuple[str, ...]] = {
-        "whitespace_control": (f" {first}", f"{first} ", f"{first}\n", f"{first}\x00"),
-        "separator_chaining": (f"{first}; delete_everything", f"{first} && rm -rf /", f"{first}|sh"),
-        "near_miss": (first[:-1], f"{first}s", f"{first}2"),
-        "path_traversal": (f"../{first}", f"{first}/../admin"),
-        "homoglyph_zero_width_rtl": (f"{first}\u200b", f"\u202e{first}"),
-        "case_variant": (first.upper(), first.capitalize(), first.swapcase()),
-        "prototype_probe": ("__proto__", "constructor", f"{first}.__proto__"),
-        "json_smuggling": (f'{{"name":"{first}"}}', f'{first}"', f'"{first}"'),
-        "unclassified": ("delete_everything", "admin", "exfiltrate_data"),
-    }
-    return anchors[category]
+TOOL_CATEGORIES = tuple(_TOOL_CASES)
 
 
 def _forged_base(
@@ -649,16 +594,34 @@ def _forge_malformed(rng: random.Random, setup: CampaignSetup) -> str:
     return json.dumps(data)
 
 
-_FORGERY_RECIPES: dict[str, Callable[[random.Random, CampaignSetup], str]] = {
-    "unsigned": _forge_unsigned,
-    "wrong_signer": _forge_wrong_signer,
-    "self_promotion": _forge_self_promotion,
-    "signature_tamper": _forge_signature_tamper,
-    "post_signing_upgrade": _forge_post_signing_upgrade,
-    "capability_omission": _forge_capability_omission,
-    "level_shortfall": _forge_level_shortfall,
-    "malformed": _forge_malformed,
+# Category -> (recipe, the clause its forged documents must be denied at).
+_FORGERIES: dict[str, tuple[Callable[[random.Random, CampaignSetup], str], DenyReason]] = {
+    "unsigned": (_forge_unsigned, DenyReason.unsigned),
+    "wrong_signer": (_forge_wrong_signer, DenyReason.signer_not_trusted),
+    "self_promotion": (_forge_self_promotion, DenyReason.signer_not_approved),
+    "signature_tamper": (_forge_signature_tamper, DenyReason.bad_signature),
+    "post_signing_upgrade": (_forge_post_signing_upgrade, DenyReason.bad_signature),
+    "capability_omission": (_forge_capability_omission, DenyReason.not_mcp_server),
+    "level_shortfall": (_forge_level_shortfall, DenyReason.below_required),
+    "malformed": (_forge_malformed, DenyReason.manifest_invalid),
 }
+
+FORGERY_CATEGORIES = tuple(_FORGERIES)
+
+
+def _distinct(candidates: Iterable[str], quota: int, taken: set[str], label: str) -> list[str]:
+    """The first ``quota`` candidates not already in ``taken``, each added to
+    it. No candidate is pulled once the quota is met, so a lazy generator
+    leaves the random stream exactly where the last accepted case left it."""
+    picked: list[str] = []
+    for candidate in candidates:
+        if candidate in taken:
+            continue
+        taken.add(candidate)
+        picked.append(candidate)
+        if len(picked) == quota:
+            return picked
+    raise RuntimeError(f"{label}: cannot produce {quota} distinct cases")
 
 
 def generate_corpus(seed: int, allowlist: Sequence[str], per_category: int = 200) -> list[CorpusCase]:
@@ -671,51 +634,23 @@ def generate_corpus(seed: int, allowlist: Sequence[str], per_category: int = 200
         raise ValueError("allowlist must be a non-empty list of non-empty names")
     if per_category < 1:
         raise ValueError("per_category must be at least 1")
-    allow_set = set(allowlist)
     rng = random.Random(f"atsa-corpus-{seed}")
+    draws = range(per_category * 1000)  # generated candidates tried per category
     cases: list[CorpusCase] = []
-    seen: set[str] = set()
 
-    for category in TOOL_CATEGORIES:
-        generator = _TOOL_GENERATORS[category]
-        emitted = 0
-        for anchor in _category_anchors(category, allowlist):
-            if emitted >= per_category:
-                break
-            if not anchor or anchor in allow_set or anchor in seen:
-                continue
-            seen.add(anchor)
-            cases.append(CorpusCase(KIND_TOOL, category, anchor, TOOL_EXPECTATION))
-            emitted += 1
-        attempts = 0
-        while emitted < per_category:
-            attempts += 1
-            if attempts > per_category * 1000:
-                raise RuntimeError(f"category {category!r}: cannot produce {per_category} distinct cases")
-            candidate = generator(rng, allowlist)
-            if not candidate or candidate in allow_set or candidate in seen:
-                continue
-            seen.add(candidate)
-            cases.append(CorpusCase(KIND_TOOL, category, candidate, TOOL_EXPECTATION))
-            emitted += 1
+    # Starting "taken" with the empty name and the allowlist keeps both out.
+    seen_names = {"", *allowlist}
+    for category, (generator, anchors) in _TOOL_CASES.items():
+        candidates = itertools.chain(anchors(allowlist[0]), (generator(rng, allowlist) for _ in draws))
+        for name in _distinct(candidates, per_category, seen_names, f"category {category!r}"):
+            cases.append(CorpusCase(KIND_TOOL, category, name, TOOL_EXPECTATION))
 
     setup = campaign_setup(seed)
     seen_documents: set[str] = set()
-    for category in FORGERY_CATEGORIES:
-        recipe = _FORGERY_RECIPES[category]
-        expectation = _FORGERY_EXPECT[category]
-        emitted = 0
-        attempts = 0
-        while emitted < per_category:
-            attempts += 1
-            if attempts > per_category * 1000:
-                raise RuntimeError(f"recipe {category!r}: cannot produce {per_category} distinct cases")
-            text = recipe(rng, setup)
-            if text in seen_documents:
-                continue
-            seen_documents.add(text)
-            cases.append(CorpusCase(KIND_ASSERTION, category, text, expectation))
-            emitted += 1
+    for category, (recipe, reason) in _FORGERIES.items():
+        candidates = (recipe(rng, setup) for _ in draws)
+        for text in _distinct(candidates, per_category, seen_documents, f"recipe {category!r}"):
+            cases.append(CorpusCase(KIND_ASSERTION, category, text, reason.value))
     return cases
 
 
@@ -767,17 +702,13 @@ class CampaignReport:
         )
 
     def render_text(self) -> str:
-        lines = [
-            f"adversarial campaign  seed={self.seed}  allowlist={list(self.allowlist)}",
-            "tool-name cases (denied/total):",
-        ]
-        for result in self.categories:
-            if result.kind == KIND_TOOL:
-                lines.append(f"  {result.category:<26} {result.denied}/{result.total}")
-        lines.append("forged assertions, denied at the targeted clause (denied/total):")
-        for result in self.categories:
-            if result.kind == KIND_ASSERTION:
-                lines.append(f"  {result.category:<26} {result.denied}/{result.total}")
+        lines = [f"adversarial campaign  seed={self.seed}  allowlist={list(self.allowlist)}"]
+        for kind, heading in (
+            (KIND_TOOL, "tool-name cases (denied/total):"),
+            (KIND_ASSERTION, "forged assertions, denied at the targeted clause (denied/total):"),
+        ):
+            lines.append(heading)
+            lines.extend(f"  {c.category:<26} {c.denied}/{c.total}" for c in self.categories if c.kind == kind)
         lines.append(
             f"totals: {self.tool_cases} hostile tool names, {self.assertion_cases} forged assertions, "
             f"{self.admitted} admitted"
@@ -814,7 +745,7 @@ class CampaignReport:
 
 
 CAMPAIGN_ENDPOINT = "https://campaign.tools.example/mcp"
-_FORGED_ORIGIN = "https://forged.campaign.example"
+_FORGED_SERVER = "https://forged.campaign.example/mcp"
 
 
 def run_campaign(
@@ -843,9 +774,7 @@ def run_campaign(
         ),
         setup.high_key,
     )
-    fetcher = StaticFetcher(
-        {_origin(CAMPAIGN_ENDPOINT) + WELL_KNOWN_PATHS[0]: serialize_document(server_sad).encode("utf-8")}
-    )
+    fetcher = _serving(serialize_document(server_sad).encode("utf-8"))
     trust_root = TrustRoot(setup.signers)
     trust_root.lock_trust_root()
     scheme = get_builtin_scheme("default")
@@ -878,37 +807,30 @@ def run_campaign(
             if kind == KIND_TOOL:
                 outcome = gateway.invoke(CAMPAIGN_ENDPOINT, ToolCall(case.input))
                 if outcome.status is DispatchStatus.ok:
-                    admitted += 1
-                    mismatches.append((category, case.input, "admitted"))
-                elif (
-                    outcome.status is DispatchStatus.denied
-                    and outcome.reason is DenyReason.tool_not_admitted
-                ):
-                    denied += 1
+                    got = "admitted"
                 else:
                     got = outcome.reason.value if outcome.reason else outcome.status.value
-                    mismatches.append((category, case.input, got))
+                expected = TOOL_EXPECTATION
             else:
-                case_fetcher = StaticFetcher(
-                    {_FORGED_ORIGIN + WELL_KNOWN_PATHS[0]: case.input.encode("utf-8")}
-                )
                 verdict = verify_server_clearance(
                     VerificationRequest(
-                        server_url=_FORGED_ORIGIN + "/mcp",
+                        server_url=_FORGED_SERVER,
                         required_level=setup.required_level,
                         now=VECTOR_NOW,
                         scheme=scheme,
                         trust_root=trust_root,
-                        fetcher=case_fetcher,
+                        fetcher=_serving(case.input.encode("utf-8")),
                     )
                 )
-                if verdict.allowed:
-                    admitted += 1
-                    mismatches.append((category, case.input, "admitted"))
-                elif verdict.reason.value == case.expectation:
-                    denied += 1
-                else:
-                    mismatches.append((category, case.input, verdict.reason.value))
+                got = "admitted" if verdict.allowed else verdict.reason.value
+                expected = case.expectation
+            # No status or reason is spelled "admitted", so it marks an admit.
+            if got == "admitted":
+                admitted += 1
+            elif got == expected:
+                denied += 1
+                continue
+            mismatches.append((category, case.input, got))
         results.append(
             CategoryResult(kind=kind, category=category, total=len(bucket), denied=denied, admitted=admitted)
         )
@@ -927,18 +849,8 @@ def run_campaign(
 def dump_corpus_jsonl(cases: Iterable[CorpusCase], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for case in cases:
-            handle.write(
-                json.dumps(
-                    {
-                        "kind": case.kind,
-                        "category": case.category,
-                        "input": case.input,
-                        "expectation": case.expectation,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            # One object per line, keyed by the CorpusCase field names.
+            handle.write(json.dumps(asdict(case), ensure_ascii=False) + "\n")
 
 
 def load_corpus_jsonl(path: str | Path) -> list[CorpusCase]:

@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Any, Callable, Mapping
 
 from .admission import AdmissionGate, ConnectStatus, DenyReason, Flavor, SameOriginRedirects
-from .audit import EVENT_TOOL_DENY, AuditLog
+from .audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, AuditLog
 
 __all__ = [
     "CountingTransport",
@@ -287,13 +287,13 @@ class Gateway:
         flavor = self.flavor if flavor is None else flavor
         entry = self.registry.get(endpoint)
         if entry is None:
-            # The gate still runs so the attempt is audited, but an endpoint
-            # without a registered bridge is never dispatchable. Verification
-            # is informational here; demand the scheme's top level.
-            self.gate.connect(endpoint, self.gate.scheme.top, flavor)
-            return DispatchResult.denied(
-                DenyReason.no_registered_bridge, f"no registered bridge for {endpoint!r}"
+            # Never dispatchable, so nothing is fetched from the URL the agent
+            # named; the refusal is audited like any other connect denial.
+            detail = f"no registered bridge for {endpoint!r}"
+            self.audit.append(
+                EVENT_CONNECT_DENY, {"reason": DenyReason.no_registered_bridge.value, "detail": detail}
             )
+            return DispatchResult.denied(DenyReason.no_registered_bridge, detail)
 
         if call.tool_name not in entry.allowed_tools:
             self.audit.append(

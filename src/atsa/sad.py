@@ -12,14 +12,19 @@ Canonical form rules:
   ``verification`` / ``netAllowedHosts`` are omitted entirely;
 * object keys and array members are sorted bytewise over their UTF-8
   serialization;
-* no whitespace, minimal string escaping, integers in shortest decimal form.
+* no whitespace, minimal string escaping, integers in shortest decimal form;
+* a lone surrogate (U+D800 to U+DFFF), which JSON text can carry but UTF-8
+  cannot encode and I-JSON (RFC 7493, section 2.1) rules out, is written as
+  its lowercase ``\\uXXXX`` escape. Arrays sort by these escaped bytes;
+  object keys keep code-point order, so such a key sorts before U+E000.
 
 The encoder is a pre-pass plus one ``json`` call. The pre-pass rejects
 floats, non-string keys and other types, turns tuples and mappings into lists
 and dicts, and sorts every array by the serialized text of its members. The
 ``json`` call then sorts object keys by code point. Both orders are the UTF-8
 byte order the rules ask for, because code-point order equals UTF-8 byte
-order for Unicode scalar values.
+order for Unicode scalar values. Only a value holding a surrogate fails the
+final strict encode and pays for re-sorting its arrays and escaping.
 
 ``verify_signature`` remembers the 1024 most recently used Ed25519 results,
 keyed on the full public key, signature and canonical body bytes, so
@@ -117,11 +122,6 @@ class AttestationDocument:
         if self.net_allowed_hosts is not None:
             object.__setattr__(self, "net_allowed_hosts", tuple(self.net_allowed_hosts))
 
-    @property
-    def attested(self) -> bool:
-        """True when both signer key id and signature are present."""
-        return self.signer_key_id is not None and self.signature is not None
-
 
 @dataclass(frozen=True)
 class KeyPair:
@@ -167,9 +167,14 @@ def canonical_json_bytes(value: Any) -> bytes:
     serialization, output carries no whitespace, and strings use only the
     escapes JSON mandates. Only ``None``, ``bool``, ``int``, ``str``, lists,
     tuples and string-keyed mappings are encodable; anything else raises
-    TypeError.
+    TypeError. Lone surrogates are written as ``\\uXXXX`` escapes (see the
+    module docstring).
     """
-    return _ENCODER.encode(_prepare(value)).encode("utf-8")
+    prepared = _prepare(value)
+    try:
+        return _ENCODER.encode(prepared).encode("utf-8")
+    except UnicodeEncodeError:
+        return _escaped_bytes(_sort_arrays_by_escaped_bytes(prepared))
 
 
 # json escapes exactly the mandatory set with ensure_ascii off: quote,
@@ -214,6 +219,19 @@ def _prepare_array(value: Any) -> list[Any]:
         # Code-point order of the serialized text is its UTF-8 byte order.
         members.sort(key=_ENCODER.encode)
     return members
+
+
+def _escaped_bytes(prepared: Any) -> bytes:
+    # backslashreplace writes exactly \udxxx for a surrogate, and only for one.
+    return _ENCODER.encode(prepared).encode("utf-8", "backslashreplace")
+
+
+def _sort_arrays_by_escaped_bytes(value: Any) -> Any:
+    if type(value) is dict:
+        return {key: _sort_arrays_by_escaped_bytes(member) for key, member in value.items()}
+    if type(value) is list:
+        return sorted(map(_sort_arrays_by_escaped_bytes, value), key=_escaped_bytes)
+    return value
 
 
 def canonical_body(doc: AttestationDocument) -> bytes:

@@ -25,9 +25,11 @@ __all__ = [
     "TrustRootError",
     "TrustRootLockedError",
     "dev_bundle",
+    "format_rfc3339",
     "load_trust_root_file",
     "parse_rfc3339",
     "serialize_trust_root",
+    "trust_root_to_wire",
 ]
 
 
@@ -51,6 +53,11 @@ def parse_rfc3339(value: str) -> datetime:
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
     return parsed
+
+
+def format_rfc3339(moment: datetime) -> str:
+    """ISO 8601 text of ``moment``, with a UTC offset written as ``Z``."""
+    return moment.isoformat().replace("+00:00", "Z")
 
 
 @dataclass(frozen=True)
@@ -181,15 +188,17 @@ def load_trust_root_file(raw: bytes | str) -> list[SignerRecord]:
     return records
 
 
-def serialize_trust_root(signers: Iterable[SignerRecord], *, indent: int | None = 2) -> str:
-    data = {
+def trust_root_to_wire(signers: Iterable[SignerRecord]) -> dict:
+    """The trust root file format that ``load_trust_root_file`` reads, as a
+    JSON-ready dict."""
+    return {
         "signers": [
             {
                 "keyId": record.key_id,
                 "publicKey": base64.b64encode(record.public_key).decode("ascii"),
                 "approvedClearance": list(record.approved_clearance),
                 **(
-                    {"notAfter": record.not_after.isoformat().replace("+00:00", "Z")}
+                    {"notAfter": format_rfc3339(record.not_after)}
                     if record.not_after is not None
                     else {}
                 ),
@@ -197,7 +206,10 @@ def serialize_trust_root(signers: Iterable[SignerRecord], *, indent: int | None 
             for record in signers
         ]
     }
-    return json.dumps(data, indent=indent, ensure_ascii=False)
+
+
+def serialize_trust_root(signers: Iterable[SignerRecord], *, indent: int | None = 2) -> str:
+    return json.dumps(trust_root_to_wire(signers), indent=indent, ensure_ascii=False)
 
 
 def dev_bundle() -> tuple[list[SignerRecord], dict[str, KeyPair]]:

@@ -29,7 +29,8 @@ def _encode_string(text: str) -> str:
     for ch in text:
         if ch in _SHORT_ESCAPES:
             parts.append(_SHORT_ESCAPES[ch])
-        elif ord(ch) < 0x20:
+        elif ord(ch) < 0x20 or 0xD800 <= ord(ch) <= 0xDFFF:
+            # Controls and lone surrogates are written as \uXXXX escapes.
             parts.append("\\u%04x" % ord(ch))
         else:
             parts.append(ch)
@@ -53,8 +54,9 @@ def _encode(value: Any) -> str:
         members.sort(key=lambda text: text.encode("utf-8"))
         return "[" + ",".join(members) + "]"
     if isinstance(value, dict):
+        # surrogatepass encodes lone surrogates too, keeping code-point order.
         pairs = [
-            (key.encode("utf-8"), _encode_string(key) + ":" + _encode(member))
+            (key.encode("utf-8", "surrogatepass"), _encode_string(key) + ":" + _encode(member))
             for key, member in value.items()
         ]
         pairs.sort(key=lambda item: item[0])
