@@ -16,9 +16,7 @@ from .admission import (
     FetchError,
     Flavor,
     HttpFetcher,
-    StaticFetcher,
     Verdict,
-    VerificationRequest,
     fetch_attestation,
     host_of,
     verify_server_clearance,
@@ -32,7 +30,6 @@ from .audit import (
     AuditLog,
     AuditRecord,
     JsonlAuditSink,
-    RecordingSink,
     load_audit_jsonl,
     verify_chain,
 )
@@ -42,6 +39,7 @@ from .conformance import (
     CampaignReport,
     ConformanceVector,
     CorpusCase,
+    CountingTransport,
     VectorReport,
     build_vectors,
     dump_corpus_jsonl,
@@ -51,7 +49,6 @@ from .conformance import (
     run_vectors,
 )
 from .gateway import (
-    CountingTransport,
     DispatchResult,
     DispatchStatus,
     Gateway,

@@ -1,7 +1,9 @@
 """Connection-time admission: fetch, verify, and gate MCP server attestations.
 
-``verify_server_clearance`` applies a fixed sequence of checks and reports
-the first failure as a denial value; it never raises for untrusted input.
+``verify_server_clearance(server_url, required_level, *, now, scheme,
+trust_root, fetcher)`` is the one verification entry point. It applies a
+fixed sequence of checks and reports the first failure as a denial value; it
+never raises for untrusted input.
 The order is observable and load-bearing, because a hostile document can fail
 several checks at once and callers key behavior off the reason:
 
@@ -29,7 +31,7 @@ import urllib.request
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable
 
 from .audit import (
     EVENT_CONNECT_ALLOW,
@@ -54,11 +56,10 @@ __all__ = [
     "Fetcher",
     "Flavor",
     "HttpFetcher",
-    "StaticFetcher",
     "Verdict",
-    "VerificationRequest",
     "fetch_attestation",
     "host_of",
+    "serving",
     "verify_server_clearance",
 ]
 
@@ -73,6 +74,12 @@ OPEN_FLAVOR_NOTE = "open flavor: warn-only"
 # A fetcher returns (status, body) for one URL and raises FetchError on
 # transport failure. Injectable so verification is hermetically testable.
 Fetcher = Callable[[str], tuple[int, bytes]]
+
+
+def serving(body: bytes) -> Fetcher:
+    """A fetcher that answers every URL with ``body``. Verification asks for
+    the first well-known path first, so it never sees a 404."""
+    return lambda url: (200, body)
 
 
 class DenyReason(str, Enum):
@@ -193,22 +200,6 @@ class HttpFetcher:
             raise FetchError(f"GET {url} failed: {exc}") from exc
 
 
-class StaticFetcher:
-    """Test fetcher serving a fixed URL-to-bytes mapping; everything else 404s.
-    Requested URLs are recorded so tests can assert fetch counts."""
-
-    def __init__(self, responses: Mapping[str, bytes]) -> None:
-        self.responses = dict(responses)
-        self.requests: list[str] = []
-
-    def __call__(self, url: str) -> tuple[int, bytes]:
-        self.requests.append(url)
-        body = self.responses.get(url)
-        if body is None:
-            return 404, b""
-        return 200, body
-
-
 def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
     """Retrieve the attestation document for a server URL.
 
@@ -229,32 +220,26 @@ def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
     raise FetchError(f"no attestation document at well-known paths under {base}")
 
 
-@dataclass
-class VerificationRequest:
-    """Everything one verification needs, with the clock and fetcher injected."""
-
-    server_url: str
-    required_level: str
-    now: datetime
-    scheme: ClassificationScheme
-    trust_root: TrustRoot
-    fetcher: Fetcher
-
-
-def verify_server_clearance(request: VerificationRequest) -> Verdict:
+def verify_server_clearance(
+    server_url: str,
+    required_level: str,
+    *,
+    now: datetime,
+    scheme: ClassificationScheme,
+    trust_root: TrustRoot,
+    fetcher: Fetcher,
+) -> Verdict:
     """Run the ordered checks described in the module docstring.
 
     The required level must resolve in the scheme; that is host
     configuration, so an unresolvable name raises LevelNotFoundError instead
     of producing a denial.
     """
-    if request.scheme.resolve(request.required_level) is None:
-        raise LevelNotFoundError(
-            f"required level {request.required_level!r} not in scheme {request.scheme.name!r}"
-        )
+    if scheme.resolve(required_level) is None:
+        raise LevelNotFoundError(f"required level {required_level!r} not in scheme {scheme.name!r}")
 
     try:
-        raw = fetch_attestation(request.server_url, request.fetcher)
+        raw = fetch_attestation(server_url, fetcher)
     except FetchError as exc:
         return Verdict.deny(DenyReason.fetch_failed, str(exc))
 
@@ -272,20 +257,20 @@ def verify_server_clearance(request: VerificationRequest) -> Verdict:
     if document.signer_key_id is None or document.signature is None:
         return Verdict.deny(DenyReason.unsigned, "document carries no signer key id and signature")
 
-    signer = request.trust_root.find(document.signer_key_id)
+    signer = trust_root.find(document.signer_key_id)
     if signer is None:
         return Verdict.deny(
             DenyReason.signer_not_trusted,
             f"signer {document.signer_key_id!r} not in trust root",
         )
 
-    if signer.not_after is not None and signer.not_after < request.now:
+    if signer.not_after is not None and signer.not_after < now:
         return Verdict.deny(
             DenyReason.signer_expired,
             f"signer {signer.key_id!r} expired at {signer.not_after.isoformat()}",
         )
 
-    if not signer.approves(request.scheme, document.clearance):
+    if not signer.approves(scheme, document.clearance):
         return Verdict.deny(
             DenyReason.signer_not_approved,
             f"signer {signer.key_id!r} is not approved to assert {document.clearance!r}",
@@ -296,15 +281,15 @@ def verify_server_clearance(request: VerificationRequest) -> Verdict:
             DenyReason.bad_signature, "signature does not verify over the canonical body"
         )
 
-    if not request.scheme.meets(document.clearance, request.required_level):
+    if not scheme.meets(document.clearance, required_level):
         return Verdict.deny(
             DenyReason.below_required,
-            f"clearance {document.clearance!r} is below required {request.required_level!r}",
+            f"clearance {document.clearance!r} is below required {required_level!r}",
         )
 
     hosts = document.net_allowed_hosts or ()
     if hosts:
-        origin = host_of(request.server_url)
+        origin = host_of(server_url)
         if origin not in {candidate.casefold() for candidate in hosts}:
             return Verdict.deny(
                 DenyReason.host_not_bound,
@@ -352,15 +337,14 @@ class AdmissionGate:
                 ConnectStatus.ok, Verdict.allow(required_level, None)
             )
 
-        request = VerificationRequest(
-            server_url=server_url,
-            required_level=required_level,
+        verdict = verify_server_clearance(
+            server_url,
+            required_level,
             now=self.clock(),
             scheme=self.scheme,
             trust_root=self.trust_root,
             fetcher=self.fetcher,
         )
-        verdict = verify_server_clearance(request)
 
         if verdict.allowed:
             self.audit.append(

@@ -4,7 +4,8 @@ Every admission decision lands here as one record. Each record's hash covers
 the previous record's hash plus the canonical serialization of its own
 content, so any in-place edit, deletion, insertion, or reordering breaks the
 chain at a detectable index. Append failures must abort the guarded action;
-nothing in this module swallows sink errors.
+nothing in this module swallows sink errors. A sink is any object with
+``write(record)``; ``JsonlAuditSink`` is the durable one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence, TextIO
+from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO
 
 from .sad import canonical_json_bytes
 from .trustroot import format_rfc3339
@@ -31,7 +32,6 @@ __all__ = [
     "AuditLog",
     "AuditRecord",
     "JsonlAuditSink",
-    "RecordingSink",
     "compute_record_hash",
     "load_audit_jsonl",
     "record_from_wire",
@@ -83,16 +83,6 @@ def compute_record_hash(
 
 class AuditSink(Protocol):
     def write(self, record: AuditRecord) -> None: ...
-
-
-class RecordingSink:
-    """In-memory sink for tests."""
-
-    def __init__(self) -> None:
-        self.records: list[AuditRecord] = []
-
-    def write(self, record: AuditRecord) -> None:
-        self.records.append(record)
 
 
 class JsonlAuditSink:

@@ -20,12 +20,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
 
-from .admission import AdmissionGate, Flavor, HttpFetcher
+from .admission import AdmissionGate, Flavor, HttpFetcher, serving
 from .audit import AuditLog, JsonlAuditSink, load_audit_jsonl, verify_chain, AuditError
 from .conformance import (
     build_vectors,
@@ -40,6 +39,7 @@ from .gateway import load_registry_file
 from .lattice import (
     BUILTIN_SCHEME_NAMES,
     ClassificationScheme,
+    LevelNotFoundError,
     SchemeError,
     get_builtin_scheme,
     load_scheme,
@@ -67,16 +67,6 @@ class ConfigError(click.ClickException):
     """Configuration problem: wrong files, unknown scheme, missing key."""
 
     exit_code = EXIT_CONFIG
-
-
-@dataclass
-class CliConfig:
-    """Resolved shared configuration for a single command run."""
-
-    scheme: ClassificationScheme
-    trust_root: TrustRoot | None = None
-    flavor: Flavor = Flavor.open
-    audit_path: str | None = None
 
 
 def _load_scheme_spec(spec: str) -> ClassificationScheme:
@@ -133,28 +123,6 @@ def _load_keypair(path: str) -> KeyPair:
         raise ConfigError(f"cannot read key file {path}: {exc}") from exc
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid key file {path}: {exc}") from exc
-
-
-def _scheme_option(fn):
-    return click.option(
-        "--scheme",
-        "scheme_spec",
-        envvar="ATSA_SCHEME",
-        default="default",
-        show_default=True,
-        help="Builtin scheme name or path to a scheme JSON file (env: ATSA_SCHEME).",
-    )(fn)
-
-
-def _flavor_option(fn):
-    return click.option(
-        "--flavor",
-        envvar="ATSA_FLAVOR",
-        type=click.Choice([f.value for f in Flavor]),
-        default=Flavor.open.value,
-        show_default=True,
-        help="Deployment posture: open warns on gate failures, enclaved denies (env: ATSA_FLAVOR).",
-    )(fn)
 
 
 @click.group()
@@ -223,8 +191,8 @@ def sign(sad_path: str, key_path: str, out_path: str | None) -> None:
 @click.option("--required", "required_level", required=True, help="Clearance level the server must prove.")
 @click.option("--origin", default=None, help="Host standing in for the serving origin when TARGET is a file.")
 @click.option("--trust-root", "trust_root_path", envvar="ATSA_TRUST_ROOT", required=True, type=click.Path(exists=True, dir_okay=False), help="Trust root JSON (env: ATSA_TRUST_ROOT).")
-@_scheme_option
-@_flavor_option
+@click.option("--scheme", "scheme_spec", envvar="ATSA_SCHEME", default="default", show_default=True, help="Builtin scheme name or path to a scheme JSON file (env: ATSA_SCHEME).")
+@click.option("--flavor", envvar="ATSA_FLAVOR", type=click.Choice([f.value for f in Flavor]), default=Flavor.open.value, show_default=True, help="Deployment posture: open warns on gate failures, enclaved denies (env: ATSA_FLAVOR).")
 @click.option("--audit", "audit_path", envvar="ATSA_AUDIT_LOG", default=None, type=click.Path(), help="Append the decision to this JSONL audit log (env: ATSA_AUDIT_LOG).")
 @click.option("--lock", is_flag=True, help="Lock the trust root after loading; nothing can widen it for the process lifetime.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON report on stdout.")
@@ -244,8 +212,6 @@ def verify(
     The denial reason code is printed verbatim on stderr.
     """
     scheme = _load_scheme_spec(scheme_spec)
-    if scheme.resolve(required_level) is None:
-        raise ConfigError(f"required level {required_level!r} does not resolve in scheme {scheme.name!r}")
     trust_root = _load_trust_root(trust_root_path, lock)
     audit = _open_audit_log(audit_path)
 
@@ -258,10 +224,13 @@ def verify(
             raise ConfigError(f"target {target!r} is neither an http(s) URL nor a readable file")
         body = path.read_bytes()
         server_url = f"https://{origin or 'localhost'}/"
-        fetcher = lambda url: (200, body)  # noqa: E731 - every path serves the file
+        fetcher = serving(body)
 
     gate = AdmissionGate(scheme, trust_root, fetcher, audit)
-    result = gate.connect(server_url, required_level, Flavor(flavor))
+    try:
+        result = gate.connect(server_url, required_level, Flavor(flavor))
+    except LevelNotFoundError as exc:
+        raise ConfigError(f"required level {required_level!r} does not resolve in scheme {scheme.name!r}") from exc
     verdict = result.verdict
 
     if as_json:
@@ -327,7 +296,7 @@ def vectors(fixtures_dir: str | None, as_json: bool) -> None:
 
 @cli.command()
 @click.option("--seed", type=int, default=1, show_default=True, help="Corpus seed; identical seeds give byte-identical reports.")
-@click.option("--per-category", type=int, default=200, show_default=True, help="Cases per tool-name category and per forgery recipe.")
+@click.option("--per-category", type=click.IntRange(min=1), default=200, show_default=True, help="Cases per tool-name category and per forgery recipe.")
 @click.option("--allowlist", default=DEFAULT_FUZZ_ALLOWLIST, show_default=True, help="Comma-separated exact tool names under test.")
 @click.option("--registry", "registry_path", envvar="ATSA_REGISTRY", default=None, type=click.Path(exists=True, dir_okay=False), help="Take the allowlist from the first entry of this registry file instead (env: ATSA_REGISTRY).")
 @click.option("--corpus", "corpus_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Replay an externally supplied corpus JSONL instead of generating one.")
@@ -344,7 +313,10 @@ def fuzz(
 ) -> None:
     """Run the seeded adversarial campaign against a fully wired gateway."""
     if registry_path:
-        entries = load_registry_file(Path(registry_path).read_text(encoding="utf-8"))
+        try:
+            entries = load_registry_file(Path(registry_path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # RegistryError, or a file that is not UTF-8
+            raise ConfigError(f"invalid registry {registry_path}: {exc}") from exc
         if not entries:
             raise ConfigError(f"registry {registry_path} has no entries")
         names = sorted(entries[0].allowed_tools)
@@ -354,7 +326,10 @@ def fuzz(
         raise ConfigError("allowlist must contain at least one tool name")
 
     if corpus_path:
-        cases = load_corpus_jsonl(corpus_path)
+        try:
+            cases = load_corpus_jsonl(corpus_path)
+        except ValueError as exc:
+            raise ConfigError(f"invalid corpus {corpus_path}: {exc}") from exc
     else:
         cases = generate_corpus(seed, names, per_category)
     if corpus_out:
@@ -420,16 +395,20 @@ def serve(config_path: str) -> None:
     tools = spec.get("tools") or {}
     if not isinstance(tools, dict):
         raise ConfigError("server config 'tools' must be an object")
+    try:
+        port = int(spec.get("port", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"server config 'port' must be an integer: {exc}") from exc
     config = StubServerConfig(
         sad_bytes=sad_bytes,
         tool_behaviors=tools,
         host=spec.get("host", "127.0.0.1"),
-        port=int(spec.get("port", 0)),
+        port=port,
         mcp_path=spec.get("mcpPath", "/mcp"),
     )
     try:
         server = serve_stub(config)
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:  # OverflowError: port outside 0-65535
         raise ConfigError(f"cannot bind {config.host}:{config.port}: {exc}") from exc
     click.echo(f"serving at {server.url}")
     try:
@@ -445,15 +424,11 @@ def main(argv: list[str] | None = None) -> None:
     """Console entry point with stable internal-error mapping."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
     except click.ClickException as exc:
         exc.show()
         sys.exit(exc.exit_code)
     except click.exceptions.Abort:
         sys.exit(EXIT_CONFIG)
-    except SystemExit:
-        raise
     except Exception as exc:  # pragma: no cover - defensive
         click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_INTERNAL)

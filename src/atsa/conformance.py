@@ -14,6 +14,10 @@ from the first allowlisted name; ``_FORGERIES`` gives a forgery category's
 recipe and the ``DenyReason`` it must produce. ``TOOL_CATEGORIES`` and
 ``FORGERY_CATEGORIES`` are their keys, in the order the categories draw from
 the corpus's one seeded random stream.
+
+The campaign dispatches through ``CountingTransport``, an in-process
+transport that counts every request, so "zero tool-call writes" is observed
+rather than assumed.
 """
 
 from __future__ import annotations
@@ -25,20 +29,11 @@ import random
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .admission import (
-    AdmissionGate,
-    DenyReason,
-    Fetcher,
-    Flavor,
-    Verdict,
-    VerificationRequest,
-    verify_server_clearance,
-)
+from .admission import AdmissionGate, DenyReason, Flavor, Verdict, serving, verify_server_clearance
 from .audit import EVENT_TOOL_DENY, AuditLog
 from .gateway import (
-    CountingTransport,
     DispatchStatus,
     Gateway,
     RegistryEntry,
@@ -65,6 +60,7 @@ __all__ = [
     "CampaignSetup",
     "ConformanceVector",
     "CorpusCase",
+    "CountingTransport",
     "VectorOutcome",
     "VectorReport",
     "build_vectors",
@@ -198,31 +194,25 @@ def build_vectors(signing_key: KeyPair | None = None) -> list[ConformanceVector]
     ]
 
 
-def _serving(body: bytes) -> Fetcher:
-    """A fetcher that answers every URL with ``body``. Verification asks for
-    the first well-known path first, so it never sees a 404."""
-    return lambda url: (200, body)
-
-
 def run_vectors(
     vectors: Sequence[ConformanceVector],
-    verifier: Callable[[VerificationRequest], Verdict] | None = None,
+    verifier: Callable[..., Verdict] | None = None,
 ) -> VectorReport:
     """Run each vector against ``verifier`` (production verifier by default;
-    injectable so a fault-seeded verifier demonstrably fails)."""
+    injectable so a fault-seeded verifier demonstrably fails). A verifier is
+    called exactly like ``verify_server_clearance``."""
     verify = verifier if verifier is not None else verify_server_clearance
     scheme = get_builtin_scheme("default")
     outcomes = []
     for vec in vectors:
-        request = VerificationRequest(
-            server_url=vec.server_url,
-            required_level=vec.required_level,
+        verdict = verify(
+            vec.server_url,
+            vec.required_level,
             now=VECTOR_NOW,
             scheme=scheme,
             trust_root=TrustRoot(vec.signers),
-            fetcher=_serving(vec.document_bytes),
+            fetcher=serving(vec.document_bytes),
         )
-        verdict = verify(request)
         if vec.expect_allow:
             passed = verdict.allowed
         else:
@@ -744,6 +734,43 @@ class CampaignReport:
         }
 
 
+class CountingTransport:
+    """In-process transport that never touches the network. Counts every
+    request and answers tools/call from a behavior map (callable or constant
+    result); unmapped tools are echoed back."""
+
+    def __init__(self, behaviors: Mapping[str, Any] | None = None) -> None:
+        self.behaviors = dict(behaviors or {})
+        self.bearer_provider: Callable[[], str] | None = None
+        self.calls = 0
+        self.requests: list[tuple[Mapping[str, Any], Mapping[str, str]]] = []
+        self._ids = itertools.count(1)
+
+    def next_id(self) -> int:
+        return next(self._ids)
+
+    def request(self, payload: Mapping[str, Any], headers: Mapping[str, str]) -> Any:
+        self.calls += 1
+        self.requests.append((dict(payload), dict(headers)))
+        if payload.get("method") != "tools/call":
+            return {
+                "jsonrpc": "2.0",
+                "id": payload.get("id"),
+                "error": {"code": -32601, "message": "method not found"},
+            }
+        params = payload.get("params") or {}
+        name = params.get("name")
+        arguments = params.get("arguments") or {}
+        behavior = self.behaviors.get(name)
+        if callable(behavior):
+            result = behavior(arguments)
+        elif behavior is not None:
+            result = behavior
+        else:
+            result = {"tool": name, "echo": dict(arguments)}
+        return {"jsonrpc": "2.0", "id": payload.get("id"), "result": result}
+
+
 CAMPAIGN_ENDPOINT = "https://campaign.tools.example/mcp"
 _FORGED_SERVER = "https://forged.campaign.example/mcp"
 
@@ -774,7 +801,7 @@ def run_campaign(
         ),
         setup.high_key,
     )
-    fetcher = _serving(serialize_document(server_sad).encode("utf-8"))
+    fetcher = serving(serialize_document(server_sad).encode("utf-8"))
     trust_root = TrustRoot(setup.signers)
     trust_root.lock_trust_root()
     scheme = get_builtin_scheme("default")
@@ -812,15 +839,14 @@ def run_campaign(
                     got = outcome.reason.value if outcome.reason else outcome.status.value
                 expected = TOOL_EXPECTATION
             else:
+                # A lone surrogate reaches the parser as its \uXXXX escape.
                 verdict = verify_server_clearance(
-                    VerificationRequest(
-                        server_url=_FORGED_SERVER,
-                        required_level=setup.required_level,
-                        now=VECTOR_NOW,
-                        scheme=scheme,
-                        trust_root=trust_root,
-                        fetcher=_serving(case.input.encode("utf-8")),
-                    )
+                    _FORGED_SERVER,
+                    setup.required_level,
+                    now=VECTOR_NOW,
+                    scheme=scheme,
+                    trust_root=trust_root,
+                    fetcher=serving(case.input.encode("utf-8", errors="backslashreplace")),
                 )
                 got = "admitted" if verdict.allowed else verdict.reason.value
                 expected = case.expectation
@@ -847,7 +873,8 @@ def run_campaign(
 
 
 def dump_corpus_jsonl(cases: Iterable[CorpusCase], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    # A lone surrogate, only ever inside a JSON string, is written as its escape.
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as handle:
         for case in cases:
             # One object per line, keyed by the CorpusCase field names.
             handle.write(json.dumps(asdict(case), ensure_ascii=False) + "\n")
@@ -867,6 +894,8 @@ def load_corpus_jsonl(path: str | Path) -> list[CorpusCase]:
                 data = json.loads(line)
             except ValueError as exc:
                 raise ValueError(f"line {line_number}: not valid JSON: {exc}") from exc
+            if not isinstance(data, dict):
+                raise ValueError(f"line {line_number}: a corpus case must be a JSON object")
             category = data.get("category")
             if category not in known:
                 raise ValueError(f"line {line_number}: unknown category {category!r}")

@@ -27,7 +27,6 @@ from .admission import AdmissionGate, ConnectStatus, DenyReason, Flavor, SameOri
 from .audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, AuditLog
 
 __all__ = [
-    "CountingTransport",
     "DispatchResult",
     "DispatchStatus",
     "Gateway",
@@ -121,13 +120,6 @@ class ServerRegistry:
     def get(self, endpoint: str) -> RegistryEntry | None:
         return self._entries.get(endpoint)
 
-    def is_tool_admitted(self, endpoint: str, tool_name: str) -> bool:
-        """Byte-exact allowlist membership; unknown endpoints admit nothing."""
-        entry = self._entries.get(endpoint)
-        if entry is None:
-            return False
-        return tool_name in entry.allowed_tools
-
     def endpoints(self) -> tuple[str, ...]:
         return tuple(self._entries)
 
@@ -196,44 +188,6 @@ class HttpTransport:
             raise TransportError(f"response from {self.url} is not valid JSON") from exc
 
 
-class CountingTransport:
-    """In-process transport that never touches the network. Counts every
-    request and answers tools/call from a behavior map (callable or constant
-    result); unmapped tools are echoed back."""
-
-    def __init__(self, behaviors: Mapping[str, Any] | None = None, url: str = "stub://tools") -> None:
-        self.behaviors = dict(behaviors or {})
-        self.url = url
-        self.bearer_provider: Callable[[], str] | None = None
-        self.calls = 0
-        self.requests: list[tuple[Mapping[str, Any], Mapping[str, str]]] = []
-        self._ids = itertools.count(1)
-
-    def next_id(self) -> int:
-        return next(self._ids)
-
-    def request(self, payload: Mapping[str, Any], headers: Mapping[str, str]) -> Any:
-        self.calls += 1
-        self.requests.append((dict(payload), dict(headers)))
-        if payload.get("method") != "tools/call":
-            return {
-                "jsonrpc": "2.0",
-                "id": payload.get("id"),
-                "error": {"code": -32601, "message": "method not found"},
-            }
-        params = payload.get("params") or {}
-        name = params.get("name")
-        arguments = params.get("arguments") or {}
-        behavior = self.behaviors.get(name)
-        if callable(behavior):
-            result = behavior(arguments)
-        elif behavior is not None:
-            result = behavior
-        else:
-            result = {"tool": name, "echo": dict(arguments)}
-        return {"jsonrpc": "2.0", "id": payload.get("id"), "result": result}
-
-
 def jsonrpc_tools_call(transport: Any, call: ToolCall) -> Any:
     """Send one tools/call request and return its result member.
 
@@ -283,8 +237,7 @@ class Gateway:
         self.audit = audit
         self.flavor = flavor
 
-    def invoke(self, endpoint: str, call: ToolCall, flavor: Flavor | None = None) -> DispatchResult:
-        flavor = self.flavor if flavor is None else flavor
+    def invoke(self, endpoint: str, call: ToolCall) -> DispatchResult:
         entry = self.registry.get(endpoint)
         if entry is None:
             # Never dispatchable, so nothing is fetched from the URL the agent
@@ -313,7 +266,7 @@ class Gateway:
         connection = self.gate.connect(
             endpoint,
             entry.required_clearance,
-            flavor,
+            self.flavor,
             skip_clearance_preflight=entry.skip_clearance_preflight,
         )
         if connection.status is not ConnectStatus.ok:

@@ -12,7 +12,6 @@ from atsa import (
     AttestationDocument,
     AuditLog,
     SignerRecord,
-    StaticFetcher,
     TrustRoot,
     WELL_KNOWN_PATHS,
     generate_keypair,
@@ -21,6 +20,7 @@ from atsa import (
     serialize_document,
     sign_document,
 )
+from doubles import StaticFetcher
 
 FIXED_NOW = datetime(2026, 1, 1, tzinfo=timezone.utc)
 NOT_AFTER = datetime(2027, 1, 1, tzinfo=timezone.utc)

@@ -38,13 +38,11 @@ from atsa import (
     SchemeError,
     ServerRegistry,
     SignerRecord,
-    StaticFetcher,
     StubServerConfig,
     TOOL_CATEGORIES,
     ToolCall,
     TrustRoot,
     TrustRootLockedError,
-    VerificationRequest,
     WELL_KNOWN_PATHS,
     build_vectors,
     canonical_body,
@@ -61,6 +59,7 @@ from atsa.audit import record_from_wire, record_to_wire
 from atsa.cli import cli
 from atsa.conformance import KIND_TOOL, VECTOR_NOW
 from conftest import FIXED_NOW, SERVER_URL, fetcher_for
+from doubles import StaticFetcher
 from reference_impl import (
     reference_chain_first_bad,
     reference_sad_body,
@@ -272,14 +271,12 @@ def test_criterion_05_locked_trust_root_survives_100_set_attempts():
 
     origin = "{0.scheme}://{0.netloc}".format(urlsplit(vector4.server_url))
     verdict = verify_server_clearance(
-        VerificationRequest(
-            server_url=vector4.server_url,
-            required_level=vector4.required_level,
-            now=VECTOR_NOW,
-            scheme=scheme,
-            trust_root=root,
-            fetcher=StaticFetcher({origin + WELL_KNOWN_PATHS[0]: vector4.document_bytes}),
-        )
+        vector4.server_url,
+        vector4.required_level,
+        now=VECTOR_NOW,
+        scheme=scheme,
+        trust_root=root,
+        fetcher=StaticFetcher({origin + WELL_KNOWN_PATHS[0]: vector4.document_bytes}),
     )
     assert not verdict.allowed
     assert verdict.reason == DenyReason.signer_not_trusted

@@ -22,10 +22,8 @@ from atsa import (
     LevelNotFoundError,
     OPEN_FLAVOR_NOTE,
     SignerRecord,
-    StaticFetcher,
     StubServerConfig,
     TrustRoot,
-    VerificationRequest,
     WELL_KNOWN_PATHS,
     fetch_attestation,
     generate_keypair,
@@ -39,6 +37,7 @@ from atsa import (
 from atsa import sad
 from atsa.admission import MAX_DOCUMENT_BYTES
 from conftest import FIXED_NOW, NOT_AFTER, ORIGIN, SERVER_URL, fetcher_for
+from doubles import StaticFetcher
 
 
 def test_host_of():
@@ -110,7 +109,7 @@ def _request(doc_or_bytes, scheme, trust_root, *, required="restricted-plus",
         body = doc_or_bytes
     origin = url.split("/mcp")[0]
     fetcher = StaticFetcher({origin + WELL_KNOWN_PATHS[0]: body}) if body is not None else StaticFetcher({})
-    return VerificationRequest(
+    return dict(
         server_url=url,
         required_level=required,
         now=now,
@@ -121,7 +120,7 @@ def _request(doc_or_bytes, scheme, trust_root, *, required="restricted-plus",
 
 
 def test_allow_verdict_carries_clearance_and_signer(signed_doc, scheme, trust_root, signer):
-    verdict = verify_server_clearance(_request(signed_doc, scheme, trust_root))
+    verdict = verify_server_clearance(**_request(signed_doc, scheme, trust_root))
     assert verdict.allowed
     assert verdict.clearance == "restricted-plus"
     assert verdict.signer_key_id == signer.key_id
@@ -129,16 +128,16 @@ def test_allow_verdict_carries_clearance_and_signer(signed_doc, scheme, trust_ro
 
 
 def test_reason_fetch_failed(scheme, trust_root):
-    verdict = verify_server_clearance(_request(None, scheme, trust_root))
+    verdict = verify_server_clearance(**_request(None, scheme, trust_root))
     assert (verdict.allowed, verdict.reason) == (False, DenyReason.fetch_failed)
 
 
 def test_reason_manifest_invalid(scheme, trust_root):
-    verdict = verify_server_clearance(_request(b"{not json", scheme, trust_root))
+    verdict = verify_server_clearance(**_request(b"{not json", scheme, trust_root))
     assert verdict.reason == DenyReason.manifest_invalid
     wrong_version = b'{"v":2,"id":"x","publisher":"p","version":"1","clearance":"c","capabilities":[]}'
     assert verify_server_clearance(
-        _request(wrong_version, scheme, trust_root)
+        **_request(wrong_version, scheme, trust_root)
     ).reason == DenyReason.manifest_invalid
 
 
@@ -147,49 +146,49 @@ def test_deep_nesting_is_manifest_invalid(scheme, trust_root):
         b'{"v":1,"id":"x","publisher":"p","version":"1","clearance":"c",'
         b'"capabilities":["mcp-server"],"x-deep":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
     )
-    verdict = verify_server_clearance(_request(raw, scheme, trust_root))
+    verdict = verify_server_clearance(**_request(raw, scheme, trust_root))
     assert verdict.reason == DenyReason.manifest_invalid
 
 
 def test_reason_not_mcp_server(baseline_doc, scheme, trust_root, signer):
     doc = sign_document(replace(baseline_doc, capabilities=("tool.invoke",)), signer)
-    verdict = verify_server_clearance(_request(doc, scheme, trust_root))
+    verdict = verify_server_clearance(**_request(doc, scheme, trust_root))
     assert verdict.reason == DenyReason.not_mcp_server
 
 
 def test_capability_match_is_exact(baseline_doc, scheme, trust_root, signer):
     doc = sign_document(replace(baseline_doc, capabilities=("MCP-SERVER",)), signer)
     assert verify_server_clearance(
-        _request(doc, scheme, trust_root)
+        **_request(doc, scheme, trust_root)
     ).reason == DenyReason.not_mcp_server
 
 
 def test_reason_unsigned(baseline_doc, scheme, trust_root, signer):
     assert verify_server_clearance(
-        _request(baseline_doc, scheme, trust_root)
+        **_request(baseline_doc, scheme, trust_root)
     ).reason == DenyReason.unsigned
     # a signature without a signer id is equally unsigned
     signed = sign_document(baseline_doc, signer)
     assert verify_server_clearance(
-        _request(replace(signed, signer_key_id=None), scheme, trust_root)
+        **_request(replace(signed, signer_key_id=None), scheme, trust_root)
     ).reason == DenyReason.unsigned
     # and so is a signer id without a signature
     assert verify_server_clearance(
-        _request(replace(signed, signature=None), scheme, trust_root)
+        **_request(replace(signed, signature=None), scheme, trust_root)
     ).reason == DenyReason.unsigned
 
 
 def test_reason_signer_not_trusted(signed_doc, scheme, trust_root):
     doc = replace(signed_doc, signer_key_id="unknown-key")
     assert verify_server_clearance(
-        _request(doc, scheme, trust_root)
+        **_request(doc, scheme, trust_root)
     ).reason == DenyReason.signer_not_trusted
 
 
 def test_signer_lookup_is_case_sensitive(signed_doc, scheme, trust_root, signer):
     doc = replace(signed_doc, signer_key_id=signer.key_id.upper())
     assert verify_server_clearance(
-        _request(doc, scheme, trust_root)
+        **_request(doc, scheme, trust_root)
     ).reason == DenyReason.signer_not_trusted
 
 
@@ -206,7 +205,7 @@ def test_reason_signer_expired(baseline_doc, scheme, signer):
         ]
     )
     doc = sign_document(baseline_doc, signer)
-    assert verify_server_clearance(_request(doc, scheme, root)).reason == DenyReason.signer_expired
+    assert verify_server_clearance(**_request(doc, scheme, root)).reason == DenyReason.signer_expired
 
 
 def test_no_expiry_means_never_expires(baseline_doc, scheme, signer):
@@ -222,7 +221,7 @@ def test_no_expiry_means_never_expires(baseline_doc, scheme, signer):
         ]
     )
     doc = sign_document(baseline_doc, signer)
-    assert verify_server_clearance(_request(doc, scheme, root)).allowed
+    assert verify_server_clearance(**_request(doc, scheme, root)).allowed
 
 
 def test_reason_signer_not_approved(baseline_doc, scheme, signer):
@@ -239,7 +238,7 @@ def test_reason_signer_not_approved(baseline_doc, scheme, signer):
     )
     doc = sign_document(baseline_doc, signer)  # clearance restricted-plus
     assert verify_server_clearance(
-        _request(doc, scheme, root)
+        **_request(doc, scheme, root)
     ).reason == DenyReason.signer_not_approved
 
 
@@ -256,34 +255,34 @@ def test_approval_membership_tolerates_aliases(baseline_doc, scheme, signer):
         ]
     )
     doc = sign_document(replace(baseline_doc, clearance="Restricted"), signer)
-    verdict = verify_server_clearance(_request(doc, scheme, root, required="internal"))
+    verdict = verify_server_clearance(**_request(doc, scheme, root, required="internal"))
     assert verdict.allowed
 
 
 def test_unresolvable_clearance_is_not_approved(baseline_doc, scheme, trust_root, signer):
     doc = sign_document(replace(baseline_doc, clearance="ultra-mega"), signer)
     assert verify_server_clearance(
-        _request(doc, scheme, trust_root)
+        **_request(doc, scheme, trust_root)
     ).reason == DenyReason.signer_not_approved
 
 
 def test_reason_bad_signature(signed_doc, scheme, trust_root):
     tampered = replace(signed_doc, version="9.9.9")
     assert verify_server_clearance(
-        _request(tampered, scheme, trust_root)
+        **_request(tampered, scheme, trust_root)
     ).reason == DenyReason.bad_signature
 
 
 def test_reason_below_required(baseline_doc, scheme, trust_root, signer):
     doc = sign_document(replace(baseline_doc, clearance="internal"), signer)
-    verdict = verify_server_clearance(_request(doc, scheme, trust_root))
+    verdict = verify_server_clearance(**_request(doc, scheme, trust_root))
     assert verdict.reason == DenyReason.below_required
 
 
 def test_required_level_met_by_alias(baseline_doc, scheme, trust_root, signer):
     doc = sign_document(replace(baseline_doc, clearance="SECRET"), signer)
     verdict = verify_server_clearance(
-        _request(doc, scheme, trust_root, required="restricted")
+        **_request(doc, scheme, trust_root, required="restricted")
     )
     assert verdict.allowed
 
@@ -293,7 +292,7 @@ def test_reason_host_not_bound(baseline_doc, scheme, trust_root, signer):
         replace(baseline_doc, net_allowed_hosts=("other.example",)), signer
     )
     assert verify_server_clearance(
-        _request(doc, scheme, trust_root)
+        **_request(doc, scheme, trust_root)
     ).reason == DenyReason.host_not_bound
 
 
@@ -301,19 +300,19 @@ def test_host_binding_matches_case_insensitively(baseline_doc, scheme, trust_roo
     doc = sign_document(
         replace(baseline_doc, net_allowed_hosts=("Tools.EXAMPLE",)), signer
     )
-    assert verify_server_clearance(_request(doc, scheme, trust_root)).allowed
+    assert verify_server_clearance(**_request(doc, scheme, trust_root)).allowed
 
 
 def test_empty_host_binding_list_binds_nothing(signed_doc, scheme, trust_root):
     # baseline carries netAllowedHosts: [], which must not restrict the host
     assert signed_doc.net_allowed_hosts == ()
-    assert verify_server_clearance(_request(signed_doc, scheme, trust_root)).allowed
+    assert verify_server_clearance(**_request(signed_doc, scheme, trust_root)).allowed
 
 
 def test_unresolvable_required_level_is_a_config_error(signed_doc, scheme, trust_root):
     with pytest.raises(LevelNotFoundError):
         verify_server_clearance(
-            _request(signed_doc, scheme, trust_root, required="no-such-level")
+            **_request(signed_doc, scheme, trust_root, required="no-such-level")
         )
 
 
@@ -360,7 +359,7 @@ def test_clause_order_first_failure_wins(baseline_doc, scheme, signer):
         net_allowed_hosts=("other.example",),
     )
     assert verify_server_clearance(
-        _request(multi, scheme, full_root)
+        **_request(multi, scheme, full_root)
     ).reason == DenyReason.not_mcp_server
 
     # unknown signer + signature that cannot verify: trust lookup fires first
@@ -368,19 +367,19 @@ def test_clause_order_first_failure_wins(baseline_doc, scheme, signer):
         sign_document(baseline_doc, signer), signer_key_id="nobody"
     )
     assert verify_server_clearance(
-        _request(unknown, scheme, full_root)
+        **_request(unknown, scheme, full_root)
     ).reason == DenyReason.signer_not_trusted
 
     # expired signer + unapproved clearance: expiry fires first
     doc = sign_document(baseline_doc, signer)
     assert verify_server_clearance(
-        _request(doc, scheme, expired_root)
+        **_request(doc, scheme, expired_root)
     ).reason == DenyReason.signer_expired
 
     # unapproved clearance + tampered signature: approval fires first
     tampered = replace(sign_document(baseline_doc, signer), publisher="mallory")
     assert verify_server_clearance(
-        _request(tampered, scheme, low_root)
+        **_request(tampered, scheme, low_root)
     ).reason == DenyReason.signer_not_approved
 
     # tampered signature + clearance below required: signature fires first
@@ -389,7 +388,7 @@ def test_clause_order_first_failure_wins(baseline_doc, scheme, signer):
         publisher="mallory",
     )
     assert verify_server_clearance(
-        _request(low_tampered, scheme, full_root)
+        **_request(low_tampered, scheme, full_root)
     ).reason == DenyReason.bad_signature
 
     # below required + bound to another host: domination fires first
@@ -398,13 +397,13 @@ def test_clause_order_first_failure_wins(baseline_doc, scheme, signer):
         signer,
     )
     assert verify_server_clearance(
-        _request(low_bound, scheme, full_root)
+        **_request(low_bound, scheme, full_root)
     ).reason == DenyReason.below_required
 
 
 def test_clause_order_is_documented_observably(signed_doc, scheme, trust_root):
     # same document, demoted step by step, walks the reason codes in order
-    verdict = verify_server_clearance(_request(signed_doc, scheme, trust_root))
+    verdict = verify_server_clearance(**_request(signed_doc, scheme, trust_root))
     assert verdict.allowed
 
 
@@ -412,7 +411,7 @@ def _cached_allow(doc, scheme, trust_root, **kwargs):
     """Verify ``doc`` twice so the second run reads the signature memo."""
     for _ in range(2):
         hits = sad._ed25519_verifies.cache_info().hits
-        assert verify_server_clearance(_request(doc, scheme, trust_root, **kwargs)).allowed
+        assert verify_server_clearance(**_request(doc, scheme, trust_root, **kwargs)).allowed
     assert sad._ed25519_verifies.cache_info().hits == hits + 1
 
 
@@ -421,7 +420,7 @@ def test_memo_keeps_clock_and_config_clauses_live(signed_doc, scheme, trust_root
 
     later = datetime(2028, 1, 1, tzinfo=timezone.utc)
     assert verify_server_clearance(
-        _request(signed_doc, scheme, trust_root, now=later)
+        **_request(signed_doc, scheme, trust_root, now=later)
     ).reason == DenyReason.signer_expired
 
     low_root = TrustRoot()
@@ -429,12 +428,12 @@ def test_memo_keeps_clock_and_config_clauses_live(signed_doc, scheme, trust_root
         [SignerRecord(signer.key_id, signer.public_key, ("PUBLIC", "INTERNAL"), not_after=NOT_AFTER)]
     )
     assert verify_server_clearance(
-        _request(signed_doc, scheme, low_root)
+        **_request(signed_doc, scheme, low_root)
     ).reason == DenyReason.signer_not_approved
 
     hits = sad._ed25519_verifies.cache_info().hits
     assert verify_server_clearance(
-        _request(signed_doc, scheme, trust_root, required=scheme.top)
+        **_request(signed_doc, scheme, trust_root, required=scheme.top)
     ).reason == DenyReason.below_required
     assert sad._ed25519_verifies.cache_info().hits == hits + 1
 
@@ -444,7 +443,7 @@ def test_memo_keeps_host_binding_live(baseline_doc, scheme, trust_root, signer):
     _cached_allow(bound, scheme, trust_root)
     hits = sad._ed25519_verifies.cache_info().hits
     verdict = verify_server_clearance(
-        _request(bound, scheme, trust_root, url="https://elsewhere.example/mcp")
+        **_request(bound, scheme, trust_root, url="https://elsewhere.example/mcp")
     )
     assert verdict.reason == DenyReason.host_not_bound
     assert sad._ed25519_verifies.cache_info().hits == hits + 1
@@ -464,11 +463,11 @@ def test_http_fetcher_caps_the_body(signed_doc, scheme, trust_root):
         with pytest.raises(FetchError):
             HttpFetcher(timeout=5)(over_cap.url + WELL_KNOWN_PATHS[0])
         for stub, allowed in ((at_cap, True), (over_cap, False)):
-            request = replace(
-                _request(None, scheme, trust_root, url=stub.url + "/mcp"),
-                fetcher=HttpFetcher(timeout=5),
-            )
-            verdict = verify_server_clearance(request)
+            request = {
+                **_request(None, scheme, trust_root, url=stub.url + "/mcp"),
+                "fetcher": HttpFetcher(timeout=5),
+            }
+            verdict = verify_server_clearance(**request)
             assert verdict.allowed is allowed
             if not allowed:
                 assert verdict.reason == DenyReason.fetch_failed

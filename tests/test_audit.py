@@ -20,11 +20,11 @@ from atsa import (
     EVENT_CONNECT_WARN,
     EVENT_TOOL_DENY,
     JsonlAuditSink,
-    RecordingSink,
     load_audit_jsonl,
     verify_chain,
 )
 from atsa.audit import GENESIS_PREV_HASH, compute_record_hash, record_from_wire, record_to_wire
+from doubles import RecordingSink
 from reference_impl import reference_chain_first_bad
 
 FIXED_NOW = datetime(2026, 1, 1, tzinfo=timezone.utc)
@@ -131,8 +131,10 @@ def test_recording_sink_sees_every_record():
 
 def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "audit.jsonl"
-    log = _ticking_log(sink=JsonlAuditSink(path))
+    sink = JsonlAuditSink(path)
+    log = _ticking_log(sink=sink)
     _fill(log, 10)
+    sink.close()
     loaded = load_audit_jsonl(path)
     assert tuple(loaded) == log.records
     assert verify_chain(loaded) is None
@@ -145,13 +147,15 @@ def test_jsonl_round_trip(tmp_path):
 
 def test_jsonl_sink_appends_to_existing_file(tmp_path):
     path = tmp_path / "audit.jsonl"
-    log1 = AuditLog(sink=JsonlAuditSink(path), clock=lambda: FIXED_NOW)
+    sink = JsonlAuditSink(path)
+    log1 = AuditLog(sink=sink, clock=lambda: FIXED_NOW)
     log1.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     # a later process continues the same file; chain restarts are not implied,
     # so feed the prior tail back in as the resume point
     assert len(path.read_text().splitlines()) == 1
     log1.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     assert len(path.read_text().splitlines()) == 2
+    sink.close()
 
 
 def test_load_audit_jsonl_rejects_garbage(tmp_path):

@@ -114,10 +114,12 @@ def test_sign_then_verify_file_admit(runner, workspace, tmp_path):
 def test_sign_in_place_is_the_default(runner, workspace, tmp_path):
     key_path = tmp_path / "k.key"
     runner.invoke(cli, ["keygen", "--out", str(key_path), "--key-id", "k"])
-    before = open(workspace["unsigned"]).read()
+    with open(workspace["unsigned"]) as handle:
+        before = handle.read()
     result = runner.invoke(cli, ["sign", workspace["unsigned"], "--key", str(key_path)])
     assert result.exit_code == EXIT_OK
-    after = open(workspace["unsigned"]).read()
+    with open(workspace["unsigned"]) as handle:
+        after = handle.read()
     assert before != after
     assert json.loads(after)["signerKeyId"] == "k"
 
@@ -410,6 +412,48 @@ def test_main_propagates_config_exit(tmp_path, capsys):
     assert exc_info.value.code == EXIT_CONFIG
 
 
+def _main_exit_code(args):
+    with pytest.raises(SystemExit) as exc_info:
+        main(args)
+    return exc_info.value.code
+
+
+def test_fuzz_registry_entry_without_bridge_id_is_config_error(tmp_path, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text(
+        json.dumps(
+            [{"endpoint": "https://x.example/mcp", "requiredClearance": "restricted-plus",
+              "allowedTools": ["alpha_tool"]}]
+        )
+    )
+    assert _main_exit_code(["fuzz", "--per-category", "1", "--registry", str(registry)]) == EXIT_CONFIG
+    assert "bridgeId" in capsys.readouterr().err
+    registry.write_bytes(b"\xff[]")
+    assert _main_exit_code(["fuzz", "--per-category", "1", "--registry", str(registry)]) == EXIT_CONFIG
+
+
+def test_fuzz_corpus_line_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("[1,2]\n")
+    assert _main_exit_code(["fuzz", "--corpus", str(corpus)]) == EXIT_CONFIG
+    assert "line 0: a corpus case must be a JSON object" in capsys.readouterr().err
+
+
+def test_fuzz_per_category_zero_is_usage_error(capsys):
+    assert _main_exit_code(["fuzz", "--per-category", "0"]) == EXIT_CONFIG
+    assert "--per-category" in capsys.readouterr().err
+
+
+def test_serve_non_integer_port_is_config_error(tmp_path, capsys):
+    config_path = tmp_path / "serve.json"
+    config_path.write_text(json.dumps({"sad": None, "port": "abc"}))
+    assert _main_exit_code(["serve", str(config_path)]) == EXIT_CONFIG
+    assert "'port' must be an integer" in capsys.readouterr().err
+    config_path.write_text(json.dumps({"sad": None, "port": 70000}))
+    assert _main_exit_code(["serve", str(config_path)]) == EXIT_CONFIG
+    assert "cannot bind 127.0.0.1:70000" in capsys.readouterr().err
+
+
 def test_serve_subprocess_end_to_end(tmp_path, signed_doc):
     sad_path = tmp_path / "doc.json"
     sad_path.write_text(serialize_document(signed_doc))
@@ -449,4 +493,6 @@ def test_serve_subprocess_end_to_end(tmp_path, signed_doc):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
     assert proc.returncode == 0

@@ -153,14 +153,14 @@ def test_vectors_are_deterministic_given_a_key():
 def _verifier_without(disabled_reason):
     # simulates a verifier missing one clause: when only that clause would
     # have denied, the faulty verifier admits
-    def verifier(request):
-        verdict = verify_server_clearance(request)
+    def verifier(server_url, required_level, **kwargs):
+        verdict = verify_server_clearance(server_url, required_level, **kwargs)
         if verdict.reason == disabled_reason:
             from urllib.parse import urlsplit
 
-            parts = urlsplit(request.server_url)
+            parts = urlsplit(server_url)
             origin = f"{parts.scheme}://{parts.netloc}"
-            _, body = request.fetcher(origin + "/.well-known/mcp-attestation")
+            _, body = kwargs["fetcher"](origin + "/.well-known/mcp-attestation")
             doc = parse_document(body)
             return Verdict.allow(doc.clearance, doc.signer_key_id)
         return verdict

@@ -82,16 +82,6 @@ def test_freeze_is_one_way():
     assert registry.endpoints() == (SERVER_URL,)
 
 
-def test_is_tool_admitted_is_exact():
-    registry = ServerRegistry()
-    registry.register(_entry(CountingTransport()))
-    assert registry.is_tool_admitted(SERVER_URL, "list_labels")
-    assert not registry.is_tool_admitted(SERVER_URL, "List_Labels")
-    assert not registry.is_tool_admitted(SERVER_URL, "list_labels ")
-    assert not registry.is_tool_admitted(SERVER_URL, "delete_everything")
-    assert not registry.is_tool_admitted("https://unknown.example/mcp", "list_labels")
-
-
 def _wired_gateway(scheme, trust_root, doc, *, tools=ALLOWED, skip=False, flavor=Flavor.enclaved):
     fetcher = fetcher_for(doc)
     audit = AuditLog(clock=lambda: FIXED_NOW)
@@ -131,6 +121,16 @@ def test_invoke_unlisted_tool_denied_with_zero_transport_calls(scheme, trust_roo
         "toolName": "delete_everything",
         "reason": TOOL_DENY_DETAIL,
     }
+    # Membership is byte-exact, and an unknown endpoint admits nothing.
+    for endpoint, name in (
+        (SERVER_URL, "List_Labels"),
+        (SERVER_URL, "list_labels "),
+        (SERVER_URL, "delete_everything"),
+        ("https://unknown.example/mcp", "list_labels"),
+    ):
+        assert gateway.invoke(endpoint, ToolCall(name, {})).status == DispatchStatus.denied
+    assert transport.calls == 0
+    assert gateway.invoke(SERVER_URL, ToolCall("list_labels", {})).status == DispatchStatus.ok
 
 
 def test_invoke_chained_name_is_denied(scheme, trust_root, signed_doc):

@@ -4,7 +4,9 @@ JSON text can hold a lone surrogate (``"\\ud800"``), which UTF-8 cannot
 encode. The properties below hold the module contracts for such strings:
 canonical JSON matches the reference oracle, a dispatch is a denial value
 with exactly one audit record, a JSONL log of it reloads and verifies, and
-verification returns a ``Verdict`` and ``atsa sign`` keeps such a document.
+verification returns a ``Verdict`` and ``atsa sign`` keeps such a document,
+and a corpus of such cases survives a JSONL dump and load and replays to a
+report, from the library and from ``atsa fuzz``.
 A last test holds, in both flavors, that an endpoint without a registered
 bridge is refused without fetching anything from it.
 """
@@ -25,34 +27,40 @@ from atsa import (
     AdmissionGate,
     AttestationDocument,
     AuditLog,
+    CorpusCase,
     CountingTransport,
     DenyReason,
     DispatchResult,
     DispatchStatus,
+    FORGERY_CATEGORIES,
     Flavor,
     Gateway,
     JsonlAuditSink,
     RegistryEntry,
     ServerRegistry,
     SignerRecord,
-    StaticFetcher,
+    TOOL_CATEGORIES,
     ToolCall,
     TrustRoot,
     Verdict,
     canonical_json_bytes,
+    dump_corpus_jsonl,
     get_builtin_scheme,
     keypair_from_seed,
     levels_up_to,
     load_audit_jsonl,
+    load_corpus_jsonl,
+    run_campaign,
     serialize_document,
     sign_document,
     verify_chain,
     verify_server_clearance,
 )
-from atsa.admission import VerificationRequest
 from atsa.audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY
-from atsa.cli import EXIT_OK, cli
+from atsa.cli import EXIT_OK, EXIT_VERDICT, cli, main
+from atsa.conformance import KIND_ASSERTION, KIND_TOOL, CampaignReport
 from conftest import FIXED_NOW, SERVER_URL, fetcher_for
+from doubles import StaticFetcher
 from reference_impl import reference_canonical
 
 ALLOWED = frozenset({"list_labels", "create_draft"})
@@ -143,14 +151,12 @@ def test_jsonl_log_of_any_tool_names_reloads_and_verifies(names):
 
 def _verify(document_bytes: bytes) -> Verdict:
     return verify_server_clearance(
-        VerificationRequest(
-            server_url=SERVER_URL,
-            required_level="restricted-plus",
-            now=FIXED_NOW,
-            scheme=SCHEME,
-            trust_root=TrustRoot(SIGNERS),
-            fetcher=lambda url: (200, document_bytes),
-        )
+        SERVER_URL,
+        "restricted-plus",
+        now=FIXED_NOW,
+        scheme=SCHEME,
+        trust_root=TrustRoot(SIGNERS),
+        fetcher=lambda url: (200, document_bytes),
     )
 
 
@@ -201,6 +207,26 @@ def test_verify_returns_verdict_for_documents_with_surrogates(document, tamper):
         assert verdict.reason is not DenyReason.bad_signature
 
 
+_corpus_cases = st.one_of(
+    st.builds(CorpusCase, st.just(KIND_TOOL), st.sampled_from(TOOL_CATEGORIES), _json_strings, _json_strings),
+    st.builds(
+        CorpusCase, st.just(KIND_ASSERTION), st.sampled_from(FORGERY_CATEGORIES), _json_strings, _json_strings
+    ),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cases=st.lists(_corpus_cases, min_size=1, max_size=4))
+def test_corpus_with_surrogates_round_trips_and_replays(cases):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "corpus.jsonl")
+        dump_corpus_jsonl(cases, path)
+        assert load_corpus_jsonl(path) == cases
+    report = run_campaign(cases, seed=1, allowlist=["list_labels"])
+    assert isinstance(report, CampaignReport)
+    assert sum(category.total for category in report.categories) == len(cases)
+
+
 @pytest.mark.parametrize("flavor", list(Flavor))
 def test_unregistered_endpoint_is_refused_without_a_fetch(scheme, trust_root, signed_doc, flavor):
     fetcher = fetcher_for(signed_doc, origin="https://rogue.example")
@@ -239,3 +265,17 @@ def test_sign_in_place_keeps_a_document_with_a_surrogate(tmp_path):
         cli, ["verify", str(sad_path), "--required", "restricted-plus", "--trust-root", str(root_path)]
     )
     assert result.exit_code == EXIT_OK, result.output
+
+
+def test_fuzz_replays_and_writes_a_corpus_with_a_lone_surrogate(tmp_path):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(
+        '{"kind":"forged_assertion","category":"malformed","input":"x\\ud800","expectation":"manifest_invalid"}\n'
+        '{"kind":"tool_name","category":"near_miss","input":"\\udc00","expectation":"tool_not_admitted"}\n',
+        encoding="ascii",
+    )
+    out_path = tmp_path / "out.jsonl"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["fuzz", "--corpus", str(corpus_path), "--corpus-out", str(out_path)])
+    assert exc_info.value.code in (EXIT_OK, EXIT_VERDICT)
+    assert load_corpus_jsonl(out_path) == load_corpus_jsonl(corpus_path)
