@@ -331,7 +331,10 @@ def fuzz(
         except ValueError as exc:
             raise ConfigError(f"invalid corpus {corpus_path}: {exc}") from exc
     else:
-        cases = generate_corpus(seed, names, per_category)
+        try:
+            cases = generate_corpus(seed, names, per_category)
+        except ValueError as exc:  # the allowlist is too short for the quota
+            raise ConfigError(str(exc)) from exc
     if corpus_out:
         dump_corpus_jsonl(cases, corpus_out)
 
@@ -399,13 +402,12 @@ def serve(config_path: str) -> None:
         port = int(spec.get("port", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"server config 'port' must be an integer: {exc}") from exc
-    config = StubServerConfig(
-        sad_bytes=sad_bytes,
-        tool_behaviors=tools,
-        host=spec.get("host", "127.0.0.1"),
-        port=port,
-        mcp_path=spec.get("mcpPath", "/mcp"),
-    )
+    host = spec.get("host", "127.0.0.1")
+    mcp_path = spec.get("mcpPath", "/mcp")
+    for name, value in (("host", host), ("mcpPath", mcp_path)):
+        if not isinstance(value, str):
+            raise ConfigError(f"server config {name!r} must be a string")
+    config = StubServerConfig(sad_bytes=sad_bytes, tool_behaviors=tools, host=host, port=port, mcp_path=mcp_path)
     try:
         server = serve_stub(config)
     except (OSError, OverflowError) as exc:  # OverflowError: port outside 0-65535

@@ -611,14 +611,15 @@ def _distinct(candidates: Iterable[str], quota: int, taken: set[str], label: str
         picked.append(candidate)
         if len(picked) == quota:
             return picked
-    raise RuntimeError(f"{label}: cannot produce {quota} distinct cases")
+    raise ValueError(f"{label}: cannot produce {quota} distinct cases")
 
 
 def generate_corpus(seed: int, allowlist: Sequence[str], per_category: int = 200) -> list[CorpusCase]:
     """Deterministic corpus: ``per_category`` distinct hostile tool names per
     category (none byte-equal to an allowlist member) plus ``per_category``
     forged attestation documents per forgery recipe, each tagged with the
-    denial it must produce."""
+    denial it must produce. Raises ValueError when the allowlist is too
+    short to yield ``per_category`` distinct cases."""
     allowlist = tuple(allowlist)
     if not allowlist or any(not name for name in allowlist):
         raise ValueError("allowlist must be a non-empty list of non-empty names")
@@ -882,7 +883,8 @@ def dump_corpus_jsonl(cases: Iterable[CorpusCase], path: str | Path) -> None:
 
 def load_corpus_jsonl(path: str | Path) -> list[CorpusCase]:
     """Replay hook for externally produced corpora (one JSON object per
-    line). Categories outside the known sets are rejected."""
+    line). Categories outside the known sets are rejected; the kind follows
+    from the category, and an explicit ``kind`` must agree with it."""
     known = set(TOOL_CATEGORIES) | set(FORGERY_CATEGORIES)
     cases: list[CorpusCase] = []
     with open(path, encoding="utf-8") as handle:
@@ -899,9 +901,9 @@ def load_corpus_jsonl(path: str | Path) -> list[CorpusCase]:
             category = data.get("category")
             if category not in known:
                 raise ValueError(f"line {line_number}: unknown category {category!r}")
-            kind = data.get("kind") or (
-                KIND_TOOL if category in TOOL_CATEGORIES else KIND_ASSERTION
-            )
+            kind = KIND_TOOL if category in TOOL_CATEGORIES else KIND_ASSERTION
+            if data.get("kind", kind) != kind:
+                raise ValueError(f"line {line_number}: kind {data['kind']!r} does not match category {category!r}")
             case_input = data.get("input")
             expectation = data.get("expectation")
             if not isinstance(case_input, str) or not isinstance(expectation, str):

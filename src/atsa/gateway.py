@@ -306,18 +306,21 @@ def load_registry_file(raw: bytes | str) -> list[RegistryEntry]:
             allowed = item["allowedTools"]
         except KeyError as exc:
             raise RegistryError(f"registry entry missing field {exc.args[0]!r}") from exc
+        for name, value in (("endpoint", endpoint), ("bridgeId", bridge_id), ("requiredClearance", required)):
+            _require_nonempty_string(value, name)
         if not isinstance(allowed, list) or any(not isinstance(t, str) for t in allowed):
             raise RegistryError("'allowedTools' must be an array of strings")
+        skip_preflight = item.get("skipClearancePreflight", False)
+        if not isinstance(skip_preflight, bool):
+            raise RegistryError("'skipClearancePreflight' must be a JSON boolean")
         transport_spec = item.get("transport") or {}
         if not isinstance(transport_spec, dict):
             raise RegistryError("'transport' must be a JSON object")
-        url = transport_spec.get("url", endpoint)
+        url = _require_nonempty_string(transport_spec.get("url", endpoint), "transport.url")
         bearer_env = transport_spec.get("bearerTokenEnv")
         provider: Callable[[], str] | None = None
         if bearer_env is not None:
-            if not isinstance(bearer_env, str) or not bearer_env:
-                raise RegistryError("'bearerTokenEnv' must be a non-empty string")
-            provider = _env_token_provider(bearer_env)
+            provider = _env_token_provider(_require_nonempty_string(bearer_env, "bearerTokenEnv"))
         transport = HttpTransport(url, bearer_provider=provider)
         entries.append(
             RegistryEntry(
@@ -326,10 +329,16 @@ def load_registry_file(raw: bytes | str) -> list[RegistryEntry]:
                 required_clearance=required,
                 allowed_tools=frozenset(allowed),
                 transport=transport,
-                skip_clearance_preflight=bool(item.get("skipClearancePreflight", False)),
+                skip_clearance_preflight=skip_preflight,
             )
         )
     return entries
+
+
+def _require_nonempty_string(value: Any, name: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise RegistryError(f"{name!r} must be a non-empty string")
+    return value
 
 
 def _env_token_provider(name: str) -> Callable[[], str]:

@@ -18,13 +18,12 @@ Canonical form rules:
   its lowercase ``\\uXXXX`` escape. Arrays sort by these escaped bytes;
   object keys keep code-point order, so such a key sorts before U+E000.
 
-The encoder is a pre-pass plus one ``json`` call. The pre-pass rejects
-floats, non-string keys and other types, turns tuples and mappings into lists
-and dicts, and sorts every array by the serialized text of its members. The
-``json`` call then sorts object keys by code point. Both orders are the UTF-8
-byte order the rules ask for, because code-point order equals UTF-8 byte
-order for Unicode scalar values. Only a value holding a surrogate fails the
-final strict encode and pays for re-sorting its arrays and escaping.
+The encoder is one pass: a pre-pass, then one ``json`` call whose text is
+encoded to UTF-8 with surrogates escaped. The pre-pass rejects floats,
+non-string keys and other types, turns tuples and mappings into lists and
+dicts, and sorts every array by the escaped UTF-8 bytes of its members'
+serialization, innermost arrays first. The ``json`` call sorts object keys
+by code point, which is their UTF-8 byte order for Unicode scalar values.
 
 ``verify_signature`` remembers the 1024 most recently used Ed25519 results,
 keyed on the full public key, signature and canonical body bytes, so
@@ -39,6 +38,7 @@ import base64
 import binascii
 import functools
 import json
+import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -47,12 +47,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    NoEncryption,
-    PrivateFormat,
-    PublicFormat,
-)
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 __all__ = [
     "DOCUMENT_VERSION",
@@ -142,12 +137,7 @@ class KeyPair:
 
 
 def generate_keypair(key_id: str) -> KeyPair:
-    private = Ed25519PrivateKey.generate()
-    return KeyPair(
-        key_id=key_id,
-        public_key=private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw),
-        private_key=private.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption()),
-    )
+    return keypair_from_seed(key_id, os.urandom(32))
 
 
 def keypair_from_seed(key_id: str, seed: bytes) -> KeyPair:
@@ -170,11 +160,7 @@ def canonical_json_bytes(value: Any) -> bytes:
     TypeError. Lone surrogates are written as ``\\uXXXX`` escapes (see the
     module docstring).
     """
-    prepared = _prepare(value)
-    try:
-        return _ENCODER.encode(prepared).encode("utf-8")
-    except UnicodeEncodeError:
-        return _escaped_bytes(_sort_arrays_by_escaped_bytes(prepared))
+    return _escaped_bytes(_prepare(value))
 
 
 # json escapes exactly the mandatory set with ensure_ascii off: quote,
@@ -216,8 +202,8 @@ def _prepare_object(value: Mapping[Any, Any]) -> dict[str, Any]:
 def _prepare_array(value: Any) -> list[Any]:
     members = [_prepare(member) for member in value]
     if len(members) > 1:
-        # Code-point order of the serialized text is its UTF-8 byte order.
-        members.sort(key=_ENCODER.encode)
+        # Members are already prepared, so each key is its canonical bytes.
+        members.sort(key=_escaped_bytes)
     return members
 
 
@@ -226,30 +212,34 @@ def _escaped_bytes(prepared: Any) -> bytes:
     return _ENCODER.encode(prepared).encode("utf-8", "backslashreplace")
 
 
-def _sort_arrays_by_escaped_bytes(value: Any) -> Any:
-    if type(value) is dict:
-        return {key: _sort_arrays_by_escaped_bytes(member) for key, member in value.items()}
-    if type(value) is list:
-        return sorted(map(_sort_arrays_by_escaped_bytes, value), key=_escaped_bytes)
-    return value
-
-
-def canonical_body(doc: AttestationDocument) -> bytes:
-    """Signing-input bytes for ``doc``. Identical for a document with and
-    without its signature attached."""
-    body: dict[str, Any] = {
+def _registered_fields(doc: AttestationDocument) -> dict[str, Any]:
+    """The registered wire fields of ``doc`` in ``WIRE_FIELDS`` order, absent
+    optionals omitted."""
+    fields: dict[str, Any] = {
         "v": doc.v,
         "id": doc.id,
         "publisher": doc.publisher,
         "version": doc.version,
         "clearance": doc.clearance,
         "capabilities": list(doc.capabilities),
-        "signerKeyId": doc.signer_key_id,
     }
+    if doc.signer_key_id is not None:
+        fields["signerKeyId"] = doc.signer_key_id
     if doc.net_allowed_hosts is not None:
-        body["netAllowedHosts"] = list(doc.net_allowed_hosts)
+        fields["netAllowedHosts"] = list(doc.net_allowed_hosts)
     if doc.verification is not None:
-        body["verification"] = doc.verification
+        fields["verification"] = doc.verification
+    if doc.signature is not None:
+        fields["signature"] = doc.signature
+    return fields
+
+
+def canonical_body(doc: AttestationDocument) -> bytes:
+    """Signing-input bytes for ``doc``. Identical for a document with and
+    without its signature attached."""
+    body = _registered_fields(doc)
+    body.pop("signature", None)
+    body["signerKeyId"] = doc.signer_key_id
     return canonical_json_bytes(body)
 
 
@@ -310,7 +300,7 @@ def _optional_string(data: Mapping[str, Any], name: str, *, allow_empty: bool = 
 
 
 def _string_array(data: Mapping[str, Any], name: str) -> tuple[str, ...]:
-    value = data[name]
+    value = data.get(name)
     if not isinstance(value, list) or any(not isinstance(m, str) for m in value):
         raise DocumentError(f"field {name!r} must be an array of strings")
     return tuple(value)
@@ -344,8 +334,6 @@ def parse_document(raw: bytes | str) -> AttestationDocument:
     if version != DOCUMENT_VERSION:
         raise UnsupportedVersionError(f"unsupported document version {version}")
 
-    if "capabilities" not in data:
-        raise DocumentError("field 'capabilities' must be an array of strings")
     capabilities = _string_array(data, "capabilities")
     net_allowed_hosts: tuple[str, ...] | None = None
     if "netAllowedHosts" in data:
@@ -369,22 +357,7 @@ def parse_document(raw: bytes | str) -> AttestationDocument:
 def serialize_document(doc: AttestationDocument, *, indent: int | None = 2) -> str:
     """At-rest JSON for ``doc``: registered fields in a fixed order, absent
     optionals omitted, retained unknown fields appended."""
-    data: dict[str, Any] = {
-        "v": doc.v,
-        "id": doc.id,
-        "publisher": doc.publisher,
-        "version": doc.version,
-        "clearance": doc.clearance,
-        "capabilities": list(doc.capabilities),
-    }
-    if doc.signer_key_id is not None:
-        data["signerKeyId"] = doc.signer_key_id
-    if doc.net_allowed_hosts is not None:
-        data["netAllowedHosts"] = list(doc.net_allowed_hosts)
-    if doc.verification is not None:
-        data["verification"] = doc.verification
-    if doc.signature is not None:
-        data["signature"] = doc.signature
+    data = _registered_fields(doc)
     for key, value in doc.extra.items():
         data.setdefault(key, value)
     return json.dumps(data, indent=indent, ensure_ascii=False)

@@ -454,6 +454,24 @@ def test_serve_non_integer_port_is_config_error(tmp_path, capsys):
     assert "cannot bind 127.0.0.1:70000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("host", 1), ("mcpPath", ["/mcp"])])
+def test_serve_non_string_host_or_path_is_config_error(tmp_path, capsys, monkeypatch, field, value):
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    # A server that starts anyway stops at its first sleep instead of serving on.
+    monkeypatch.setattr(time, "sleep", interrupt)
+    config_path = tmp_path / "serve.json"
+    config_path.write_text(json.dumps({"sad": None, field: value}))
+    assert _main_exit_code(["serve", str(config_path)]) == EXIT_CONFIG
+    assert f"'{field}' must be a string" in capsys.readouterr().err
+
+
+def test_fuzz_allowlist_too_short_for_quota_is_config_error(capsys):
+    assert _main_exit_code(["fuzz", "--allowlist", "1", "--per-category", "5"]) == EXIT_CONFIG
+    assert "cannot produce 5 distinct cases" in capsys.readouterr().err
+
+
 def test_serve_subprocess_end_to_end(tmp_path, signed_doc):
     sad_path = tmp_path / "doc.json"
     sad_path.write_text(serialize_document(signed_doc))

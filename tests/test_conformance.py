@@ -243,6 +243,18 @@ def test_corpus_jsonl_rejects_unknown_category(tmp_path):
         load_corpus_jsonl(path)
 
 
+@pytest.mark.parametrize(
+    "kind, category",
+    [("bogus", "near_miss"), ("tool_name", "malformed"), ("forged_assertion", "near_miss"), (None, "unsigned")],
+)
+def test_corpus_jsonl_rejects_kind_that_disagrees_with_category(tmp_path, kind, category):
+    path = tmp_path / "corpus.jsonl"
+    line = {"kind": kind, "category": category, "input": "list_labels_x", "expectation": "tool_not_admitted"}
+    path.write_text(json.dumps(line) + "\n")
+    with pytest.raises(ValueError, match=f"line 0: kind {kind!r} does not match category {category!r}"):
+        load_corpus_jsonl(path)
+
+
 def test_campaign_denies_everything_and_writes_nothing():
     cases = generate_corpus(11, ALLOWLIST, per_category=8)
     report = run_campaign(cases, seed=11, allowlist=ALLOWLIST)

@@ -395,6 +395,14 @@ def test_load_registry_file_accepts_bare_array():
         '[{"endpoint": "https://x/mcp"}]',
         '[{"endpoint": "https://x/mcp", "bridgeId": "b", "requiredClearance": "r", "allowedTools": "oops"}]',
         "not json",
+        '[{"endpoint": "https://x/mcp", "bridgeId": "b", "requiredClearance": "r", "allowedTools": [], "skipClearancePreflight": "false"}]',
+        '[{"endpoint": "https://x/mcp", "bridgeId": "b", "requiredClearance": "r", "allowedTools": [], "skipClearancePreflight": 0}]',
+        '[{"endpoint": 1, "bridgeId": "b", "requiredClearance": "r", "allowedTools": []}]',
+        '[{"endpoint": "https://x/mcp", "bridgeId": 1, "requiredClearance": "r", "allowedTools": []}]',
+        '[{"endpoint": "https://x/mcp", "bridgeId": "b", "requiredClearance": 1, "allowedTools": []}]',
+        '[{"endpoint": "https://x/mcp", "bridgeId": "b", "requiredClearance": "", "allowedTools": []}]',
+        '[{"endpoint": "https://x/mcp", "bridgeId": "b", "requiredClearance": "r", "allowedTools": [], "transport": {"url": 1}}]',
+        '[{"endpoint": "https://x/mcp", "bridgeId": "b", "requiredClearance": "r", "allowedTools": [], "transport": {"url": ""}}]',
     ],
 )
 def test_load_registry_file_rejects_malformed(broken):
