@@ -25,6 +25,7 @@ record per decision. An audit append failure aborts the connection.
 
 from __future__ import annotations
 
+import http.client
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -152,12 +153,9 @@ def host_of(url: str) -> str:
 
 
 class SameOriginRedirects(urllib.request.HTTPRedirectHandler):
-    """Follow redirects only within the original origin; refuse the rest by
-    raising ``error``, so nothing sent with the request, such as a bearer
-    token, reaches another origin."""
-
-    def __init__(self, error: type[Exception]) -> None:
-        self.error = error
+    """Follow redirects only within the original origin; refuse the rest, so
+    nothing sent with the request, such as a bearer token, reaches another
+    origin."""
 
     def redirect_request(self, req, fp, code, msg, headers, newurl):
         original = urllib.parse.urlsplit(req.full_url)
@@ -167,9 +165,17 @@ class SameOriginRedirects(urllib.request.HTTPRedirectHandler):
             original.hostname,
             original.port,
         ):
-            raise self.error(f"cross-origin redirect refused: {req.full_url} -> {newurl}")
+            raise ValueError(f"cross-origin redirect refused: {req.full_url} -> {newurl}")
         return super().redirect_request(req, fp, code, msg, headers, newurl)
 
+
+# The one outbound HTTP stack: the well-known GET and the tools/call POST.
+OPENER = urllib.request.build_opener(SameOriginRedirects())
+
+# Every way an exchange with a peer can fail to complete. URLError and
+# HTTPError are OSErrors; a refused redirect or a bad port is a ValueError;
+# a garbled or cut-short reply is an HTTPException.
+PEER_FAILURES = (OSError, ValueError, http.client.HTTPException)
 
 # A real document is a few hundred bytes; a larger body is refused unread.
 MAX_DOCUMENT_BYTES = 64 * 1024
@@ -177,27 +183,29 @@ MAX_DOCUMENT_BYTES = 64 * 1024
 
 class HttpFetcher:
     """Production fetcher: GET with a timeout, same-origin redirects only,
-    bodies of at most ``MAX_DOCUMENT_BYTES``."""
+    bodies of at most ``MAX_DOCUMENT_BYTES``. A non-2xx reply is returned
+    with its body unread."""
 
     def __init__(self, timeout: float = 10.0) -> None:
         self.timeout = timeout
-        self._opener = urllib.request.build_opener(SameOriginRedirects(FetchError))
 
     def __call__(self, url: str) -> tuple[int, bytes]:
         request = urllib.request.Request(url, headers={"Accept": "application/json"})
         try:
-            with self._opener.open(request, timeout=self.timeout) as response:
+            with OPENER.open(request, timeout=self.timeout) as response:
                 body = response.read(MAX_DOCUMENT_BYTES + 1)
-                if len(body) > MAX_DOCUMENT_BYTES:
-                    raise FetchError(f"GET {url} returned more than {MAX_DOCUMENT_BYTES} bytes")
-                return response.status, body
+                status, unread = response.status, response.length
         except urllib.error.HTTPError as error:
-            body = error.read(MAX_DOCUMENT_BYTES) if error.fp is not None else b""
-            return error.code, body
-        except FetchError:
-            raise
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+            error.close()
+            return error.code, b""
+        except PEER_FAILURES as exc:
             raise FetchError(f"GET {url} failed: {exc}") from exc
+        if len(body) > MAX_DOCUMENT_BYTES:
+            raise FetchError(f"GET {url} returned more than {MAX_DOCUMENT_BYTES} bytes")
+        if unread:
+            # ``length`` counts down the Content-Length; the peer closed early.
+            raise FetchError(f"GET {url} ended {unread} bytes short of its Content-Length")
+        return status, body
 
 
 def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
@@ -353,7 +361,7 @@ class AdmissionGate:
             )
             return ConnectResult(ConnectStatus.ok, verdict)
 
-        reason = verdict.reason.value if verdict.reason else "unknown"
+        reason = verdict.reason.value
         if flavor is Flavor.enclaved:
             self.audit.append(
                 EVENT_CONNECT_DENY, {"reason": reason, "detail": verdict.detail}

@@ -388,6 +388,8 @@ def serve(config_path: str) -> None:
         raise ConfigError("server config must be a JSON object")
     sad_bytes = None
     if spec.get("sad"):
+        if not isinstance(spec["sad"], str):
+            raise ConfigError("server config 'sad' must be a string")
         sad_path = Path(spec["sad"])
         if not sad_path.is_absolute():
             sad_path = Path(config_path).parent / sad_path

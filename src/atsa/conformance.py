@@ -742,7 +742,6 @@ class CountingTransport:
 
     def __init__(self, behaviors: Mapping[str, Any] | None = None) -> None:
         self.behaviors = dict(behaviors or {})
-        self.bearer_provider: Callable[[], str] | None = None
         self.calls = 0
         self.requests: list[tuple[Mapping[str, Any], Mapping[str, str]]] = []
         self._ids = itertools.count(1)

@@ -21,9 +21,9 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Protocol
 
-from .admission import AdmissionGate, ConnectStatus, DenyReason, Flavor, SameOriginRedirects
+from .admission import OPENER, PEER_FAILURES, AdmissionGate, ConnectStatus, DenyReason, Flavor
 from .audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, AuditLog
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "RegistryFrozenError",
     "ServerRegistry",
     "ToolCall",
+    "Transport",
     "TransportError",
     "jsonrpc_tools_call",
     "load_registry_file",
@@ -65,6 +66,15 @@ class JsonRpcError(TransportError):
         self.error = dict(error)
 
 
+class Transport(Protocol):
+    """Carries one JSON-RPC envelope to a tool server and returns the decoded
+    reply, raising TransportError when the exchange fails."""
+
+    def next_id(self) -> int: ...
+
+    def request(self, payload: Mapping[str, Any], headers: Mapping[str, str]) -> Any: ...
+
+
 @dataclass(frozen=True)
 class ToolCall:
     tool_name: str
@@ -80,7 +90,7 @@ class RegistryEntry:
     bridge_id: str
     required_clearance: str
     allowed_tools: frozenset[str]
-    transport: Any
+    transport: Transport
     skip_clearance_preflight: bool = False
 
     def __post_init__(self) -> None:
@@ -167,28 +177,27 @@ class HttpTransport:
         self.bearer_provider = bearer_provider
         self.timeout = timeout
         self._ids = itertools.count(1)
-        self._opener = urllib.request.build_opener(SameOriginRedirects(TransportError))
 
     def next_id(self) -> int:
         return next(self._ids)
 
     def request(self, payload: Mapping[str, Any], headers: Mapping[str, str]) -> Any:
+        headers = dict(headers)
+        if self.bearer_provider is not None:
+            headers["Authorization"] = f"Bearer {self.bearer_provider()}"
         body = json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(self.url, data=body, headers=dict(headers), method="POST")
+        request = urllib.request.Request(self.url, data=body, headers=headers, method="POST")
         try:
-            with self._opener.open(request, timeout=self.timeout) as response:
-                raw = response.read()
+            with OPENER.open(request, timeout=self.timeout) as response:
+                return json.loads(response.read())
         except urllib.error.HTTPError as exc:
+            exc.close()
             raise TransportError(f"POST {self.url} returned status {exc.code}") from exc
-        except (urllib.error.URLError, OSError) as exc:
+        except (*PEER_FAILURES, RecursionError) as exc:  # RecursionError: nesting too deep
             raise TransportError(f"POST {self.url} failed: {exc}") from exc
-        try:
-            return json.loads(raw)
-        except ValueError as exc:
-            raise TransportError(f"response from {self.url} is not valid JSON") from exc
 
 
-def jsonrpc_tools_call(transport: Any, call: ToolCall) -> Any:
+def jsonrpc_tools_call(transport: Transport, call: ToolCall) -> Any:
     """Send one tools/call request and return its result member.
 
     Raises JsonRpcError when the server answers with an error member and
@@ -203,9 +212,6 @@ def jsonrpc_tools_call(transport: Any, call: ToolCall) -> Any:
         "params": {"name": call.tool_name, "arguments": dict(call.arguments)},
     }
     headers = {"Content-Type": "application/json", "Accept": "application/json"}
-    provider = getattr(transport, "bearer_provider", None)
-    if provider is not None:
-        headers["Authorization"] = f"Bearer {provider()}"
     response = transport.request(envelope, headers)
     if not isinstance(response, dict) or response.get("jsonrpc") != "2.0":
         raise TransportError(f"malformed JSON-RPC response: {response!r}")
@@ -270,9 +276,7 @@ class Gateway:
             skip_clearance_preflight=entry.skip_clearance_preflight,
         )
         if connection.status is not ConnectStatus.ok:
-            verdict = connection.verdict
-            reason = verdict.reason if verdict.reason is not None else DenyReason.fetch_failed
-            return DispatchResult.denied(reason, verdict.detail)
+            return DispatchResult.denied(connection.verdict.reason, connection.verdict.detail)
 
         try:
             result = jsonrpc_tools_call(entry.transport, call)

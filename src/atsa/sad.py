@@ -266,12 +266,17 @@ def verify_signature(doc: AttestationDocument, public_key: bytes) -> bool:
         return False
     if len(raw) != 64:
         return False
-    return _ed25519_verifies(public_key, raw, canonical_body(doc))
+    body = canonical_body(doc)
+    verifies = _ed25519_verifies if len(body) <= MEMO_MAX_BODY_BYTES else _ed25519_verifies.__wrapped__
+    return verifies(public_key, raw, body)
 
 
 # Verification is a pure function of (key, signature, body), so every result,
 # False included, may be reused. A changed byte anywhere is a different key.
+# A real canonical body is a few hundred bytes; larger ones bypass the memo,
+# which so holds at most about 4 MiB of bodies.
 VERIFIED_CACHE_SIZE = 1024
+MEMO_MAX_BODY_BYTES = 4 * 1024
 
 
 @functools.lru_cache(maxsize=VERIFIED_CACHE_SIZE)

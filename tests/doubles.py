@@ -1,8 +1,11 @@
-"""Test doubles for the injectable seams: a fetcher serving a fixed mapping
-and an in-memory audit sink. Tests import them like ``reference_impl``."""
+"""Test doubles for the injectable seams: a fetcher serving a fixed mapping,
+an in-memory audit sink, and a loopback peer that answers with raw bytes.
+Tests import them like ``reference_impl``."""
 
 from __future__ import annotations
 
+import socketserver
+import threading
 from typing import Mapping
 
 from atsa import AuditRecord
@@ -32,3 +35,52 @@ class RecordingSink:
 
     def write(self, record: AuditRecord) -> None:
         self.records.append(record)
+
+
+class RawPeer:
+    """Loopback TCP peer that reads each request, answers it with ``reply``
+    verbatim and closes the connection, so tests can send replies no HTTP
+    server library would: garbage status lines, short bodies, bad redirects.
+    ``reply`` may be reassigned between requests."""
+
+    def __init__(self, reply: bytes = b"") -> None:
+        self.reply = reply
+        peer = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            timeout = 5
+
+            def handle(self) -> None:
+                length = 0
+                for line in iter(self.rfile.readline, b""):
+                    if line in (b"\r\n", b"\n"):
+                        break
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                self.rfile.read(length)
+                self.wfile.write(peer.reply)
+
+        class Server(socketserver.ThreadingTCPServer):
+            daemon_threads = True
+
+            def handle_error(self, request, client_address) -> None:
+                pass  # the client hung up first; nothing to report
+
+        self._server = Server(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self._server.server_address[1]}"
+        self._thread = threading.Thread(
+            target=lambda: self._server.serve_forever(poll_interval=0.05), daemon=True
+        )
+        self._thread.start()
+
+    def __enter__(self) -> "RawPeer":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)

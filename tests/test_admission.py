@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import base64
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -447,6 +449,28 @@ def test_memo_keeps_host_binding_live(baseline_doc, scheme, trust_root, signer):
     )
     assert verdict.reason == DenyReason.host_not_bound
     assert sad._ed25519_verifies.cache_info().hits == hits + 1
+
+
+def test_memo_does_not_retain_large_bodies(baseline_doc, signed_doc, scheme, trust_root, signer):
+    zero_signature = base64.b64encode(bytes(64)).decode("ascii")
+    sad._ed25519_verifies.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(sad.VERIFIED_CACHE_SIZE):
+            hostile = replace(
+                baseline_doc,
+                publisher=f"{index:04d}" + "x" * 16_000,
+                signer_key_id=signer.key_id,
+                signature=zero_signature,
+            )
+            verdict = verify_server_clearance(**_request(hostile, scheme, trust_root))
+            assert verdict.reason == DenyReason.bad_signature
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+    _cached_allow(signed_doc, scheme, trust_root)
 
 
 def _padded(doc, size):

@@ -454,7 +454,7 @@ def test_serve_non_integer_port_is_config_error(tmp_path, capsys):
     assert "cannot bind 127.0.0.1:70000" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("host", 1), ("mcpPath", ["/mcp"])])
+@pytest.mark.parametrize("field, value", [("host", 1), ("mcpPath", ["/mcp"]), ("sad", 1)])
 def test_serve_non_string_host_or_path_is_config_error(tmp_path, capsys, monkeypatch, field, value):
     def interrupt(seconds):
         raise KeyboardInterrupt

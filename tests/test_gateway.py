@@ -218,14 +218,6 @@ def test_envelope_shape_and_monotonic_ids():
     assert "Authorization" not in headers1
 
 
-def test_bearer_token_header():
-    transport = CountingTransport()
-    transport.bearer_provider = lambda: "sesame"
-    jsonrpc_tools_call(transport, ToolCall("list_labels", {}))
-    _, headers = transport.requests[0]
-    assert headers["Authorization"] == "Bearer sesame"
-
-
 class _ScriptedTransport:
     def __init__(self, response):
         self.response = response

@@ -1,0 +1,38 @@
+"""The advertised experiments run end to end: the loopback demo in both
+flavors (the only script that drives ``HttpFetcher``, ``HttpTransport`` and
+the stub server together) and a small conformance campaign. Each runs as a
+subprocess in development mode with resource warnings as errors."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args, verdict",
+    [
+        ("demo_loopback.py", ["--flavor", "enclaved"], "chain check: intact"),
+        ("demo_loopback.py", ["--flavor", "open"], "chain check: intact"),
+        ("run_campaign.py", ["--seeds", "1", "--per-category", "2"], "overall: PASS"),
+    ],
+    ids=["demo-enclaved", "demo-open", "campaign"],
+)
+def test_script_runs_clean(script, args, verdict):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert verdict in completed.stdout
