@@ -32,7 +32,7 @@ import urllib.request
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Callable
+from typing import Callable, Mapping
 
 from .audit import (
     EVENT_CONNECT_ALLOW,
@@ -153,9 +153,9 @@ def host_of(url: str) -> str:
 
 
 class SameOriginRedirects(urllib.request.HTTPRedirectHandler):
-    """Follow redirects only within the original origin; refuse the rest, so
-    nothing sent with the request, such as a bearer token, reaches another
-    origin."""
+    """Follow redirects only within the original origin, so nothing sent with
+    the request, such as a bearer token, reaches another origin. A request
+    with a body is not redirected: urllib would replay it as a bodiless GET."""
 
     def redirect_request(self, req, fp, code, msg, headers, newurl):
         original = urllib.parse.urlsplit(req.full_url)
@@ -166,46 +166,55 @@ class SameOriginRedirects(urllib.request.HTTPRedirectHandler):
             original.port,
         ):
             raise ValueError(f"cross-origin redirect refused: {req.full_url} -> {newurl}")
+        if req.data is not None:
+            raise urllib.error.HTTPError(req.full_url, code, msg, headers, fp)
         return super().redirect_request(req, fp, code, msg, headers, newurl)
 
 
 # The one outbound HTTP stack: the well-known GET and the tools/call POST.
-OPENER = urllib.request.build_opener(SameOriginRedirects())
+_OPENER = urllib.request.build_opener(SameOriginRedirects())
 
 # Every way an exchange with a peer can fail to complete. URLError and
 # HTTPError are OSErrors; a refused redirect or a bad port is a ValueError;
 # a garbled or cut-short reply is an HTTPException.
-PEER_FAILURES = (OSError, ValueError, http.client.HTTPException)
+_PEER_FAILURES = (OSError, ValueError, http.client.HTTPException)
 
 # A real document is a few hundred bytes; a larger body is refused unread.
 MAX_DOCUMENT_BYTES = 64 * 1024
 
 
-class HttpFetcher:
-    """Production fetcher: GET with a timeout, same-origin redirects only,
-    bodies of at most ``MAX_DOCUMENT_BYTES``. A non-2xx reply is returned
-    with its body unread."""
+def exchange(
+    url: str, headers: Mapping[str, str], *, limit: int, timeout: float, data: bytes | None = None
+) -> tuple[int, bytes]:
+    """GET ``url``, or POST ``data`` to it: the one place a peer is contacted.
+    A non-2xx reply comes back as ``(status, b"")``, its body unread."""
+    request = urllib.request.Request(url, data=data, headers=headers)
+    method = request.get_method()
+    try:
+        with _OPENER.open(request, timeout=timeout) as response:
+            body = response.read(limit + 1)
+            status, unread = response.status, response.length
+    except urllib.error.HTTPError as error:
+        error.close()
+        return error.code, b""
+    except _PEER_FAILURES as exc:
+        raise FetchError(f"{method} {url} failed: {exc}") from exc
+    if len(body) > limit:
+        raise FetchError(f"{method} {url} returned more than {limit} bytes")
+    if unread:
+        # ``length`` counts down the Content-Length; the peer closed early.
+        raise FetchError(f"{method} {url} ended {unread} bytes short of its Content-Length")
+    return status, body
 
-    def __init__(self, timeout: float = 10.0) -> None:
-        self.timeout = timeout
+
+@dataclass(frozen=True)
+class HttpFetcher:
+    """Production fetcher: an ``exchange`` GET capped at ``MAX_DOCUMENT_BYTES``."""
+
+    timeout: float = 10.0
 
     def __call__(self, url: str) -> tuple[int, bytes]:
-        request = urllib.request.Request(url, headers={"Accept": "application/json"})
-        try:
-            with OPENER.open(request, timeout=self.timeout) as response:
-                body = response.read(MAX_DOCUMENT_BYTES + 1)
-                status, unread = response.status, response.length
-        except urllib.error.HTTPError as error:
-            error.close()
-            return error.code, b""
-        except PEER_FAILURES as exc:
-            raise FetchError(f"GET {url} failed: {exc}") from exc
-        if len(body) > MAX_DOCUMENT_BYTES:
-            raise FetchError(f"GET {url} returned more than {MAX_DOCUMENT_BYTES} bytes")
-        if unread:
-            # ``length`` counts down the Content-Length; the peer closed early.
-            raise FetchError(f"GET {url} ended {unread} bytes short of its Content-Length")
-        return status, body
+        return exchange(url, {"Accept": "application/json"}, limit=MAX_DOCUMENT_BYTES, timeout=self.timeout)
 
 
 def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
@@ -216,7 +225,7 @@ def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
     non-200/404 status raises FetchError.
     """
     parts = urllib.parse.urlsplit(server_url)
-    if parts.scheme not in ("http", "https") or not parts.netloc:
+    if parts.scheme not in ("http", "https") or not parts.hostname:
         raise FetchError(f"server URL must be absolute http(s): {server_url!r}")
     base = f"{parts.scheme}://{parts.netloc}"
     for path in WELL_KNOWN_PATHS:

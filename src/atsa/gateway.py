@@ -17,13 +17,11 @@ import itertools
 import json
 import os
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Mapping, Protocol
 
-from .admission import OPENER, PEER_FAILURES, AdmissionGate, ConnectStatus, DenyReason, Flavor
+from .admission import AdmissionGate, ConnectStatus, DenyReason, FetchError, Flavor, exchange
 from .audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, AuditLog
 
 __all__ = [
@@ -44,6 +42,9 @@ __all__ = [
 ]
 
 TOOL_DENY_DETAIL = "not in allowedTools"
+
+# A tools/call reply is read whole before it is decoded; a larger one is refused.
+MAX_REPLY_BYTES = 16 * 1024 * 1024
 
 
 class RegistryError(ValueError):
@@ -162,10 +163,9 @@ class DispatchResult:
 
 
 class HttpTransport:
-    """POSTs JSON-RPC envelopes to a fixed URL. Request ids are monotonically
-    increasing integers; an optional bearer provider adds Authorization.
-    Redirects are followed within the URL's origin only, so the bearer token
-    never leaves it."""
+    """POSTs JSON-RPC envelopes to a fixed URL through ``exchange``, so the
+    bearer token from the optional provider never leaves the URL's origin and
+    a reply over ``MAX_REPLY_BYTES`` is refused. Request ids count up from 1."""
 
     def __init__(
         self,
@@ -182,18 +182,17 @@ class HttpTransport:
         return next(self._ids)
 
     def request(self, payload: Mapping[str, Any], headers: Mapping[str, str]) -> Any:
-        headers = dict(headers)
         if self.bearer_provider is not None:
-            headers["Authorization"] = f"Bearer {self.bearer_provider()}"
-        body = json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(self.url, data=body, headers=headers, method="POST")
+            headers = {**headers, "Authorization": f"Bearer {self.bearer_provider()}"}
+        data = json.dumps(payload).encode("utf-8")
         try:
-            with OPENER.open(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            raise TransportError(f"POST {self.url} returned status {exc.code}") from exc
-        except (*PEER_FAILURES, RecursionError) as exc:  # RecursionError: nesting too deep
+            status, body = exchange(self.url, headers, limit=MAX_REPLY_BYTES, timeout=self.timeout, data=data)
+            if not 200 <= status < 300:
+                raise TransportError(f"POST {self.url} returned status {status}")
+            return json.loads(body)
+        except FetchError as exc:
+            raise TransportError(str(exc)) from exc
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise TransportError(f"POST {self.url} failed: {exc}") from exc
 
 

@@ -27,17 +27,20 @@ from atsa import (
     StubServerConfig,
     TrustRoot,
     WELL_KNOWN_PATHS,
+    build_vectors,
     fetch_attestation,
     generate_keypair,
     get_builtin_scheme,
     host_of,
     serialize_document,
     serve,
+    serving,
     sign_document,
     verify_server_clearance,
 )
 from atsa import sad
 from atsa.admission import MAX_DOCUMENT_BYTES
+from atsa.conformance import VECTOR_NOW
 from conftest import FIXED_NOW, NOT_AFTER, ORIGIN, SERVER_URL, fetcher_for
 from doubles import StaticFetcher
 
@@ -101,6 +104,22 @@ def test_fetch_non_404_error_is_terminal():
 def test_fetch_rejects_non_http_urls(url):
     with pytest.raises(FetchError):
         fetch_attestation(url, StaticFetcher({}))
+
+
+def test_hostless_server_url_is_fetch_failed():
+    # A host-bound document reaches the host check unless the URL is refused
+    # before anything is fetched.
+    vector = build_vectors()[9]
+    assert vector.title == "served from unbound host"
+    verdict = verify_server_clearance(
+        "https://:443/mcp",
+        vector.required_level,
+        now=VECTOR_NOW,
+        scheme=get_builtin_scheme("default"),
+        trust_root=TrustRoot(vector.signers),
+        fetcher=serving(vector.document_bytes),
+    )
+    assert (verdict.allowed, verdict.reason) == (False, DenyReason.fetch_failed)
 
 
 def _request(doc_or_bytes, scheme, trust_root, *, required="restricted-plus",

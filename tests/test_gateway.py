@@ -298,6 +298,38 @@ def test_http_transport_keeps_bearer_token_on_its_origin():
         elsewhere.close()
 
 
+def _post_redirected_to_a_get_reply(handler):
+    if handler.command == "POST":
+        _redirect_to("/mcp/")(handler)
+        return
+    body = json.dumps({"jsonrpc": "2.0", "id": 1, "result": {"from": "GET"}}).encode("utf-8")
+    handler.send_response(200)
+    handler.send_header("Content-Length", str(len(body)))
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
+def test_same_origin_redirect_of_tools_call_is_not_followed(scheme, trust_root, signed_doc):
+    # Following it would replay the call as a bodiless GET and return the
+    # GET's reply as the tool's result, with the bearer token on the GET.
+    origin = _Origin(_post_redirected_to_a_get_reply)
+    try:
+        audit = AuditLog(clock=lambda: FIXED_NOW)
+        gate = AdmissionGate(
+            scheme=scheme, trust_root=trust_root, fetcher=fetcher_for(signed_doc, origin=origin.url),
+            audit=audit, clock=lambda: FIXED_NOW,
+        )
+        transport = HttpTransport(origin.url + "/mcp", bearer_provider=lambda: "sesame", timeout=5)
+        registry = ServerRegistry()
+        registry.register(_entry(transport, endpoint=origin.url + "/mcp"))
+        gateway = Gateway(registry=registry, gate=gate, audit=audit, flavor=Flavor.enclaved)
+        result = gateway.invoke(origin.url + "/mcp", ToolCall("list_labels", {}))
+        assert result.status == DispatchStatus.transport_error
+        assert [(method, path) for method, path, _ in origin.seen] == [("POST", "/mcp")]
+    finally:
+        origin.close()
+
+
 def test_error_member_raises_jsonrpc_error():
     transport = _ScriptedTransport(
         lambda p: {"jsonrpc": "2.0", "id": p["id"],

@@ -35,6 +35,7 @@ from atsa import (
     ToolCall,
     TransportError,
 )
+from atsa.gateway import MAX_REPLY_BYTES
 from conftest import FIXED_NOW, fetcher_for
 from doubles import RawPeer
 
@@ -43,6 +44,10 @@ SHORT_BODY = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Leng
 BAD_PORT_REDIRECT = b"HTTP/1.1 302 Found\r\nLocation: http://127.0.0.1:99999/x\r\nContent-Length: 0\r\n\r\n"
 DEEP = b"[" * 200_000 + b"]" * 200_000
 DEEP_BODY = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(DEEP), DEEP)
+# A valid JSON-RPC reply padded with whitespace to one byte over the cap.
+OVERSIZED_BODY = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (MAX_REPLY_BYTES + 1) + (
+    b'{"jsonrpc": "2.0", "id": 1, "result": {}}'.ljust(MAX_REPLY_BYTES + 1)
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +83,8 @@ def test_bad_well_known_reply_is_fetch_failed(peer, scheme, trust_root, reply):
 
 @pytest.mark.parametrize(
     "reply",
-    [GARBAGE, SHORT_BODY, BAD_PORT_REDIRECT, DEEP_BODY],
-    ids=["garbage", "short_body", "bad_port_redirect", "deep_nesting"],
+    [GARBAGE, SHORT_BODY, BAD_PORT_REDIRECT, DEEP_BODY, OVERSIZED_BODY],
+    ids=["garbage", "short_body", "bad_port_redirect", "deep_nesting", "oversized"],
 )
 def test_bad_tools_call_reply_is_transport_error(peer, scheme, trust_root, signed_doc, reply):
     peer.reply = reply
