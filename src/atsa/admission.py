@@ -26,9 +26,7 @@ record per decision. An audit append failure aborts the connection.
 from __future__ import annotations
 
 import http.client
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -152,31 +150,12 @@ def host_of(url: str) -> str:
     return host
 
 
-class SameOriginRedirects(urllib.request.HTTPRedirectHandler):
-    """Follow redirects only within the original origin, so nothing sent with
-    the request, such as a bearer token, reaches another origin. A request
-    with a body is not redirected: urllib would replay it as a bodiless GET."""
+# The only schemes a peer is contacted on, each with its connection class.
+_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        original = urllib.parse.urlsplit(req.full_url)
-        target = urllib.parse.urlsplit(urllib.parse.urljoin(req.full_url, newurl))
-        if (target.scheme, target.hostname, target.port) != (
-            original.scheme,
-            original.hostname,
-            original.port,
-        ):
-            raise ValueError(f"cross-origin redirect refused: {req.full_url} -> {newurl}")
-        if req.data is not None:
-            raise urllib.error.HTTPError(req.full_url, code, msg, headers, fp)
-        return super().redirect_request(req, fp, code, msg, headers, newurl)
-
-
-# The one outbound HTTP stack: the well-known GET and the tools/call POST.
-_OPENER = urllib.request.build_opener(SameOriginRedirects())
-
-# Every way an exchange with a peer can fail to complete. URLError and
-# HTTPError are OSErrors; a refused redirect or a bad port is a ValueError;
-# a garbled or cut-short reply is an HTTPException.
+# Every way an exchange with a peer can fail to complete. A refused or reset
+# connection is an OSError; a malformed or non-http(s) URL is a ValueError; a
+# bad port or a garbled or cut-short reply is an HTTPException.
 _PEER_FAILURES = (OSError, ValueError, http.client.HTTPException)
 
 # A real document is a few hundred bytes; a larger body is refused unread.
@@ -186,17 +165,27 @@ MAX_DOCUMENT_BYTES = 64 * 1024
 def exchange(
     url: str, headers: Mapping[str, str], *, limit: int, timeout: float, data: bytes | None = None
 ) -> tuple[int, bytes]:
-    """GET ``url``, or POST ``data`` to it: the one place a peer is contacted.
-    A non-2xx reply comes back as ``(status, b"")``, its body unread."""
-    request = urllib.request.Request(url, data=data, headers=headers)
-    method = request.get_method()
+    """GET ``url``, or POST ``data`` to it, as the one request on a connection
+    that says ``Connection: close`` (RFC 9112 section 9.6): the one place a
+    peer is contacted. It consults no proxy and follows no redirect (RFC 8461
+    section 3.3), so nothing it sends leaves the URL's origin. A non-2xx
+    reply, a 3xx among them, comes back as ``(status, b"")``, its body unread."""
+    method = "GET" if data is None else "POST"
     try:
-        with _OPENER.open(request, timeout=timeout) as response:
-            body = response.read(limit + 1)
-            status, unread = response.status, response.length
-    except urllib.error.HTTPError as error:
-        error.close()
-        return error.code, b""
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in _CONNECTIONS or not parts.hostname:
+            raise ValueError("not an absolute http(s) URL")
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        connection = _CONNECTIONS[parts.scheme](parts.netloc, timeout=timeout)
+        try:
+            connection.request(method, target, data, {**headers, "Connection": "close"})
+            with connection.getresponse() as response:
+                if not 200 <= response.status < 300:
+                    return response.status, b""
+                body = response.read(limit + 1)
+                status, unread = response.status, response.length
+        finally:
+            connection.close()
     except _PEER_FAILURES as exc:
         raise FetchError(f"{method} {url} failed: {exc}") from exc
     if len(body) > limit:
@@ -224,8 +213,11 @@ def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
     second only when the first returns 404. Any transport failure or
     non-200/404 status raises FetchError.
     """
-    parts = urllib.parse.urlsplit(server_url)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
+    try:
+        parts = urllib.parse.urlsplit(server_url)  # ValueError on an unbalanced "["
+    except ValueError:
+        parts = None
+    if parts is None or parts.scheme not in _CONNECTIONS or not parts.hostname:
         raise FetchError(f"server URL must be absolute http(s): {server_url!r}")
     base = f"{parts.scheme}://{parts.netloc}"
     for path in WELL_KNOWN_PATHS:

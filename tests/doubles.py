@@ -41,10 +41,12 @@ class RawPeer:
     """Loopback TCP peer that reads each request, answers it with ``reply``
     verbatim and closes the connection, so tests can send replies no HTTP
     server library would: garbage status lines, short bodies, bad redirects.
-    ``reply`` may be reassigned between requests."""
+    ``reply`` may be reassigned between requests. The raw bytes of every
+    request received, head and body, are kept in ``requests``."""
 
     def __init__(self, reply: bytes = b"") -> None:
         self.reply = reply
+        self.requests: list[bytes] = []
         peer = self
 
         class Handler(socketserver.StreamRequestHandler):
@@ -52,13 +54,15 @@ class RawPeer:
 
             def handle(self) -> None:
                 length = 0
+                head = []
                 for line in iter(self.rfile.readline, b""):
+                    head.append(line)
                     if line in (b"\r\n", b"\n"):
                         break
                     name, _, value = line.partition(b":")
                     if name.strip().lower() == b"content-length":
                         length = int(value)
-                self.rfile.read(length)
+                peer.requests.append(b"".join(head) + self.rfile.read(length))
                 self.wfile.write(peer.reply)
 
         class Server(socketserver.ThreadingTCPServer):

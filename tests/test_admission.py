@@ -100,7 +100,7 @@ def test_fetch_non_404_error_is_terminal():
     assert calls == [ORIGIN + WELL_KNOWN_PATHS[0]]
 
 
-@pytest.mark.parametrize("url", ["ftp://x.example/mcp", "/relative", "file:///etc/passwd"])
+@pytest.mark.parametrize("url", ["ftp://x.example/mcp", "/relative", "file:///etc/passwd", "http://[::1/mcp"])
 def test_fetch_rejects_non_http_urls(url):
     with pytest.raises(FetchError):
         fetch_attestation(url, StaticFetcher({}))

@@ -158,6 +158,13 @@ def test_verify_origin_controls_host_binding(runner, workspace, tmp_path, baseli
     assert admitted.exit_code == EXIT_OK
 
 
+def test_verify_unparseable_origin_is_fetch_failed(workspace, capsys):
+    args = ["verify", workspace["sad"], "--required", "restricted-plus",
+            "--trust-root", workspace["root"], "--flavor", "enclaved", "--origin", "["]
+    assert _main_exit_code(args) == EXIT_VERDICT
+    assert capsys.readouterr().err.splitlines() == ["fetch_failed"]
+
+
 def test_verify_json_report(runner, workspace):
     result = runner.invoke(
         cli,

@@ -20,6 +20,7 @@ from atsa import (
     EVENT_TOOL_DENY,
     Flavor,
     Gateway,
+    HttpFetcher,
     HttpTransport,
     JsonRpcError,
     RegistryEntry,
@@ -28,8 +29,10 @@ from atsa import (
     ServerRegistry,
     ToolCall,
     TransportError,
+    WELL_KNOWN_PATHS,
     jsonrpc_tools_call,
     load_registry_file,
+    serialize_document,
 )
 from atsa.gateway import TOOL_DENY_DETAIL
 from conftest import FIXED_NOW, SERVER_URL, fetcher_for
@@ -288,7 +291,7 @@ def test_http_transport_keeps_bearer_token_on_its_origin():
     redirecting = _Origin(_redirect_to(elsewhere.url + "/mcp"))
     try:
         transport = HttpTransport(redirecting.url + "/mcp", bearer_provider=lambda: "sesame", timeout=5)
-        with pytest.raises(TransportError, match="cross-origin redirect refused"):
+        with pytest.raises(TransportError, match="returned status 302"):
             jsonrpc_tools_call(transport, ToolCall("list_labels", {}))
         [(method, path, headers)] = redirecting.seen
         assert (method, path, headers["Authorization"]) == ("POST", "/mcp", "Bearer sesame")
@@ -326,6 +329,35 @@ def test_same_origin_redirect_of_tools_call_is_not_followed(scheme, trust_root, 
         result = gateway.invoke(origin.url + "/mcp", ToolCall("list_labels", {}))
         assert result.status == DispatchStatus.transport_error
         assert [(method, path) for method, path, _ in origin.seen] == [("POST", "/mcp")]
+    finally:
+        origin.close()
+
+
+def test_same_origin_redirect_of_well_known_get_is_not_followed(scheme, trust_root, signed_doc):
+    # The redirect target serves a valid signed document; following the 302
+    # would admit the server on a document the well-known path never served.
+    body = serialize_document(signed_doc).encode("utf-8")
+
+    def respond(handler):
+        if handler.path == WELL_KNOWN_PATHS[0]:
+            _redirect_to("/moved.json")(handler)
+            return
+        handler.send_response(200)
+        handler.send_header("Content-Length", str(len(body)))
+        handler.end_headers()
+        handler.wfile.write(body)
+
+    origin = _Origin(respond)
+    try:
+        audit = AuditLog(clock=lambda: FIXED_NOW)
+        gate = AdmissionGate(
+            scheme=scheme, trust_root=trust_root, fetcher=HttpFetcher(timeout=5),
+            audit=audit, clock=lambda: FIXED_NOW,
+        )
+        result = gate.connect(origin.url + "/mcp", "restricted-plus", Flavor.enclaved)
+        assert result.verdict.reason == DenyReason.fetch_failed
+        assert "returned status 302" in result.verdict.detail
+        assert [(method, path) for method, path, _ in origin.seen] == [("GET", WELL_KNOWN_PATHS[0])]
     finally:
         origin.close()
 

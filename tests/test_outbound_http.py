@@ -4,14 +4,22 @@ A raw-socket peer sends replies no well-behaved server would: a garbage
 status line, a body shorter than its Content-Length, a redirect to an
 impossible port, JSON nested too deeply to decode. Through an enclaved
 ``Gateway`` a bad well-known reply is a ``fetch_failed`` denial and a bad
-tools/call reply is a ``transport_error``, each with its one audit record;
-``Gateway.invoke`` never raises. A property holds the seam contracts for
-generated replies: ``HttpFetcher`` returns ``(status, body)`` or raises
-``FetchError``, and ``HttpTransport.request`` returns or raises
-``TransportError``.
+tools/call reply, or a transport URL that is not http(s), is a
+``transport_error``, each with its one audit record; ``Gateway.invoke``
+never raises. No request goes to a proxy named in the environment. A
+property holds the seam contracts for generated replies: ``HttpFetcher``
+returns ``(status, body)`` or raises ``FetchError``, and
+``HttpTransport.request`` returns or raises ``TransportError``.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import urllib.parse
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +47,8 @@ from atsa.gateway import MAX_REPLY_BYTES
 from conftest import FIXED_NOW, fetcher_for
 from doubles import RawPeer
 
+ROOT = Path(__file__).resolve().parent.parent
+JSON_RPC_OK = b'{"jsonrpc": "2.0", "id": 1, "result": {}}'
 GARBAGE = b"HELLO\r\n\r\n"
 SHORT_BODY = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\nabc"
 BAD_PORT_REDIRECT = b"HTTP/1.1 302 Found\r\nLocation: http://127.0.0.1:99999/x\r\nContent-Length: 0\r\n\r\n"
@@ -56,7 +66,7 @@ def peer():
         yield peer
 
 
-def _enclaved_gateway(peer, scheme, trust_root, fetcher):
+def _enclaved_gateway(peer, scheme, trust_root, fetcher, transport_url=None):
     audit = AuditLog(clock=lambda: FIXED_NOW)
     gate = AdmissionGate(scheme, trust_root, fetcher, audit, clock=lambda: FIXED_NOW)
     registry = ServerRegistry()
@@ -66,7 +76,7 @@ def _enclaved_gateway(peer, scheme, trust_root, fetcher):
             bridge_id="bridge-1",
             required_clearance="restricted-plus",
             allowed_tools=frozenset({"list_labels"}),
-            transport=HttpTransport(peer.url + "/mcp", timeout=5),
+            transport=HttpTransport(transport_url or peer.url + "/mcp", timeout=5),
         )
     )
     return Gateway(registry, gate, audit, flavor=Flavor.enclaved), audit
@@ -93,6 +103,52 @@ def test_bad_tools_call_reply_is_transport_error(peer, scheme, trust_root, signe
     result = gateway.invoke(peer.url + "/mcp", ToolCall("list_labels"))
     assert result.status == DispatchStatus.transport_error
     assert [record.event for record in audit.records] == [EVENT_CONNECT_ALLOW]
+
+
+@pytest.mark.parametrize("scheme_name", ["file", "ftp", "data"])
+def test_non_http_transport_url_is_transport_error(peer, scheme, trust_root, signed_doc, tmp_path, scheme_name):
+    reply = tmp_path / "reply.json"
+    reply.write_bytes(JSON_RPC_OK)
+    url = {
+        "file": reply.as_uri(),
+        "ftp": "ftp://127.0.0.1:1/mcp",
+        "data": "data:application/json," + urllib.parse.quote(JSON_RPC_OK),
+    }[scheme_name]
+    gateway, audit = _enclaved_gateway(peer, scheme, trust_root, fetcher_for(signed_doc, origin=peer.url), url)
+    result = gateway.invoke(peer.url + "/mcp", ToolCall("list_labels"))
+    assert result.status == DispatchStatus.transport_error
+    assert "not an absolute http(s) URL" in result.detail
+    assert [record.event for record in audit.records] == [EVENT_CONNECT_ALLOW]
+
+
+# Run in a fresh interpreter: an HTTP library may read the proxy variables
+# once, at import.
+PROXIED_CALL = """
+import json, sys
+from atsa import HttpTransport, ToolCall, jsonrpc_tools_call
+transport = HttpTransport(sys.argv[1], bearer_provider=lambda: "sesame", timeout=5)
+print(json.dumps(jsonrpc_tools_call(transport, ToolCall("list_labels"))))
+"""
+
+
+def test_bearer_token_never_goes_to_an_environment_proxy():
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(JSON_RPC_OK), JSON_RPC_OK)
+    with RawPeer(reply) as origin, RawPeer() as proxy:
+        env = {name: value for name, value in os.environ.items() if name.lower() != "no_proxy"}
+        env.update(http_proxy=proxy.url, HTTP_PROXY=proxy.url)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", PROXIED_CALL, origin.url + "/mcp"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout) == {}
+        [request] = origin.requests
+        assert request.startswith(b"POST /mcp ") and b"\r\nAuthorization: Bearer sesame\r\n" in request
+        assert proxy.requests == []
 
 
 def test_http_fetcher_refuses_a_body_cut_short(peer):
