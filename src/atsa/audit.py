@@ -181,16 +181,21 @@ class AuditLog:
 
 def verify_chain(records: Sequence[AuditRecord]) -> int | None:
     """Check a complete log. Returns None when intact, else the index of the
-    first record whose sequencing, linkage, or content hash is wrong."""
+    first record whose sequencing, linkage, or content hash is wrong. Content
+    that cannot be canonicalized (a float, or nesting past the recursion
+    limit) has no valid hash, so its record is the bad index."""
     for index, record in enumerate(records):
         expected_prev = records[index - 1].hash if index else GENESIS_PREV_HASH
         if record.seq != index:
             return index
         if record.prev_hash != expected_prev:
             return index
-        recomputed = compute_record_hash(
-            record.prev_hash, record.seq, record.timestamp, record.event, record.payload
-        )
+        try:
+            recomputed = compute_record_hash(
+                record.prev_hash, record.seq, record.timestamp, record.event, record.payload
+            )
+        except (TypeError, RecursionError):
+            return index
         if recomputed != record.hash:
             return index
     return None
@@ -232,15 +237,18 @@ def record_from_wire(data: Mapping[str, Any]) -> AuditRecord:
 
 
 def load_audit_jsonl(path: str | os.PathLike[str]) -> list[AuditRecord]:
+    """Records of a JSONL log. A line that is not a JSON record raises
+    AuditError. A byte that is not UTF-8 is read as a lone surrogate, so it
+    fails on its own line, as JSON or as a content hash."""
     records: list[AuditRecord] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle):
             line = line.strip()
             if not line:
                 continue
             try:
                 data = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise AuditError(f"line {line_number}: not valid JSON: {exc}") from exc
             records.append(record_from_wire(data))
     return records

@@ -1,12 +1,15 @@
 """Executable conformance vectors and the seeded adversarial corpus.
 
 The vector set pins the verifier's observable behavior: one valid baseline,
-one denial per verification clause, and a host-binding admit, each a single
-mutation away from the baseline. The corpus generator replaces ad-hoc
-red-teaming with a deterministic campaign: given a seed and an allowlist it
-produces hostile tool names in nine categories plus forged attestation
-documents covering every admission-side forgery recipe, and the runner
-asserts that all of them are refused with zero tool-call writes.
+a denial for each of eight reasons (not_mcp_server, unsigned,
+signer_not_trusted, signer_expired, signer_not_approved, bad_signature,
+below_required, host_not_bound; no vector yet for fetch_failed or
+manifest_invalid), and a host-binding admit, each a single mutation away
+from the baseline. The corpus generator replaces ad-hoc red-teaming with a
+deterministic campaign: given a seed and an allowlist it produces hostile
+tool names in nine categories plus forged attestation documents covering
+every admission-side forgery recipe, and the runner asserts that all of
+them are refused with zero tool-call writes.
 
 Each case family is one ordered table with a row per category:
 ``_TOOL_CASES`` gives a tool-name category's generator and its anchors, built
@@ -140,7 +143,8 @@ def _flip_signature_byte(document: AttestationDocument, position: int = 0, bit: 
 
 
 def build_vectors(signing_key: KeyPair | None = None) -> list[ConformanceVector]:
-    """Eleven vectors: admit baseline, one denial per clause, and a
+    """Eleven vectors: admit baseline, nine denials covering eight reasons
+    (all but fetch_failed and manifest_invalid; bad_signature twice), and a
     host-bound admit. Each uses the same signer, approved up through
     restricted-plus except where the vector says otherwise."""
     key = signing_key if signing_key is not None else generate_keypair("S")

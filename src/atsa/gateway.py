@@ -131,9 +131,6 @@ class ServerRegistry:
     def get(self, endpoint: str) -> RegistryEntry | None:
         return self._entries.get(endpoint)
 
-    def endpoints(self) -> tuple[str, ...]:
-        return tuple(self._entries)
-
 
 class DispatchStatus(str, Enum):
     ok = "ok"

@@ -18,11 +18,9 @@ __all__ = [
     "ClassificationScheme",
     "LevelNotFoundError",
     "SchemeError",
-    "builtin_schemes",
     "get_builtin_scheme",
     "levels_up_to",
     "load_scheme",
-    "serialize_scheme",
 ]
 
 
@@ -99,11 +97,6 @@ class ClassificationScheme:
             raise LevelNotFoundError(f"level {required_level!r} not in scheme {self.name!r}")
         return server_rank >= required_rank
 
-    @property
-    def top(self) -> str:
-        """Canonical name of the highest level."""
-        return self.levels[-1].canonical_name
-
 
 _BUILTINS = {
     scheme.name: scheme
@@ -167,10 +160,6 @@ _BUILTINS = {
 BUILTIN_SCHEME_NAMES = tuple(_BUILTINS)
 
 
-def builtin_schemes() -> list[ClassificationScheme]:
-    return list(_BUILTINS.values())
-
-
 def get_builtin_scheme(name: str) -> ClassificationScheme:
     try:
         return _BUILTINS[name]
@@ -227,16 +216,3 @@ def _string_list(data: dict, key: str) -> tuple[str, ...]:
     if not isinstance(value, list) or any(not isinstance(m, str) for m in value):
         raise SchemeError(f"scheme {key!r} must be an array of strings")
     return tuple(value)
-
-
-def serialize_scheme(scheme: ClassificationScheme, *, indent: int | None = 2) -> str:
-    data = {
-        "name": scheme.name,
-        "levels": [
-            {"rank": level.rank, "canonicalName": level.canonical_name, "aliases": list(level.aliases)}
-            for level in scheme.levels
-        ],
-        "compartments": list(scheme.compartments),
-        "markings": list(scheme.markings),
-    }
-    return json.dumps(data, indent=indent, ensure_ascii=False)

@@ -17,18 +17,15 @@ from datetime import datetime, timezone
 from typing import Iterable
 
 from .lattice import ClassificationScheme
-from .sad import KeyPair, generate_keypair
 
 __all__ = [
     "SignerRecord",
     "TrustRoot",
     "TrustRootError",
     "TrustRootLockedError",
-    "dev_bundle",
     "format_rfc3339",
     "load_trust_root_file",
     "parse_rfc3339",
-    "serialize_trust_root",
     "trust_root_to_wire",
 ]
 
@@ -206,27 +203,3 @@ def trust_root_to_wire(signers: Iterable[SignerRecord]) -> dict:
             for record in signers
         ]
     }
-
-
-def serialize_trust_root(signers: Iterable[SignerRecord], *, indent: int | None = 2) -> str:
-    return json.dumps(trust_root_to_wire(signers), indent=indent, ensure_ascii=False)
-
-
-def dev_bundle() -> tuple[list[SignerRecord], dict[str, KeyPair]]:
-    """Three freshly generated development signers: community and bundled
-    extension signers approved only through INTERNAL, and a high-tier signer
-    approved through RESTRICTED-PLUS. Never ship these to production."""
-    plans = (
-        ("dev-community-signer", ("PUBLIC", "INTERNAL")),
-        ("dev-bundled-extension-signer", ("PUBLIC", "INTERNAL")),
-        ("dev-high-tier-signer", ("PUBLIC", "INTERNAL", "CONFIDENTIAL", "RESTRICTED", "RESTRICTED-PLUS")),
-    )
-    records: list[SignerRecord] = []
-    keys: dict[str, KeyPair] = {}
-    for key_id, approved in plans:
-        pair = generate_keypair(key_id)
-        keys[key_id] = pair
-        records.append(
-            SignerRecord(key_id=key_id, public_key=pair.public_key, approved_clearance=approved)
-        )
-    return records, keys

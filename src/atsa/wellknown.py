@@ -85,38 +85,35 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw)
-        except ValueError:
-            self._send(
-                200,
-                json.dumps(
-                    {"jsonrpc": "2.0", "id": None,
-                     "error": {"code": -32700, "message": "parse error"}}
-                ).encode("utf-8"),
-            )
-            return
-        self._send(200, json.dumps(self._dispatch(config, payload)).encode("utf-8"))
+        except (ValueError, RecursionError):
+            reply = _rpc_error(None, -32700, "parse error")
+        else:
+            reply = self._dispatch(config, payload)
+        self._send(200, json.dumps(reply).encode("utf-8"))
 
     @staticmethod
     def _dispatch(config: StubServerConfig, payload: Any) -> dict[str, Any]:
         request_id = payload.get("id") if isinstance(payload, dict) else None
         if not isinstance(payload, dict) or payload.get("method") != "tools/call":
-            return {
-                "jsonrpc": "2.0",
-                "id": request_id,
-                "error": {"code": -32601, "message": "method not found"},
-            }
-        params = payload.get("params") or {}
-        name = params.get("name")
+            return _rpc_error(request_id, -32601, "method not found")
+        params = payload.get("params", {})
+        if not (
+            isinstance(params, dict)
+            and isinstance(params.get("name"), str)
+            and isinstance(params.get("arguments", {}), dict)
+        ):
+            return _rpc_error(request_id, -32602, "invalid params")
+        name = params["name"]
         behavior = config.tool_behaviors.get(name)
         if behavior is None:
-            return {
-                "jsonrpc": "2.0",
-                "id": request_id,
-                "error": {"code": -32602, "message": f"unknown tool: {name!r}"},
-            }
-        arguments = params.get("arguments") or {}
+            return _rpc_error(request_id, -32602, f"unknown tool: {name!r}")
+        arguments = params.get("arguments", {})
         result = behavior(arguments) if callable(behavior) else behavior
         return {"jsonrpc": "2.0", "id": request_id, "result": result}
+
+
+def _rpc_error(request_id: Any, code: int, message: str) -> dict[str, Any]:
+    return {"jsonrpc": "2.0", "id": request_id, "error": {"code": code, "message": message}}
 
 
 class _Server(ThreadingHTTPServer):
@@ -145,10 +142,6 @@ class StubServer:
     def url(self) -> str:
         host, port = self._server.server_address[:2]
         return f"http://{host}:{port}"
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
 
     @property
     def counters(self) -> dict[str, int]:

@@ -454,7 +454,7 @@ def test_memo_keeps_clock_and_config_clauses_live(signed_doc, scheme, trust_root
 
     hits = sad._ed25519_verifies.cache_info().hits
     assert verify_server_clearance(
-        **_request(signed_doc, scheme, trust_root, required=scheme.top)
+        **_request(signed_doc, scheme, trust_root, required="SCI")
     ).reason == DenyReason.below_required
     assert sad._ed25519_verifies.cache_info().hits == hits + 1
 

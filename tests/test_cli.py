@@ -19,8 +19,8 @@ from atsa import (
     generate_keypair,
     load_audit_jsonl,
     serialize_document,
-    serialize_trust_root,
     sign_document,
+    trust_root_to_wire,
     verify_chain,
 )
 from atsa.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_VERDICT, cli, main
@@ -42,7 +42,7 @@ def workspace(tmp_path, signer, baseline_doc):
         approved_clearance=("PUBLIC", "INTERNAL", "CONFIDENTIAL", "RESTRICTED", "RESTRICTED-PLUS"),
         not_after=NOT_AFTER,
     )
-    root_path.write_text(serialize_trust_root([record]))
+    root_path.write_text(json.dumps(trust_root_to_wire([record])))
     signed = sign_document(baseline_doc, signer)
     sad_path = tmp_path / "server.sad.json"
     sad_path.write_text(serialize_document(signed))
@@ -380,6 +380,45 @@ def test_verify_refuses_to_append_to_tampered_audit_log(runner, workspace, tmp_p
     audit_path.write_text(json.dumps(record) + "\n")
     result = runner.invoke(cli, args)
     assert result.exit_code == EXIT_CONFIG
+
+
+def _payload_with_float(lines):
+    record = json.loads(lines[1])
+    record["payload"]["detail"] = 1.5
+    lines[1] = json.dumps(record)
+    return "\n".join(lines).encode() + b"\n"
+
+
+def _nested_100k_deep(lines):
+    lines[1] = "[" * 100_000 + "]" * 100_000
+    return "\n".join(lines).encode() + b"\n"
+
+
+def _trailing_non_utf8_byte(lines):
+    return "\n".join(lines).encode() + b"\n\xff"
+
+
+@pytest.mark.parametrize(
+    ("tamper", "violation"),
+    [
+        (_payload_with_float, "chain violation at record 1"),
+        (_nested_100k_deep, "chain violation: line 1: not valid JSON"),
+        (_trailing_non_utf8_byte, "chain violation: line 3: not valid JSON"),
+    ],
+    ids=["float", "deep-nesting", "non-utf8"],
+)
+def test_tampered_audit_log_is_a_violation_not_a_crash(workspace, tmp_path, capsys, tamper, violation):
+    audit_path = tmp_path / "audit.jsonl"
+    args = ["verify", workspace["sad"], "--required", "restricted-plus",
+            "--trust-root", workspace["root"], "--audit", str(audit_path)]
+    for _ in range(3):
+        assert _main_exit_code(args) == EXIT_OK
+    audit_path.write_bytes(tamper(audit_path.read_text().splitlines()))
+    capsys.readouterr()
+    assert _main_exit_code(["audit-verify", str(audit_path)]) == EXIT_VERDICT
+    assert violation in capsys.readouterr().err
+    assert _main_exit_code(args) == EXIT_CONFIG
+    assert "cannot append to audit log" in capsys.readouterr().err
 
 
 def test_audit_verify_treats_garbage_as_violation(runner, tmp_path):

@@ -9,7 +9,7 @@ import warnings
 
 from click.testing import CliRunner
 
-from atsa import SignerRecord, serialize_document, serialize_trust_root, sign_document
+from atsa import SignerRecord, serialize_document, sign_document, trust_root_to_wire
 from atsa.cli import EXIT_CONFIG, EXIT_OK, cli
 from conftest import NOT_AFTER
 
@@ -33,8 +33,10 @@ def _run(args, audit_path) -> tuple[int, list[str]]:
 def test_verify_closes_the_audit_sink_on_every_exit_path(tmp_path, signer, baseline_doc):
     root_path = tmp_path / "root.json"
     root_path.write_text(
-        serialize_trust_root(
-            [SignerRecord(signer.key_id, signer.public_key, ("PUBLIC", "RESTRICTED-PLUS"), NOT_AFTER)]
+        json.dumps(
+            trust_root_to_wire(
+                [SignerRecord(signer.key_id, signer.public_key, ("PUBLIC", "RESTRICTED-PLUS"), NOT_AFTER)]
+            )
         )
     )
     sad_path = tmp_path / "server.sad.json"

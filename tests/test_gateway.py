@@ -58,7 +58,6 @@ def test_register_and_get():
     registry.register(entry)
     assert registry.get(SERVER_URL) is entry
     assert registry.get("https://other.example/mcp") is None
-    assert registry.endpoints() == (SERVER_URL,)
 
 
 def test_register_duplicate_requires_replace():
@@ -73,7 +72,8 @@ def test_register_duplicate_requires_replace():
 
 def test_freeze_is_one_way():
     registry = ServerRegistry()
-    registry.register(_entry(CountingTransport()))
+    entry = _entry(CountingTransport())
+    registry.register(entry)
     assert not registry.frozen
     registry.freeze()
     registry.freeze()  # idempotent
@@ -82,7 +82,8 @@ def test_freeze_is_one_way():
         registry.register(_entry(CountingTransport(), endpoint="https://new.example/mcp"))
     with pytest.raises(RegistryFrozenError):
         registry.register(_entry(CountingTransport()), replace=True)
-    assert registry.endpoints() == (SERVER_URL,)
+    assert registry.get(SERVER_URL) is entry
+    assert registry.get("https://new.example/mcp") is None
 
 
 def _wired_gateway(scheme, trust_root, doc, *, tools=ALLOWED, skip=False, flavor=Flavor.enclaved):

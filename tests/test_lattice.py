@@ -12,11 +12,9 @@ from atsa import (
     BUILTIN_SCHEME_NAMES,
     LevelNotFoundError,
     SchemeError,
-    builtin_schemes,
     get_builtin_scheme,
     levels_up_to,
     load_scheme,
-    serialize_scheme,
 )
 
 EXPECTED_LADDERS = {
@@ -30,7 +28,7 @@ EXPECTED_LADDERS = {
 
 def test_builtin_names():
     assert tuple(BUILTIN_SCHEME_NAMES) == tuple(EXPECTED_LADDERS)
-    assert [s.name for s in builtin_schemes()] == list(EXPECTED_LADDERS)
+    assert [get_builtin_scheme(name).name for name in BUILTIN_SCHEME_NAMES] == list(EXPECTED_LADDERS)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_LADDERS))
@@ -77,8 +75,8 @@ def test_meets_unresolvable_name_raises_either_side():
 
 
 def test_top_level():
-    assert get_builtin_scheme("default").top == "SCI"
-    assert get_builtin_scheme("generic-3-tier").top == "HIGH"
+    assert get_builtin_scheme("default").levels[-1].canonical_name == "SCI"
+    assert get_builtin_scheme("generic-3-tier").levels[-1].canonical_name == "HIGH"
 
 
 def test_levels_up_to():
@@ -100,6 +98,7 @@ def test_metadata_is_carried_not_enforced():
 
 
 def _scheme_json(levels, compartments=(), markings=(), name="custom"):
+    """The scheme file form that ``load_scheme`` reads."""
     return json.dumps(
         {
             "name": name,
@@ -113,6 +112,15 @@ def _scheme_json(levels, compartments=(), markings=(), name="custom"):
     )
 
 
+def _scheme_file(scheme):
+    return _scheme_json(
+        [(level.rank, level.canonical_name, level.aliases) for level in scheme.levels],
+        scheme.compartments,
+        scheme.markings,
+        scheme.name,
+    )
+
+
 def test_load_custom_scheme_round_trip():
     raw = _scheme_json(
         [(0, "BRONZE", ["B"]), (1, "SILVER", []), (2, "GOLD", ["AU"])],
@@ -122,7 +130,7 @@ def test_load_custom_scheme_round_trip():
     scheme = load_scheme(raw)
     assert scheme.resolve("au") == 2
     assert scheme.meets("GOLD", "b")
-    again = load_scheme(serialize_scheme(scheme))
+    again = load_scheme(_scheme_file(scheme))
     assert again == scheme
 
 
@@ -144,8 +152,9 @@ def test_load_rejects_broken_ladders(levels):
 
 
 def test_builtins_round_trip_through_loader():
-    for scheme in builtin_schemes():
-        assert load_scheme(serialize_scheme(scheme)) == scheme
+    for name in BUILTIN_SCHEME_NAMES:
+        scheme = get_builtin_scheme(name)
+        assert load_scheme(_scheme_file(scheme)) == scheme
 
 
 def test_load_rejects_malformed_json():

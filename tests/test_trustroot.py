@@ -13,11 +13,10 @@ from atsa import (
     TrustRoot,
     TrustRootError,
     TrustRootLockedError,
-    dev_bundle,
     generate_keypair,
     get_builtin_scheme,
     load_trust_root_file,
-    serialize_trust_root,
+    trust_root_to_wire,
 )
 
 NOT_AFTER = datetime(2027, 1, 1, tzinfo=timezone.utc)
@@ -129,7 +128,7 @@ def test_load_trust_root_file_round_trip():
     records = load_trust_root_file(_root_json([_entry("a"), _entry("b")]))
     assert [rec.key_id for rec in records] == ["a", "b"]
     assert records[0].not_after == NOT_AFTER
-    again = load_trust_root_file(serialize_trust_root(records))
+    again = load_trust_root_file(json.dumps(trust_root_to_wire(records)))
     assert again == records
     root = TrustRoot()
     root.set_trust_root(records)
@@ -176,23 +175,3 @@ def test_not_after_is_optional():
     del entry["notAfter"]
     records = load_trust_root_file(_root_json([entry]))
     assert records[0].not_after is None
-
-
-def test_dev_bundle_shape():
-    scheme = get_builtin_scheme("default")
-    records, keys = dev_bundle()
-    assert len(records) == 3
-    by_id = {rec.key_id: rec for rec in records}
-    assert set(by_id) == set(keys)
-    ceilings = sorted(
-        max(scheme.resolve(name) for name in rec.approved_clearance)
-        for rec in records
-    )
-    assert ceilings == [
-        scheme.resolve("internal"),
-        scheme.resolve("internal"),
-        scheme.resolve("restricted-plus"),
-    ]
-    for rec in records:
-        assert keys[rec.key_id].public_key == rec.public_key
-        assert keys[rec.key_id].private_key is not None

@@ -107,6 +107,24 @@ def test_unknown_tool_is_invalid_params(server):
     assert resp["error"]["code"] == -32602
 
 
+@pytest.mark.parametrize(
+    "params",
+    [[1], {"name": ["x"]}, {"name": "list_labels", "arguments": [1]}],
+    ids=["params-array", "name-array", "arguments-array"],
+)
+def test_malformed_params_are_invalid_params(server, params):
+    _, resp = _post(
+        server.url + "/mcp", {"jsonrpc": "2.0", "id": 4, "method": "tools/call", "params": params}
+    )
+    assert resp == {"jsonrpc": "2.0", "id": 4, "error": {"code": -32602, "message": "invalid params"}}
+    _, resp = _post(
+        server.url + "/mcp",
+        {"jsonrpc": "2.0", "id": 5, "method": "tools/call",
+         "params": {"name": "list_labels", "arguments": {}}},
+    )
+    assert resp["result"] == {"labels": ["inbox", "sent"]}
+
+
 def test_unknown_method_is_method_not_found(server):
     _, resp = _post(
         server.url + "/mcp", {"jsonrpc": "2.0", "id": 3, "method": "tools/list"}
@@ -116,6 +134,11 @@ def test_unknown_method_is_method_not_found(server):
 
 def test_parse_error_is_minus_32700(server):
     _, resp = _post(server.url + "/mcp", b"{nope")
+    assert resp["error"]["code"] == -32700
+
+
+def test_body_nested_past_the_recursion_limit_is_a_parse_error(server):
+    _, resp = _post(server.url + "/mcp", b"[" * 100_000 + b"]" * 100_000)
     assert resp["error"]["code"] == -32700
 
 
