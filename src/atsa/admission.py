@@ -37,7 +37,6 @@ from .audit import (
     EVENT_CONNECT_DENY,
     EVENT_CONNECT_WARN,
     AuditLog,
-    _utcnow,
 )
 from .lattice import ClassificationScheme, LevelNotFoundError
 from .sad import MCP_SERVER_CAPABILITY, DocumentError, parse_document, verify_signature
@@ -161,9 +160,12 @@ _PEER_FAILURES = (OSError, ValueError, http.client.HTTPException)
 # A real document is a few hundred bytes; a larger body is refused unread.
 MAX_DOCUMENT_BYTES = 64 * 1024
 
+# Seconds a peer gets to accept the connection and to answer each read.
+PEER_TIMEOUT_S = 10.0
+
 
 def exchange(
-    url: str, headers: Mapping[str, str], *, limit: int, timeout: float, data: bytes | None = None
+    url: str, headers: Mapping[str, str], *, limit: int, data: bytes | None = None
 ) -> tuple[int, bytes]:
     """GET ``url``, or POST ``data`` to it, as the one request on a connection
     that says ``Connection: close`` (RFC 9112 section 9.6): the one place a
@@ -176,7 +178,7 @@ def exchange(
         if parts.scheme not in _CONNECTIONS or not parts.hostname:
             raise ValueError("not an absolute http(s) URL")
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        connection = _CONNECTIONS[parts.scheme](parts.netloc, timeout=timeout)
+        connection = _CONNECTIONS[parts.scheme](parts.netloc, timeout=PEER_TIMEOUT_S)
         try:
             connection.request(method, target, data, {**headers, "Connection": "close"})
             with connection.getresponse() as response:
@@ -196,14 +198,11 @@ def exchange(
     return status, body
 
 
-@dataclass(frozen=True)
 class HttpFetcher:
     """Production fetcher: an ``exchange`` GET capped at ``MAX_DOCUMENT_BYTES``."""
 
-    timeout: float = 10.0
-
     def __call__(self, url: str) -> tuple[int, bytes]:
-        return exchange(url, {"Accept": "application/json"}, limit=MAX_DOCUMENT_BYTES, timeout=self.timeout)
+        return exchange(url, {"Accept": "application/json"}, limit=MAX_DOCUMENT_BYTES)
 
 
 def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
@@ -311,21 +310,16 @@ def verify_server_clearance(
 class AdmissionGate:
     """Binds a scheme, trust root, fetcher, and audit log into the
     connection-time gate. One audit record per decision, written before the
-    result is returned; if the append fails the connection attempt fails."""
+    result is returned; if the append fails the connection attempt fails.
+    Each decision is checked at the instant the audit log's clock reads."""
 
     def __init__(
-        self,
-        scheme: ClassificationScheme,
-        trust_root: TrustRoot,
-        fetcher: Fetcher,
-        audit: AuditLog,
-        clock: Callable[[], datetime] = _utcnow,
+        self, scheme: ClassificationScheme, trust_root: TrustRoot, fetcher: Fetcher, audit: AuditLog
     ) -> None:
         self.scheme = scheme
         self.trust_root = trust_root
         self.fetcher = fetcher
         self.audit = audit
-        self.clock = clock
 
     def connect(
         self,
@@ -349,7 +343,7 @@ class AdmissionGate:
         verdict = verify_server_clearance(
             server_url,
             required_level,
-            now=self.clock(),
+            now=self.audit.clock(),
             scheme=self.scheme,
             trust_root=self.trust_root,
             fetcher=self.fetcher,

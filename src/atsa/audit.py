@@ -119,7 +119,8 @@ def _format_timestamp(moment: datetime) -> str:
 
 class AuditLog:
     """Appender holding the chain head. Records are kept in memory and
-    forwarded to an optional sink; a sink failure propagates to the caller."""
+    forwarded to an optional sink; a sink failure propagates to the caller.
+    ``clock`` stamps every record."""
 
     def __init__(
         self,
@@ -127,17 +128,12 @@ class AuditLog:
         clock: Callable[[], datetime] = _utcnow,
     ) -> None:
         self._sink = sink
-        self._clock = clock
+        self.clock = clock
         self._records: list[AuditRecord] = []
         self._mutex = threading.Lock()
 
     @classmethod
-    def resume(
-        cls,
-        records: Sequence[AuditRecord],
-        sink: AuditSink | None = None,
-        clock: Callable[[], datetime] = _utcnow,
-    ) -> "AuditLog":
+    def resume(cls, records: Sequence[AuditRecord], sink: AuditSink | None = None) -> "AuditLog":
         """Continue an existing chain, e.g. one reloaded from a JSONL file.
 
         The prior records must verify; appending to a broken chain would
@@ -146,7 +142,7 @@ class AuditLog:
         first_bad = verify_chain(records)
         if first_bad is not None:
             raise AuditError(f"cannot resume a broken chain: violation at record {first_bad}")
-        log = cls(sink, clock)
+        log = cls(sink)
         log._records = list(records)
         return log
 
@@ -164,7 +160,7 @@ class AuditLog:
         with self._mutex:
             seq = len(self._records)
             prev_hash = self._records[-1].hash if self._records else GENESIS_PREV_HASH
-            timestamp = _format_timestamp(self._clock())
+            timestamp = _format_timestamp(self.clock())
             record = AuditRecord(
                 seq=seq,
                 timestamp=timestamp,

@@ -40,7 +40,6 @@ from .lattice import (
     BUILTIN_SCHEME_NAMES,
     ClassificationScheme,
     LevelNotFoundError,
-    SchemeError,
     get_builtin_scheme,
     load_scheme,
 )
@@ -76,7 +75,7 @@ def _load_scheme_spec(spec: str) -> ClassificationScheme:
     if path.exists():
         try:
             return load_scheme(path.read_text(encoding="utf-8"))
-        except SchemeError as exc:
+        except ValueError as exc:  # SchemeError, or a file that is not UTF-8
             raise ConfigError(f"invalid scheme file {spec}: {exc}") from exc
     raise ConfigError(
         f"unknown scheme {spec!r}: not a builtin ({', '.join(BUILTIN_SCHEME_NAMES)}) and not a file"
@@ -425,13 +424,18 @@ def serve(config_path: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> None:
-    """Console entry point with stable internal-error mapping."""
+    """Console entry point with stable internal-error mapping. A file the
+    operator named that cannot be read or written is a configuration error;
+    the exception's text names the path."""
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.ClickException as exc:
         exc.show()
         sys.exit(exc.exit_code)
     except click.exceptions.Abort:
+        sys.exit(EXIT_CONFIG)
+    except OSError as exc:
+        click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     except Exception as exc:  # pragma: no cover - defensive
         click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)

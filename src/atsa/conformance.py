@@ -18,9 +18,8 @@ recipe and the ``DenyReason`` it must produce. ``TOOL_CATEGORIES`` and
 ``FORGERY_CATEGORIES`` are their keys, in the order the categories draw from
 the corpus's one seeded random stream.
 
-The campaign dispatches through ``CountingTransport``, an in-process
-transport that counts every request, so "zero tool-call writes" is observed
-rather than assumed.
+The campaign dispatches through an in-process transport that counts every
+request, so "zero tool-call writes" is observed rather than assumed.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ __all__ = [
     "CampaignSetup",
     "ConformanceVector",
     "CorpusCase",
-    "CountingTransport",
     "VectorOutcome",
     "VectorReport",
     "build_vectors",
@@ -739,40 +737,19 @@ class CampaignReport:
         }
 
 
-class CountingTransport:
-    """In-process transport that never touches the network. Counts every
-    request and answers tools/call from a behavior map (callable or constant
-    result); unmapped tools are echoed back."""
+class _CountingTransport:
+    """The campaign's transport: it counts every request and answers each with
+    a null result, so a case that leaks past the gate reads as admitted."""
 
-    def __init__(self, behaviors: Mapping[str, Any] | None = None) -> None:
-        self.behaviors = dict(behaviors or {})
+    def __init__(self) -> None:
         self.calls = 0
-        self.requests: list[tuple[Mapping[str, Any], Mapping[str, str]]] = []
-        self._ids = itertools.count(1)
 
     def next_id(self) -> int:
-        return next(self._ids)
+        return self.calls + 1
 
     def request(self, payload: Mapping[str, Any], headers: Mapping[str, str]) -> Any:
         self.calls += 1
-        self.requests.append((dict(payload), dict(headers)))
-        if payload.get("method") != "tools/call":
-            return {
-                "jsonrpc": "2.0",
-                "id": payload.get("id"),
-                "error": {"code": -32601, "message": "method not found"},
-            }
-        params = payload.get("params") or {}
-        name = params.get("name")
-        arguments = params.get("arguments") or {}
-        behavior = self.behaviors.get(name)
-        if callable(behavior):
-            result = behavior(arguments)
-        elif behavior is not None:
-            result = behavior
-        else:
-            result = {"tool": name, "echo": dict(arguments)}
-        return {"jsonrpc": "2.0", "id": payload.get("id"), "result": result}
+        return {"jsonrpc": "2.0", "id": payload["id"], "result": None}
 
 
 CAMPAIGN_ENDPOINT = "https://campaign.tools.example/mcp"
@@ -793,7 +770,7 @@ def run_campaign(
     allowlist = tuple(allowlist)
     setup = campaign_setup(seed)
     audit_log = audit if audit is not None else AuditLog(clock=lambda: VECTOR_NOW)
-    transport = CountingTransport()
+    transport = _CountingTransport()
 
     server_sad = sign_document(
         AttestationDocument(
@@ -809,7 +786,7 @@ def run_campaign(
     trust_root = TrustRoot(setup.signers)
     trust_root.lock_trust_root()
     scheme = get_builtin_scheme("default")
-    gate = AdmissionGate(scheme, trust_root, fetcher, audit_log, clock=lambda: VECTOR_NOW)
+    gate = AdmissionGate(scheme, trust_root, fetcher, audit_log)
 
     registry = ServerRegistry()
     registry.register(

@@ -103,8 +103,8 @@ class RegistryEntry:
 
 
 class ServerRegistry:
-    """Endpoint-keyed entry store with a one-way freeze. Pre-freeze an entry
-    may be replaced explicitly; duplicates without ``replace`` are errors."""
+    """Endpoint-keyed entry store with a one-way freeze. Registering an
+    endpoint twice is an error."""
 
     def __init__(self) -> None:
         self._entries: dict[str, RegistryEntry] = {}
@@ -115,11 +115,11 @@ class ServerRegistry:
     def frozen(self) -> bool:
         return self._frozen
 
-    def register(self, entry: RegistryEntry, *, replace: bool = False) -> None:
+    def register(self, entry: RegistryEntry) -> None:
         with self._mutex:
             if self._frozen:
                 raise RegistryFrozenError("registry is frozen; registration refused")
-            if entry.endpoint in self._entries and not replace:
+            if entry.endpoint in self._entries:
                 raise RegistryError(f"endpoint already registered: {entry.endpoint!r}")
             self._entries[entry.endpoint] = entry
 
@@ -164,15 +164,9 @@ class HttpTransport:
     bearer token from the optional provider never leaves the URL's origin and
     a reply over ``MAX_REPLY_BYTES`` is refused. Request ids count up from 1."""
 
-    def __init__(
-        self,
-        url: str,
-        bearer_provider: Callable[[], str] | None = None,
-        timeout: float = 10.0,
-    ) -> None:
+    def __init__(self, url: str, bearer_provider: Callable[[], str] | None = None) -> None:
         self.url = url
         self.bearer_provider = bearer_provider
-        self.timeout = timeout
         self._ids = itertools.count(1)
 
     def next_id(self) -> int:
@@ -183,7 +177,7 @@ class HttpTransport:
             headers = {**headers, "Authorization": f"Bearer {self.bearer_provider()}"}
         data = json.dumps(payload).encode("utf-8")
         try:
-            status, body = exchange(self.url, headers, limit=MAX_REPLY_BYTES, timeout=self.timeout, data=data)
+            status, body = exchange(self.url, headers, limit=MAX_REPLY_BYTES, data=data)
             if not 200 <= status < 300:
                 raise TransportError(f"POST {self.url} returned status {status}")
             return json.loads(body)

@@ -81,8 +81,13 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != config.mcp_path:
             self._send(404, b'{"error": "not found"}')
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length)
+        length = self.headers.get("Content-Length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            # The body's end is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            self._send(400, b'{"error": "Content-Length must be a non-negative integer"}')
+            return
+        raw = self.rfile.read(int(length))
         try:
             payload = json.loads(raw)
         except (ValueError, RecursionError):
@@ -148,8 +153,8 @@ class StubServer:
         with self._server.counter_lock:
             return dict(self._server.counters)
 
-    def tools_call_count(self, mcp_path: str = "/mcp") -> int:
-        return self.counters.get(f"POST {mcp_path}", 0)
+    def tools_call_count(self) -> int:
+        return self.counters.get(f"POST {self._server.config.mcp_path}", 0)
 
     def shutdown(self) -> None:
         if self._down:

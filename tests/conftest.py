@@ -93,5 +93,4 @@ def gate(scheme, trust_root, fetcher, audit_log):
         trust_root=trust_root,
         fetcher=fetcher,
         audit=audit_log,
-        clock=lambda: FIXED_NOW,
     )

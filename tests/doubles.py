@@ -1,12 +1,13 @@
 """Test doubles for the injectable seams: a fetcher serving a fixed mapping,
-an in-memory audit sink, and a loopback peer that answers with raw bytes.
-Tests import them like ``reference_impl``."""
+an in-process tool transport, an in-memory audit sink, and a loopback peer
+that answers with raw bytes. Tests import them like ``reference_impl``."""
 
 from __future__ import annotations
 
+import itertools
 import socketserver
 import threading
-from typing import Mapping
+from typing import Any, Mapping
 
 from atsa import AuditRecord
 
@@ -25,6 +26,42 @@ class StaticFetcher:
         if body is None:
             return 404, b""
         return 200, body
+
+
+class CountingTransport:
+    """In-process transport that never touches the network. Counts every
+    request and answers tools/call from a behavior map (callable or constant
+    result); unmapped tools are echoed back."""
+
+    def __init__(self, behaviors: Mapping[str, Any] | None = None) -> None:
+        self.behaviors = dict(behaviors or {})
+        self.calls = 0
+        self.requests: list[tuple[Mapping[str, Any], Mapping[str, str]]] = []
+        self._ids = itertools.count(1)
+
+    def next_id(self) -> int:
+        return next(self._ids)
+
+    def request(self, payload: Mapping[str, Any], headers: Mapping[str, str]) -> Any:
+        self.calls += 1
+        self.requests.append((dict(payload), dict(headers)))
+        if payload.get("method") != "tools/call":
+            return {
+                "jsonrpc": "2.0",
+                "id": payload.get("id"),
+                "error": {"code": -32601, "message": "method not found"},
+            }
+        params = payload.get("params") or {}
+        name = params.get("name")
+        arguments = params.get("arguments") or {}
+        behavior = self.behaviors.get(name)
+        if callable(behavior):
+            result = behavior(arguments)
+        elif behavior is not None:
+            result = behavior
+        else:
+            result = {"tool": name, "echo": dict(arguments)}
+        return {"jsonrpc": "2.0", "id": payload.get("id"), "result": result}
 
 
 class RecordingSink:

@@ -22,7 +22,6 @@ from atsa import (
     AuditLog,
     BUILTIN_SCHEME_NAMES,
     ConnectStatus,
-    CountingTransport,
     DenyReason,
     DispatchStatus,
     EVENT_CONNECT_ALLOW,
@@ -59,7 +58,7 @@ from atsa.audit import record_from_wire, record_to_wire
 from atsa.cli import cli
 from atsa.conformance import KIND_TOOL, VECTOR_NOW
 from conftest import FIXED_NOW, SERVER_URL, fetcher_for
-from doubles import StaticFetcher
+from doubles import CountingTransport, StaticFetcher
 from reference_impl import (
     reference_chain_first_bad,
     reference_sad_body,
@@ -154,7 +153,6 @@ def test_criterion_02_handwritten_evasions_all_denied_then_two_admitted(
     audit = AuditLog(clock=lambda: FIXED_NOW)
     gate = AdmissionGate(
         scheme=scheme, trust_root=trust_root, fetcher=fetcher, audit=audit,
-        clock=lambda: FIXED_NOW,
     )
     transport = CountingTransport(
         {"list_labels": {"labels": []}, "create_draft": {"draftId": "d-1"}}
@@ -217,7 +215,7 @@ def test_criterion_04_flavor_semantics_audit_exactness(
         audit = AuditLog(clock=lambda: FIXED_NOW)
         gate = AdmissionGate(
             scheme=scheme, trust_root=trust_root, fetcher=fetcher_for(doc),
-            audit=audit, clock=lambda: FIXED_NOW,
+            audit=audit,
         )
         return gate.connect(SERVER_URL, "restricted-plus", flavor), audit.records
 
@@ -436,7 +434,6 @@ def test_criterion_09_end_to_end_loopback_with_zero_denied_posts():
             trust_root=TrustRoot(vector1.signers),
             fetcher=HttpFetcher(),
             audit=audit,
-            clock=lambda: VECTOR_NOW,
         )
         registry = ServerRegistry()
         registry.register(

@@ -501,14 +501,14 @@ def test_http_fetcher_caps_the_body(signed_doc, scheme, trust_root):
     at_cap = serve(StubServerConfig(sad_bytes=_padded(signed_doc, MAX_DOCUMENT_BYTES)))
     over_cap = serve(StubServerConfig(sad_bytes=_padded(signed_doc, MAX_DOCUMENT_BYTES + 1)))
     try:
-        status, body = HttpFetcher(timeout=5)(at_cap.url + WELL_KNOWN_PATHS[0])
+        status, body = HttpFetcher()(at_cap.url + WELL_KNOWN_PATHS[0])
         assert (status, len(body)) == (200, MAX_DOCUMENT_BYTES)
         with pytest.raises(FetchError):
-            HttpFetcher(timeout=5)(over_cap.url + WELL_KNOWN_PATHS[0])
+            HttpFetcher()(over_cap.url + WELL_KNOWN_PATHS[0])
         for stub, allowed in ((at_cap, True), (over_cap, False)):
             request = {
                 **_request(None, scheme, trust_root, url=stub.url + "/mcp"),
-                "fetcher": HttpFetcher(timeout=5),
+                "fetcher": HttpFetcher(),
             }
             verdict = verify_server_clearance(**request)
             assert verdict.allowed is allowed
@@ -526,7 +526,6 @@ def _gate(scheme, trust_root, fetcher, audit=None):
         trust_root=trust_root,
         fetcher=fetcher,
         audit=audit,
-        clock=lambda: FIXED_NOW,
     )
 
 

@@ -258,7 +258,7 @@ def test_any_append_sequence_verifies(entries):
 def test_resume_continues_an_existing_chain():
     first = _ticking_log()
     _fill(first, count=5)
-    resumed = AuditLog.resume(list(first.records), clock=first._clock)
+    resumed = AuditLog.resume(list(first.records))
     resumed.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     records = resumed.records
     assert len(records) == 6

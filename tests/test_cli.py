@@ -464,6 +464,48 @@ def _main_exit_code(args):
     return exc_info.value.code
 
 
+def _operator_path_case(case, workspace, tmp_path):
+    """Arguments naming one file the command cannot read or write, and that path."""
+    verify = ["verify", workspace["sad"], "--required", "restricted-plus", "--trust-root", workspace["root"]]
+    missing = tmp_path / "missing"
+    if case == "verify-scheme-dir":
+        return [*verify, "--scheme", str(tmp_path)], tmp_path
+    if case == "verify-scheme-not-utf8":
+        scheme = tmp_path / "scheme.json"
+        scheme.write_bytes(b'{"name": "\xff"}')
+        return [*verify, "--scheme", str(scheme)], scheme
+    if case == "verify-audit-dir":
+        return [*verify, "--audit", str(tmp_path)], tmp_path
+    if case == "verify-audit-missing-dir":
+        return [*verify, "--audit", str(missing / "x.jsonl")], missing / "x.jsonl"
+    if case == "keygen-out":
+        return ["keygen", "--out", str(missing / "k")], missing / "k"
+    if case == "sign-out":
+        key = tmp_path / "k.key"
+        assert CliRunner().invoke(cli, ["keygen", "--out", str(key)]).exit_code == EXIT_OK
+        return ["sign", workspace["unsigned"], "--key", str(key), "--out", str(missing / "s.json")], missing / "s.json"
+    if case == "vectors-out-file":
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        return ["vectors", "--out", str(taken)], taken
+    assert case == "fuzz-corpus-out"
+    return ["fuzz", "--per-category", "1", "--corpus-out", str(missing / "c.jsonl")], missing / "c.jsonl"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["verify-scheme-dir", "verify-scheme-not-utf8", "verify-audit-dir", "verify-audit-missing-dir",
+     "keygen-out", "sign-out", "vectors-out-file", "fuzz-corpus-out"],
+)
+def test_unusable_operator_path_is_config_error(workspace, tmp_path, capsys, case):
+    args, path = _operator_path_case(case, workspace, tmp_path)
+    capsys.readouterr()
+    assert _main_exit_code(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert str(path) in captured.err
+    assert captured.out == ""
+
+
 def test_fuzz_registry_entry_without_bridge_id_is_config_error(tmp_path, capsys):
     registry = tmp_path / "registry.json"
     registry.write_text(

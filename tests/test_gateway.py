@@ -11,7 +11,6 @@ import pytest
 from atsa import (
     AdmissionGate,
     AuditLog,
-    CountingTransport,
     DenyReason,
     DispatchStatus,
     EVENT_CONNECT_ALLOW,
@@ -36,6 +35,7 @@ from atsa import (
 )
 from atsa.gateway import TOOL_DENY_DETAIL
 from conftest import FIXED_NOW, SERVER_URL, fetcher_for
+from doubles import CountingTransport
 
 ALLOWED = frozenset({"list_labels", "create_draft"})
 
@@ -60,14 +60,13 @@ def test_register_and_get():
     assert registry.get("https://other.example/mcp") is None
 
 
-def test_register_duplicate_requires_replace():
+def test_register_duplicate_is_refused():
     registry = ServerRegistry()
-    registry.register(_entry(CountingTransport()))
+    first = _entry(CountingTransport())
+    registry.register(first)
     with pytest.raises(RegistryError):
-        registry.register(_entry(CountingTransport()))
-    swapped = _entry(CountingTransport(), tools={"list_labels"})
-    registry.register(swapped, replace=True)
-    assert registry.get(SERVER_URL) is swapped
+        registry.register(_entry(CountingTransport(), tools={"list_labels"}))
+    assert registry.get(SERVER_URL) is first
 
 
 def test_freeze_is_one_way():
@@ -81,7 +80,7 @@ def test_freeze_is_one_way():
     with pytest.raises(RegistryFrozenError):
         registry.register(_entry(CountingTransport(), endpoint="https://new.example/mcp"))
     with pytest.raises(RegistryFrozenError):
-        registry.register(_entry(CountingTransport()), replace=True)
+        registry.register(_entry(CountingTransport()))
     assert registry.get(SERVER_URL) is entry
     assert registry.get("https://new.example/mcp") is None
 
@@ -91,7 +90,6 @@ def _wired_gateway(scheme, trust_root, doc, *, tools=ALLOWED, skip=False, flavor
     audit = AuditLog(clock=lambda: FIXED_NOW)
     gate = AdmissionGate(
         scheme=scheme, trust_root=trust_root, fetcher=fetcher, audit=audit,
-        clock=lambda: FIXED_NOW,
     )
     transport = CountingTransport({"list_labels": {"labels": ["inbox"]}})
     registry = ServerRegistry()
@@ -291,7 +289,7 @@ def test_http_transport_keeps_bearer_token_on_its_origin():
     elsewhere = _Origin(_json_rpc_ok)
     redirecting = _Origin(_redirect_to(elsewhere.url + "/mcp"))
     try:
-        transport = HttpTransport(redirecting.url + "/mcp", bearer_provider=lambda: "sesame", timeout=5)
+        transport = HttpTransport(redirecting.url + "/mcp", bearer_provider=lambda: "sesame")
         with pytest.raises(TransportError, match="returned status 302"):
             jsonrpc_tools_call(transport, ToolCall("list_labels", {}))
         [(method, path, headers)] = redirecting.seen
@@ -321,9 +319,9 @@ def test_same_origin_redirect_of_tools_call_is_not_followed(scheme, trust_root, 
         audit = AuditLog(clock=lambda: FIXED_NOW)
         gate = AdmissionGate(
             scheme=scheme, trust_root=trust_root, fetcher=fetcher_for(signed_doc, origin=origin.url),
-            audit=audit, clock=lambda: FIXED_NOW,
+            audit=audit,
         )
-        transport = HttpTransport(origin.url + "/mcp", bearer_provider=lambda: "sesame", timeout=5)
+        transport = HttpTransport(origin.url + "/mcp", bearer_provider=lambda: "sesame")
         registry = ServerRegistry()
         registry.register(_entry(transport, endpoint=origin.url + "/mcp"))
         gateway = Gateway(registry=registry, gate=gate, audit=audit, flavor=Flavor.enclaved)
@@ -352,8 +350,8 @@ def test_same_origin_redirect_of_well_known_get_is_not_followed(scheme, trust_ro
     try:
         audit = AuditLog(clock=lambda: FIXED_NOW)
         gate = AdmissionGate(
-            scheme=scheme, trust_root=trust_root, fetcher=HttpFetcher(timeout=5),
-            audit=audit, clock=lambda: FIXED_NOW,
+            scheme=scheme, trust_root=trust_root, fetcher=HttpFetcher(),
+            audit=audit,
         )
         result = gate.connect(origin.url + "/mcp", "restricted-plus", Flavor.enclaved)
         assert result.verdict.reason == DenyReason.fetch_failed
@@ -394,7 +392,7 @@ def test_invoke_maps_jsonrpc_error_to_transport_error(scheme, trust_root, signed
     audit = AuditLog(clock=lambda: FIXED_NOW)
     gate = AdmissionGate(
         scheme=scheme, trust_root=trust_root, fetcher=fetcher_for(signed_doc),
-        audit=audit, clock=lambda: FIXED_NOW,
+        audit=audit,
     )
     registry = ServerRegistry()
     registry.register(_entry(erroring))

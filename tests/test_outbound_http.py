@@ -68,7 +68,7 @@ def peer():
 
 def _enclaved_gateway(peer, scheme, trust_root, fetcher, transport_url=None):
     audit = AuditLog(clock=lambda: FIXED_NOW)
-    gate = AdmissionGate(scheme, trust_root, fetcher, audit, clock=lambda: FIXED_NOW)
+    gate = AdmissionGate(scheme, trust_root, fetcher, audit)
     registry = ServerRegistry()
     registry.register(
         RegistryEntry(
@@ -76,7 +76,7 @@ def _enclaved_gateway(peer, scheme, trust_root, fetcher, transport_url=None):
             bridge_id="bridge-1",
             required_clearance="restricted-plus",
             allowed_tools=frozenset({"list_labels"}),
-            transport=HttpTransport(transport_url or peer.url + "/mcp", timeout=5),
+            transport=HttpTransport(transport_url or peer.url + "/mcp"),
         )
     )
     return Gateway(registry, gate, audit, flavor=Flavor.enclaved), audit
@@ -85,7 +85,7 @@ def _enclaved_gateway(peer, scheme, trust_root, fetcher, transport_url=None):
 @pytest.mark.parametrize("reply", [GARBAGE, SHORT_BODY], ids=["garbage", "short_body"])
 def test_bad_well_known_reply_is_fetch_failed(peer, scheme, trust_root, reply):
     peer.reply = reply
-    gateway, audit = _enclaved_gateway(peer, scheme, trust_root, HttpFetcher(timeout=5))
+    gateway, audit = _enclaved_gateway(peer, scheme, trust_root, HttpFetcher())
     result = gateway.invoke(peer.url + "/mcp", ToolCall("list_labels"))
     assert (result.status, result.reason) == (DispatchStatus.denied, DenyReason.fetch_failed)
     assert [record.event for record in audit.records] == [EVENT_CONNECT_DENY]
@@ -126,7 +126,7 @@ def test_non_http_transport_url_is_transport_error(peer, scheme, trust_root, sig
 PROXIED_CALL = """
 import json, sys
 from atsa import HttpTransport, ToolCall, jsonrpc_tools_call
-transport = HttpTransport(sys.argv[1], bearer_provider=lambda: "sesame", timeout=5)
+transport = HttpTransport(sys.argv[1], bearer_provider=lambda: "sesame")
 print(json.dumps(jsonrpc_tools_call(transport, ToolCall("list_labels"))))
 """
 
@@ -154,7 +154,7 @@ def test_bearer_token_never_goes_to_an_environment_proxy():
 def test_http_fetcher_refuses_a_body_cut_short(peer):
     peer.reply = SHORT_BODY
     with pytest.raises(FetchError, match="97 bytes short"):
-        HttpFetcher(timeout=5)(peer.url + WELL_KNOWN_PATHS[0])
+        HttpFetcher()(peer.url + WELL_KNOWN_PATHS[0])
 
 
 def _framed(body: bytes, framing: str, short_by: int) -> tuple[list[bytes], bytes]:
@@ -217,12 +217,12 @@ def _replies(draw) -> bytes:
 def test_seams_return_or_raise_their_own_error(peer, reply):
     peer.reply = reply.replace(b"{origin}", peer.url.encode("ascii"))
     try:
-        status, body = HttpFetcher(timeout=5)(peer.url + WELL_KNOWN_PATHS[0])
+        status, body = HttpFetcher()(peer.url + WELL_KNOWN_PATHS[0])
     except FetchError:
         pass
     else:
         assert isinstance(status, int) and isinstance(body, bytes)
-    transport = HttpTransport(peer.url + "/mcp", bearer_provider=lambda: "sesame", timeout=5)
+    transport = HttpTransport(peer.url + "/mcp", bearer_provider=lambda: "sesame")
     envelope = {"jsonrpc": "2.0", "id": transport.next_id(), "method": "tools/call", "params": {}}
     try:
         transport.request(envelope, {"Content-Type": "application/json"})

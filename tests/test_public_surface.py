@@ -1,7 +1,9 @@
 """Every name a module of ``src/atsa`` exports in ``__all__`` is used by
 shipped code: ``src``, ``scripts`` or the ``perfbench`` harness. A helper
 that only tests call belongs in the tests, so one cannot join the public
-surface unnoticed."""
+surface unnoticed. Likewise every defaulted parameter and dataclass field of
+the package is set by some shipped call, so a setting only tests use cannot
+join it either."""
 
 from __future__ import annotations
 
@@ -62,3 +64,123 @@ def test_the_guard_reads_every_export_list():
     assert "sad.py" in {path.name for path in MODULES}
     assert all(_exports(path) for path in MODULES)
     assert {"sad.py", "cli.py"} <= {path.name for path in SHIPPED}
+
+
+# Every defaulted parameter of a public function, method or constructor in the
+# package, and every dataclass field with a default, is set by some call in
+# shipped code, by keyword or by position. These are the exceptions.
+UNSET_BY_DESIGN = {
+    "cli.main(argv)": "the console entry point; tests drive it with an argument list",
+    "conformance.build_vectors(signing_key)": "the golden fixtures pin a seeded key",
+    "conformance.run_vectors(verifier)": "the documented seam for running the vectors against a substitute verifier",
+}
+
+
+def _defaulted(args: ast.arguments, skip: int) -> list[tuple[int | None, str]]:
+    """(position, name) of each parameter with a default, after ``skip``
+    leading ones; a keyword-only parameter has no position."""
+    positional = [*args.posonlyargs, *args.args]
+    first_default = len(positional) - len(args.defaults)
+    found = [(index - skip, arg.arg) for index, arg in enumerate(positional) if index >= first_default]
+    found += [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    return found
+
+
+def _decorators(node: ast.FunctionDef | ast.ClassDef) -> set[str]:
+    names = set()
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        names.add(target.id if isinstance(target, ast.Name) else getattr(target, "attr", ""))
+    return names
+
+
+def _in_init(field: ast.AnnAssign) -> bool:
+    """Whether a dataclass field is a constructor parameter: not ``init=False``."""
+    value = field.value
+    return isinstance(field.target, ast.Name) and not (
+        isinstance(value, ast.Call)
+        and any(keyword.arg == "init" and isinstance(keyword.value, ast.Constant) and keyword.value.value is False
+                for keyword in value.keywords)
+    )
+
+
+def _settings(path: Path) -> list[tuple[str, str, int | None, str]]:
+    """(label, callee name, position, keyword) of every defaulted setting of
+    one module's public functions, methods and constructors."""
+    module = path.stem
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            for position, name in _defaulted(node.args, 0):
+                found.append((f"{module}.{node.name}({name})", node.name, position, name))
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if "dataclass" in _decorators(node):
+            fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign) and _in_init(stmt)]
+            for position, field in enumerate(fields):
+                if field.value is not None:
+                    name = field.target.id
+                    found.append((f"{module}.{node.name}({name})", node.name, position, name))
+        for method in node.body:
+            if not isinstance(method, ast.FunctionDef) or "property" in _decorators(method):
+                continue
+            if method.name == "__init__":
+                label, callee = f"{module}.{node.name}", node.name
+            elif not method.name.startswith("_"):
+                label, callee = f"{module}.{node.name}.{method.name}", method.name
+            else:
+                continue
+            skip = 0 if "staticmethod" in _decorators(method) else 1
+            for position, name in _defaulted(method.args, skip):
+                found.append((f"{label}({name})", callee, position, name))
+    return found
+
+
+def _calls(path: Path) -> list[tuple[str, int | None, set[str]]]:
+    """(callee name, positional count, keywords) of every call in one file;
+    ``cls(...)`` inside a class calls that class. The count is None when a
+    ``*args`` may fill any position."""
+    calls = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if callee == "cls" and owner:
+                    callee = owner
+                starred = any(isinstance(arg, ast.Starred) for arg in child.args)
+                keywords = {keyword.arg for keyword in child.keywords if keyword.arg}
+                calls.append((callee, None if starred else len(child.args), keywords))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return calls
+
+
+SETTINGS = [setting for path in sorted(SRC.glob("*.py")) for setting in _settings(path)]
+CALLS = [call for path in SHIPPED for call in _calls(path)]
+
+
+def _is_set(callee: str, position: int | None, name: str) -> bool:
+    return any(
+        called == callee
+        and (name in keywords or (position is not None and (count is None or position < count)))
+        for called, count, keywords in CALLS
+    )
+
+
+def test_every_defaulted_setting_is_set_by_shipped_code():
+    unset = {label for label, callee, position, name in SETTINGS if not _is_set(callee, position, name)}
+    assert unset == set(UNSET_BY_DESIGN)
+
+
+def test_the_parameter_guard_reads_every_kind_of_setting():
+    labels = {label for label, *_ in SETTINGS}
+    assert {
+        "admission.AdmissionGate.connect(skip_clearance_preflight)",  # keyword-only
+        "audit.AuditLog(clock)",  # constructor
+        "gateway.RegistryEntry(skip_clearance_preflight)",  # dataclass field
+        "wellknown.StubServerConfig.for_document(tool_behaviors)",  # classmethod
+        "cli.main(argv)",
+    } <= labels

@@ -10,7 +10,6 @@ from pathlib import Path
 from atsa import (
     AdmissionGate,
     AuditLog,
-    CountingTransport,
     DispatchStatus,
     Gateway,
     JsonlAuditSink,
@@ -19,6 +18,7 @@ from atsa import (
     ToolCall,
 )
 from conftest import FIXED_NOW, SERVER_URL
+from doubles import CountingTransport
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,7 +29,7 @@ def test_every_traced_layer_records_a_span(monkeypatch, tmp_path, scheme, trust_
 
     sink = JsonlAuditSink(tmp_path / "audit.jsonl")
     audit = AuditLog(sink, clock=lambda: FIXED_NOW)
-    gate = AdmissionGate(scheme=scheme, trust_root=trust_root, fetcher=fetcher, audit=audit, clock=lambda: FIXED_NOW)
+    gate = AdmissionGate(scheme=scheme, trust_root=trust_root, fetcher=fetcher, audit=audit)
     registry = ServerRegistry()
     registry.register(
         RegistryEntry(

@@ -28,7 +28,6 @@ from atsa import (
     AttestationDocument,
     AuditLog,
     CorpusCase,
-    CountingTransport,
     DenyReason,
     DispatchResult,
     DispatchStatus,
@@ -60,7 +59,7 @@ from atsa.audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY
 from atsa.cli import EXIT_OK, EXIT_VERDICT, cli, main
 from atsa.conformance import KIND_ASSERTION, KIND_TOOL, CampaignReport
 from conftest import FIXED_NOW, SERVER_URL, fetcher_for
-from doubles import StaticFetcher
+from doubles import CountingTransport, StaticFetcher
 from reference_impl import reference_canonical
 
 ALLOWED = frozenset({"list_labels", "create_draft"})
@@ -98,7 +97,7 @@ def test_surrogates_are_written_and_sorted_as_their_escapes():
 
 def _gateway(audit: AuditLog) -> tuple[Gateway, CountingTransport, StaticFetcher]:
     fetcher = StaticFetcher({})
-    gate = AdmissionGate(SCHEME, TrustRoot(SIGNERS), fetcher, audit, clock=lambda: FIXED_NOW)
+    gate = AdmissionGate(SCHEME, TrustRoot(SIGNERS), fetcher, audit)
     transport = CountingTransport()
     registry = ServerRegistry()
     registry.register(
@@ -231,7 +230,7 @@ def test_corpus_with_surrogates_round_trips_and_replays(cases):
 def test_unregistered_endpoint_is_refused_without_a_fetch(scheme, trust_root, signed_doc, flavor):
     fetcher = fetcher_for(signed_doc, origin="https://rogue.example")
     audit = AuditLog(clock=lambda: FIXED_NOW)
-    gate = AdmissionGate(scheme, trust_root, fetcher, audit, clock=lambda: FIXED_NOW)
+    gate = AdmissionGate(scheme, trust_root, fetcher, audit)
     gateway = Gateway(ServerRegistry(), gate, audit, flavor=flavor)
     result = gateway.invoke("https://rogue.example/mcp", ToolCall("list_labels"))
     assert result == DispatchResult.denied(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -156,6 +157,38 @@ def test_counters_track_routes(server):
     assert counters[f"GET {WELL_KNOWN_PATHS[0]}"] == 2
     assert counters[f"GET {WELL_KNOWN_PATHS[1]}"] == 1
     assert server.tools_call_count() == 1
+
+
+def test_tools_call_count_uses_the_configured_path(signed_doc):
+    stub = serve(StubServerConfig.for_document(signed_doc, {"list_labels": {}}, mcp_path="/rpc"))
+    try:
+        _post(
+            stub.url + "/rpc",
+            {"jsonrpc": "2.0", "id": 1, "method": "tools/call", "params": {"name": "list_labels"}},
+        )
+        assert stub.tools_call_count() == 1
+    finally:
+        stub.shutdown()
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_bad_content_length_is_400(server, length):
+    connection = http.client.HTTPConnection(server.url.removeprefix("http://"), timeout=5)
+    try:
+        connection.putrequest("POST", "/mcp")
+        connection.putheader("Content-Length", length)
+        connection.endheaders()
+        response = connection.getresponse()
+        assert response.status == 400
+        assert "error" in json.loads(response.read())
+    finally:
+        connection.close()
+    _, resp = _post(
+        server.url + "/mcp",
+        {"jsonrpc": "2.0", "id": 6, "method": "tools/call",
+         "params": {"name": "list_labels", "arguments": {}}},
+    )
+    assert resp == {"jsonrpc": "2.0", "id": 6, "result": {"labels": ["inbox", "sent"]}}
 
 
 def test_shutdown_is_idempotent_and_preserves_counters(signed_doc):
