@@ -21,11 +21,17 @@ several checks at once and callers key behavior off the reason:
 ``AdmissionGate.connect`` wraps the verdict with flavor semantics (enclaved
 denies, open warns but never silently allows) and writes exactly one audit
 record per decision. An audit append failure aborts the connection.
+
+``exchange`` is the one place a peer is contacted. It keeps one HTTP/1.1
+connection per origin per thread, so an allowed dispatch's GET and POST share it.
 """
 
 from __future__ import annotations
 
+import atexit
 import http.client
+import select
+import threading
 import urllib.parse
 from dataclasses import dataclass
 from datetime import datetime
@@ -153,8 +159,8 @@ def host_of(url: str) -> str:
 _CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 # Every way an exchange with a peer can fail to complete. A refused or reset
-# connection is an OSError; a malformed or non-http(s) URL is a ValueError; a
-# bad port or a garbled or cut-short reply is an HTTPException.
+# connection is an OSError; a malformed or non-http(s) URL, a bad port among
+# them, is a ValueError; a garbled or cut-short reply is an HTTPException.
 _PEER_FAILURES = (OSError, ValueError, http.client.HTTPException)
 
 # A real document is a few hundred bytes; a larger body is refused unread.
@@ -163,31 +169,75 @@ MAX_DOCUMENT_BYTES = 64 * 1024
 # Seconds a peer gets to accept the connection and to answer each read.
 PEER_TIMEOUT_S = 10.0
 
+# Idle connections one thread keeps, one per origin; the least recently used is closed.
+MAX_IDLE_ORIGINS = 8
+
+
+class _Idle(dict):
+    """One thread's idle connections by origin, closed when the thread ends."""
+
+    def close(self) -> None:
+        while self:
+            self.popitem()[1].close()
+
+    __del__ = close
+
+
+class _PerThread(threading.local):
+    def __init__(self) -> None:
+        self.idle = _Idle()
+
+
+_THREAD = _PerThread()
+atexit.register(lambda: _THREAD.idle.close())  # finalizers at exit run in no set order
+
 
 def exchange(
     url: str, headers: Mapping[str, str], *, limit: int, data: bytes | None = None
 ) -> tuple[int, bytes]:
-    """GET ``url``, or POST ``data`` to it, as the one request on a connection
-    that says ``Connection: close`` (RFC 9112 section 9.6): the one place a
-    peer is contacted. It consults no proxy and follows no redirect (RFC 8461
-    section 3.3), so nothing it sends leaves the URL's origin. A non-2xx
-    reply, a 3xx among them, comes back as ``(status, b"")``, its body unread."""
+    """GET ``url``, or POST ``data`` to it, with no proxy and no redirect (RFC
+    8461 section 3.3); a non-2xx reply comes back as ``(status, b"")``, unread.
+    Each thread keeps one HTTP/1.1 connection per origin, pooled again only
+    after a fully read 2xx reply not marked ``Connection: close``, and replaced
+    if it reads ready. A POST, which may have run its tool, is never resent; a
+    GET is, once and fresh, when a reused connection ended before a status line."""
     method = "GET" if data is None else "POST"
     try:
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in _CONNECTIONS or not parts.hostname:
             raise ValueError("not an absolute http(s) URL")
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        connection = _CONNECTIONS[parts.scheme](parts.netloc, timeout=PEER_TIMEOUT_S)
-        try:
-            connection.request(method, target, data, {**headers, "Connection": "close"})
-            with connection.getresponse() as response:
-                if not 200 <= response.status < 300:
-                    return response.status, b""
-                body = response.read(limit + 1)
-                status, unread = response.status, response.length
-        finally:
-            connection.close()
+        origin, idle = (parts.scheme, parts.hostname, parts.port), _THREAD.idle
+        pooled = idle.pop(origin, None)
+        if pooled is not None:
+            ready = select.poll()  # unlike select.select, takes an fd above 1023
+            ready.register(pooled.sock, select.POLLIN)
+            if ready.poll(0):
+                pooled.close()  # the peer hung up while the connection sat idle
+                pooled = None
+        while True:
+            connection = pooled or _CONNECTIONS[parts.scheme](parts.netloc, timeout=PEER_TIMEOUT_S)
+            keep, stale = False, ConnectionError  # while sending, nothing has been read
+            try:
+                connection.request(method, target, data, headers)
+                stale = http.client.RemoteDisconnected  # then only an empty status line
+                with connection.getresponse() as response:
+                    status, body, unread = response.status, b"", None
+                    if 200 <= status < 300:
+                        body, unread = response.read(limit + 1), response.length
+                        keep = response.isclosed() and not response.will_close and len(body) <= limit
+                break
+            except stale:
+                if pooled is None or data is not None:
+                    raise
+                pooled = None
+            finally:
+                if keep:
+                    idle[origin] = connection
+                    if len(idle) > MAX_IDLE_ORIGINS:
+                        idle.pop(next(iter(idle))).close()
+                else:
+                    connection.close()
     except _PEER_FAILURES as exc:
         raise FetchError(f"{method} {url} failed: {exc}") from exc
     if len(body) > limit:
@@ -229,13 +279,8 @@ def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
 
 
 def verify_server_clearance(
-    server_url: str,
-    required_level: str,
-    *,
-    now: datetime,
-    scheme: ClassificationScheme,
-    trust_root: TrustRoot,
-    fetcher: Fetcher,
+    server_url: str, required_level: str, *, now: datetime, scheme: ClassificationScheme,
+    trust_root: TrustRoot, fetcher: Fetcher,
 ) -> Verdict:
     """Run the ordered checks described in the module docstring.
 
@@ -322,45 +367,29 @@ class AdmissionGate:
         self.audit = audit
 
     def connect(
-        self,
-        server_url: str,
-        required_level: str,
-        flavor: Flavor = Flavor.open,
-        *,
+        self, server_url: str, required_level: str, flavor: Flavor = Flavor.open, *,
         skip_clearance_preflight: bool = False,
     ) -> ConnectResult:
         if skip_clearance_preflight:
             # Explicit per-server opt-out: no fetch, but the allow is still
             # recorded so no admitted connection is unlogged.
-            self.audit.append(
-                EVENT_CONNECT_ALLOW,
-                {"level": required_level, "signerKeyId": None, "preflight": "skipped"},
-            )
-            return ConnectResult(
-                ConnectStatus.ok, Verdict.allow(required_level, None)
-            )
+            skipped = {"level": required_level, "signerKeyId": None, "preflight": "skipped"}
+            self.audit.append(EVENT_CONNECT_ALLOW, skipped)
+            return ConnectResult(ConnectStatus.ok, Verdict.allow(required_level, None))
 
         verdict = verify_server_clearance(
-            server_url,
-            required_level,
-            now=self.audit.clock(),
-            scheme=self.scheme,
-            trust_root=self.trust_root,
-            fetcher=self.fetcher,
+            server_url, required_level, now=self.audit.clock(), scheme=self.scheme,
+            trust_root=self.trust_root, fetcher=self.fetcher,
         )
 
         if verdict.allowed:
-            self.audit.append(
-                EVENT_CONNECT_ALLOW,
-                {"level": verdict.clearance, "signerKeyId": verdict.signer_key_id},
-            )
+            allowed = {"level": verdict.clearance, "signerKeyId": verdict.signer_key_id}
+            self.audit.append(EVENT_CONNECT_ALLOW, allowed)
             return ConnectResult(ConnectStatus.ok, verdict)
 
         reason = verdict.reason.value
         if flavor is Flavor.enclaved:
-            self.audit.append(
-                EVENT_CONNECT_DENY, {"reason": reason, "detail": verdict.detail}
-            )
+            self.audit.append(EVENT_CONNECT_DENY, {"reason": reason, "detail": verdict.detail})
             return ConnectResult(ConnectStatus.denied, verdict)
 
         # Open flavor: surface the failure, never rewrite it into a success.

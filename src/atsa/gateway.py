@@ -160,9 +160,9 @@ class DispatchResult:
 
 
 class HttpTransport:
-    """POSTs JSON-RPC envelopes to a fixed URL through ``exchange``, so the
-    bearer token from the optional provider never leaves the URL's origin and
-    a reply over ``MAX_REPLY_BYTES`` is refused. Request ids count up from 1."""
+    """POSTs JSON-RPC envelopes to a fixed URL through ``exchange``: the bearer
+    token from the optional provider never leaves the URL's origin, a reply over
+    ``MAX_REPLY_BYTES`` is refused, a POST is never resent. Ids count up from 1."""
 
     def __init__(self, url: str, bearer_provider: Callable[[], str] | None = None) -> None:
         self.url = url
@@ -222,11 +222,7 @@ class Gateway:
     JSON-RPC transport. Every decision is audited."""
 
     def __init__(
-        self,
-        registry: ServerRegistry,
-        gate: AdmissionGate,
-        audit: AuditLog,
-        flavor: Flavor = Flavor.open,
+        self, registry: ServerRegistry, gate: AdmissionGate, audit: AuditLog, flavor: Flavor = Flavor.open
     ) -> None:
         self.registry = registry
         self.gate = gate
@@ -245,24 +241,13 @@ class Gateway:
             return DispatchResult.denied(DenyReason.no_registered_bridge, detail)
 
         if call.tool_name not in entry.allowed_tools:
-            self.audit.append(
-                EVENT_TOOL_DENY,
-                {
-                    "server": endpoint,
-                    "bridge": entry.bridge_id,
-                    "toolName": call.tool_name,
-                    "reason": TOOL_DENY_DETAIL,
-                },
-            )
-            return DispatchResult.denied(
-                DenyReason.tool_not_admitted,
-                f"tool {call.tool_name!r} is {TOOL_DENY_DETAIL}",
-            )
+            tool = {"server": endpoint, "bridge": entry.bridge_id, "toolName": call.tool_name}
+            self.audit.append(EVENT_TOOL_DENY, {**tool, "reason": TOOL_DENY_DETAIL})
+            detail = f"tool {call.tool_name!r} is {TOOL_DENY_DETAIL}"
+            return DispatchResult.denied(DenyReason.tool_not_admitted, detail)
 
         connection = self.gate.connect(
-            endpoint,
-            entry.required_clearance,
-            self.flavor,
+            endpoint, entry.required_clearance, self.flavor,
             skip_clearance_preflight=entry.skip_clearance_preflight,
         )
         if connection.status is not ConnectStatus.ok:

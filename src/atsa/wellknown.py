@@ -19,6 +19,9 @@ from .sad import AttestationDocument, serialize_document
 
 __all__ = ["StubServer", "StubServerConfig", "serve"]
 
+# A tools/call request is a few hundred bytes; a larger declared body is refused unread.
+MAX_REQUEST_BYTES = 1024 * 1024
+
 
 @dataclass
 class StubServerConfig:
@@ -45,6 +48,9 @@ class StubServerConfig:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; on a kept-alive connection,
+    # Nagle's algorithm would hold the body back until the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002 - stdlib signature
         pass
@@ -59,6 +65,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -86,6 +94,10 @@ class _Handler(BaseHTTPRequestHandler):
             # The body's end is unknown, so the connection cannot be reused.
             self.close_connection = True
             self._send(400, b'{"error": "Content-Length must be a non-negative integer"}')
+            return
+        if int(length) > MAX_REQUEST_BYTES:
+            self.close_connection = True
+            self._send(413, b'{"error": "request body too large"}')
             return
         raw = self.rfile.read(int(length))
         try:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import socketserver
 import threading
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from atsa import AuditRecord
 
@@ -75,21 +75,37 @@ class RecordingSink:
 
 
 class RawPeer:
-    """Loopback TCP peer that reads each request, answers it with ``reply``
-    verbatim and closes the connection, so tests can send replies no HTTP
-    server library would: garbage status lines, short bodies, bad redirects.
-    ``reply`` may be reassigned between requests. The raw bytes of every
-    request received, head and body, are kept in ``requests``."""
+    """Loopback TCP peer that reads each request and answers it with ``reply``
+    verbatim, so tests can send replies no HTTP server library would: garbage
+    status lines, short bodies, bad redirects. ``reply`` is bytes or a
+    function of the request's raw bytes, and may be reassigned between
+    requests. The peer closes the connection after one reply; with
+    ``keep_alive`` it reads the next request on the same connection instead,
+    until it sends an empty reply. The raw bytes of every request received,
+    head and body, are kept in ``requests``, and ``hung_up`` is released each
+    time the peer has closed a connection."""
 
-    def __init__(self, reply: bytes = b"") -> None:
+    def __init__(self, reply: bytes | Callable[[bytes], bytes] = b"", *, keep_alive: bool = False) -> None:
         self.reply = reply
         self.requests: list[bytes] = []
+        self.hung_up = threading.Semaphore(0)
         peer = self
 
         class Handler(socketserver.StreamRequestHandler):
             timeout = 5
 
             def handle(self) -> None:
+                while True:
+                    request = self._read_request()
+                    if not request:
+                        return
+                    peer.requests.append(request)
+                    reply = peer.reply(request) if callable(peer.reply) else peer.reply
+                    self.wfile.write(reply)
+                    if not (keep_alive and reply):
+                        return
+
+            def _read_request(self) -> bytes:
                 length = 0
                 head = []
                 for line in iter(self.rfile.readline, b""):
@@ -99,14 +115,17 @@ class RawPeer:
                     name, _, value = line.partition(b":")
                     if name.strip().lower() == b"content-length":
                         length = int(value)
-                peer.requests.append(b"".join(head) + self.rfile.read(length))
-                self.wfile.write(peer.reply)
+                return b"".join(head) + self.rfile.read(length)
 
         class Server(socketserver.ThreadingTCPServer):
             daemon_threads = True
 
             def handle_error(self, request, client_address) -> None:
                 pass  # the client hung up first; nothing to report
+
+            def shutdown_request(self, request) -> None:
+                super().shutdown_request(request)
+                peer.hung_up.release()
 
         self._server = Server(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self._server.server_address[1]}"

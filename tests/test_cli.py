@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -602,3 +603,35 @@ def test_serve_subprocess_end_to_end(tmp_path, signed_doc):
         proc.stdout.close()
         proc.stderr.close()
     assert proc.returncode == 0
+
+
+def test_serve_exits_promptly_with_an_idle_keep_alive_client(tmp_path, signed_doc):
+    # A client that keeps its connection open leaves a handler thread blocked
+    # on the next request; SIGINT must still end the server at once.
+    (tmp_path / "doc.json").write_text(serialize_document(signed_doc))
+    config_path = tmp_path / "serve.json"
+    config_path.write_text(json.dumps({"sad": "doc.json", "host": "127.0.0.1", "port": 0}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "atsa.cli", "serve", str(config_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    connection = None
+    try:
+        url = proc.stdout.readline().strip().split("serving at ", 1)[1]
+        connection = http.client.HTTPConnection(url.removeprefix("http://"), timeout=5)
+        connection.request("GET", "/.well-known/mcp-attestation")
+        with connection.getresponse() as response:
+            assert response.status == 200 and not response.will_close
+            response.read()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=5) == 0
+    finally:
+        if connection is not None:
+            connection.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()

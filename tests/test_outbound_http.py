@@ -10,15 +10,23 @@ never raises. No request goes to a proxy named in the environment. A
 property holds the seam contracts for generated replies: ``HttpFetcher``
 returns ``(status, body)`` or raises ``FetchError``, and
 ``HttpTransport.request`` returns or raises ``TransportError``.
+
+Connection reuse is pinned too: one connection per origin per thread, a
+fresh one after the peer hangs up, never a resent POST, and no pooled
+socket left open once its thread ends.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import resource
 import subprocess
 import sys
+import threading
 import urllib.parse
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -28,6 +36,7 @@ from hypothesis import strategies as st
 from atsa import (
     EVENT_CONNECT_ALLOW,
     EVENT_CONNECT_DENY,
+    MAX_DOCUMENT_BYTES,
     WELL_KNOWN_PATHS,
     AdmissionGate,
     AuditLog,
@@ -40,8 +49,12 @@ from atsa import (
     HttpTransport,
     RegistryEntry,
     ServerRegistry,
+    StubServerConfig,
     ToolCall,
     TransportError,
+    jsonrpc_tools_call,
+    serialize_document,
+    serve,
 )
 from atsa.gateway import MAX_REPLY_BYTES
 from conftest import FIXED_NOW, fetcher_for
@@ -228,3 +241,167 @@ def test_seams_return_or_raise_their_own_error(peer, reply):
         transport.request(envelope, {"Content-Type": "application/json"})
     except TransportError:
         pass
+
+
+# Connection reuse. Each thread keeps one connection per origin; these tests
+# count TCP connects by wrapping ``HTTPConnection.connect``.
+def _ok(body: bytes) -> bytes:
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+@pytest.fixture
+def connections(monkeypatch):
+    """Every connection ``exchange`` opens, in order."""
+    opened = []
+    connect = http.client.HTTPConnection.connect
+
+    def counting(self):
+        opened.append(self)
+        connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return opened
+
+
+def _posts(peer) -> list[bytes]:
+    return [request for request in peer.requests if request.startswith(b"POST ")]
+
+
+def test_exchanges_with_one_origin_share_one_connection(connections, scheme, trust_root, signed_doc):
+    stub = serve(StubServerConfig.for_document(signed_doc, {"list_labels": lambda arguments: arguments}))
+    try:
+        gateway, _ = _enclaved_gateway(stub, scheme, trust_root, HttpFetcher())
+        for n in range(5):
+            result = gateway.invoke(stub.url + "/mcp", ToolCall("list_labels", {"n": n}))
+            assert (result.status, result.payload) == (DispatchStatus.ok, {"n": n})
+        assert HttpFetcher()(stub.url + WELL_KNOWN_PATHS[0])[0] == 200
+    finally:
+        stub.shutdown()
+    assert len(connections) == 1
+    assert stub.counters == {f"GET {WELL_KNOWN_PATHS[0]}": 6, "POST /mcp": 5}
+
+
+def test_a_peer_that_closes_after_each_reply_gets_a_fresh_connection(connections):
+    with RawPeer(_ok(JSON_RPC_OK)) as peer:
+        fetch, transport = HttpFetcher(), HttpTransport(peer.url + "/mcp")
+        assert fetch(peer.url + WELL_KNOWN_PATHS[0]) == (200, JSON_RPC_OK)
+        assert peer.hung_up.acquire(timeout=5)
+        assert jsonrpc_tools_call(transport, ToolCall("list_labels")) == {}
+        assert peer.hung_up.acquire(timeout=5)
+        assert fetch(peer.url + WELL_KNOWN_PATHS[0]) == (200, JSON_RPC_OK)
+        assert len(connections) == 3
+        assert len(_posts(peer)) == 1
+
+
+def test_a_post_the_peer_hangs_up_on_is_never_resent(connections, scheme, trust_root, signed_doc):
+    document = serialize_document(signed_doc).encode("utf-8")
+
+    def hang_up_on_post(request: bytes) -> bytes:
+        return b"" if request.startswith(b"POST ") else _ok(document)
+
+    with RawPeer(hang_up_on_post, keep_alive=True) as peer:
+        gateway, audit = _enclaved_gateway(peer, scheme, trust_root, HttpFetcher())
+        result = gateway.invoke(peer.url + "/mcp", ToolCall("list_labels"))
+        assert result.status == DispatchStatus.transport_error
+        assert [record.event for record in audit.records] == [EVENT_CONNECT_ALLOW]
+        assert peer.hung_up.acquire(timeout=5)
+        assert len(connections) == 1 and len(_posts(peer)) == 1
+
+
+def test_a_get_on_a_stale_connection_is_resent_once(connections):
+    # The peer answers the first GET, then hangs up on the next request it
+    # reads; the readiness check cannot see that coming, so the GET is resent.
+    replies = iter([_ok(b"{}"), b"", _ok(b"[]")])
+    with RawPeer(lambda request: next(replies), keep_alive=True) as peer:
+        fetch = HttpFetcher()
+        assert fetch(peer.url + WELL_KNOWN_PATHS[0]) == (200, b"{}")
+        assert fetch(peer.url + WELL_KNOWN_PATHS[0]) == (200, b"[]")
+    assert len(connections) == 2 and len(peer.requests) == 3
+
+
+OVER_DOCUMENT_CAP = _ok(b" " * (MAX_DOCUMENT_BYTES + 1))
+NOT_FOUND = b"HTTP/1.1 404 Not Found\r\nContent-Length: 9\r\n\r\nnot found"
+
+
+@pytest.mark.parametrize(
+    "reply, keep_alive",
+    [(NOT_FOUND, True), (OVER_DOCUMENT_CAP, True), (SHORT_BODY, False)],
+    ids=["non_2xx", "over_cap", "short_body"],
+)
+def test_a_reply_not_read_whole_closes_its_connection(connections, reply, keep_alive):
+    replies = iter([reply, _ok(b"{}")])
+    with RawPeer(lambda request: next(replies), keep_alive=keep_alive) as peer:
+        fetch = HttpFetcher()
+        try:
+            assert fetch(peer.url + WELL_KNOWN_PATHS[0]) == (404, b"")
+        except FetchError:
+            pass
+        [first] = connections
+        assert first.sock is None
+        assert fetch(peer.url + WELL_KNOWN_PATHS[0]) == (200, b"{}")
+    assert len(connections) == 2
+
+
+def test_origins_that_differ_only_by_port_never_share_a_connection(connections):
+    with RawPeer(_ok(JSON_RPC_OK), keep_alive=True) as first, RawPeer(first.reply, keep_alive=True) as second:
+        secret = HttpTransport(first.url + "/mcp", bearer_provider=lambda: "sesame")
+        plain = HttpTransport(second.url + "/mcp")
+        for _ in range(3):
+            for transport in (secret, plain):
+                transport.request({"jsonrpc": "2.0", "id": 1}, {"Content-Type": "application/json"})
+    assert len(connections) == 2
+    assert len(first.requests) == len(second.requests) == 3
+    assert all(b"\r\nAuthorization: Bearer sesame\r\n" in request for request in first.requests)
+    assert not any(b"sesame" in request for request in second.requests)
+
+
+def test_eight_threads_through_one_gateway_get_their_own_results(connections, scheme, trust_root, signed_doc):
+    stub = serve(StubServerConfig.for_document(signed_doc, {"list_labels": lambda arguments: arguments}))
+    try:
+        gateway, _ = _enclaved_gateway(stub, scheme, trust_root, HttpFetcher())
+
+        def invoke(thread: int) -> list:
+            calls = [ToolCall("list_labels", {"t": thread, "n": n}) for n in range(20)]
+            return [gateway.invoke(stub.url + "/mcp", call) for call in calls]
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(invoke, range(8)))
+    finally:
+        stub.shutdown()
+    for thread, calls in enumerate(results):
+        assert [(call.status, call.payload) for call in calls] == [
+            (DispatchStatus.ok, {"t": thread, "n": n}) for n in range(20)
+        ]
+    assert len(connections) <= 8
+    assert all(connection.sock is None for connection in connections)
+
+
+def test_a_thread_that_ends_closes_its_pooled_connections(connections, signed_doc):
+    stub = serve(StubServerConfig.for_document(signed_doc))
+    try:
+        worker = threading.Thread(target=HttpFetcher(), args=(stub.url + WELL_KNOWN_PATHS[0],))
+        worker.start()
+        worker.join()
+    finally:
+        stub.shutdown()
+    [connection] = connections
+    assert connection.sock is None
+
+
+def test_a_pooled_connection_above_descriptor_1023_is_reused(connections, signed_doc):
+    # ``select.select`` refuses a descriptor at or above FD_SETSIZE (1024).
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+        pytest.skip("the descriptor limit is below 1100")
+    stub = serve(StubServerConfig.for_document(signed_doc))
+    filler = []
+    try:
+        while not filler or filler[-1] < 1024:
+            filler.append(os.open(os.devnull, os.O_RDONLY))
+        for _ in range(2):
+            assert HttpFetcher()(stub.url + WELL_KNOWN_PATHS[0])[0] == 200
+        [connection] = connections
+        assert connection.sock.fileno() > 1024
+    finally:
+        for descriptor in filler:
+            os.close(descriptor)
+        stub.shutdown()

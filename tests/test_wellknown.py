@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -204,3 +205,37 @@ def test_shutdown_is_idempotent_and_preserves_counters(signed_doc):
 def test_for_document_serializes_once(signed_doc):
     config = StubServerConfig.for_document(signed_doc, tool_behaviors={})
     assert config.sad_bytes == serialize_document(signed_doc).encode("utf-8")
+
+
+def test_kept_alive_gets_are_not_held_back_by_nagle(server):
+    # Headers and body leave in two writes; without TCP_NODELAY each reply on
+    # a reused connection waits ~40 ms for the client's delayed ACK.
+    connection = http.client.HTTPConnection(server.url.removeprefix("http://"), timeout=5)
+    try:
+        started = time.monotonic()
+        for _ in range(50):
+            connection.request("GET", WELL_KNOWN_PATHS[0])
+            with connection.getresponse() as response:
+                assert response.status == 200 and response.read()
+        assert time.monotonic() - started < 50 * 0.040 / 4
+    finally:
+        connection.close()
+    assert server.counters[f"GET {WELL_KNOWN_PATHS[0]}"] == 50
+
+
+def test_oversized_post_body_is_413_and_the_stub_keeps_serving(server):
+    connection = http.client.HTTPConnection(server.url.removeprefix("http://"), timeout=5)
+    try:
+        connection.putrequest("POST", "/mcp")
+        connection.putheader("Content-Length", str(10**12))
+        connection.endheaders()
+        with connection.getresponse() as response:
+            assert response.status == 413 and response.will_close
+            assert "error" in json.loads(response.read())
+    finally:
+        connection.close()
+    _, resp = _post(
+        server.url + "/mcp",
+        {"jsonrpc": "2.0", "id": 8, "method": "tools/call", "params": {"name": "list_labels"}},
+    )
+    assert resp == {"jsonrpc": "2.0", "id": 8, "result": {"labels": ["inbox", "sent"]}}
