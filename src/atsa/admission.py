@@ -22,8 +22,8 @@ several checks at once and callers key behavior off the reason:
 denies, open warns but never silently allows) and writes exactly one audit
 record per decision. An audit append failure aborts the connection.
 
-``exchange`` is the one place a peer is contacted. It keeps one HTTP/1.1
-connection per origin per thread, so an allowed dispatch's GET and POST share it.
+``exchange`` is the one place a peer is contacted. It speaks HTTP/1.1 itself on
+one connection per origin per thread, so an allowed dispatch's GET and POST share it.
 """
 
 from __future__ import annotations
@@ -155,12 +155,12 @@ def host_of(url: str) -> str:
     return host
 
 
-# The only schemes a peer is contacted on, each with its connection class.
+# The only schemes a peer is contacted on, each with the class that connects to it.
 _CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 # Every way an exchange with a peer can fail to complete. A refused or reset
-# connection is an OSError; a malformed or non-http(s) URL, a bad port among
-# them, is a ValueError; a garbled or cut-short reply is an HTTPException.
+# connection or a failed TLS handshake is an OSError; a bad URL, request or reply
+# is a ValueError; a host that a connection class refuses is an HTTPException.
 _PEER_FAILURES = (OSError, ValueError, http.client.HTTPException)
 
 # A real document is a few hundred bytes; a larger body is refused unread.
@@ -171,6 +171,8 @@ PEER_TIMEOUT_S = 10.0
 
 # Idle connections one thread keeps, one per origin; the least recently used is closed.
 MAX_IDLE_ORIGINS = 8
+
+_MAX_LINE_BYTES, _MAX_FIELDS = 65536, 100  # the longest reply line, the most fields: as http.client
 
 
 class _Idle(dict):
@@ -192,23 +194,116 @@ _THREAD = _PerThread()
 atexit.register(lambda: _THREAD.idle.close())  # finalizers at exit run in no set order
 
 
+class _Reply:
+    """A reply on ``sock``, read by the rules of ``exchange``; bytes after it stay in ``buffer``."""
+
+    def __init__(self, sock) -> None:
+        self.sock, self.buffer = sock, bytearray(sock.recv(65536))
+
+    def line(self) -> bytes:
+        while (end := self.buffer.find(b"\n", 0, _MAX_LINE_BYTES)) < 0:
+            if len(self.buffer) >= _MAX_LINE_BYTES or not (chunk := self.sock.recv(65536)):
+                raise ValueError(f"a reply line is cut short or over {_MAX_LINE_BYTES} bytes")
+            self.buffer += chunk
+        line, self.buffer[: end + 1] = bytes(self.buffer[:end]), b""
+        return line.removesuffix(b"\r")
+
+    def take(self, size: int, framing: str = "") -> bytes:
+        """``size`` bytes; with no ``framing``, as many as come before EOF."""
+        while len(self.buffer) < size and (chunk := self.sock.recv(65536)):
+            self.buffer += chunk
+        if framing and len(self.buffer) < size:
+            raise ValueError(f"the reply ended {size - len(self.buffer)} bytes short of its {framing}")
+        body, self.buffer[:size] = bytes(self.buffer[:size]), b""
+        return body
+
+    def fields(self) -> dict[bytes, bytes]:
+        """Fields up to the blank line by lowercased name, a repeated name's values joined by commas."""
+        fields: dict[bytes, bytes] = {}
+        for _ in range(_MAX_FIELDS + 1):
+            if not (line := self.line()):
+                return fields
+            name, colon, value = line.partition(b":")
+            if not colon or not name or name.strip() != name:  # an obs-fold line starts with a space
+                raise ValueError(f"obs-fold or a malformed header line: {line[:64]!r}")
+            name, value = name.lower(), value.strip()
+            fields[name] = fields[name] + b", " + value if name in fields else value
+        raise ValueError(f"more than {_MAX_FIELDS} header fields")
+
+    def read(self, limit: int) -> tuple[int, bytes, bool]:
+        version, _, rest = self.line().partition(b" ")
+        if version not in (b"HTTP/1.1", b"HTTP/1.0") or not rest[:3].isdigit() or rest[3:4] not in (b"", b" "):
+            raise ValueError(f"bad status line {version + b' ' + rest[:64]!r}")
+        if (status := int(rest[:3])) < 200:
+            raise ValueError(f"status {status}: an interim reply is refused")
+        fields = self.fields()
+        if status == 204 or not 200 <= status < 300:
+            return status, b"", False
+        length, coding = fields.get(b"content-length"), fields.get(b"transfer-encoding")
+        keep = version == b"HTTP/1.1" and b"close" not in fields.get(b"connection", b"").lower()
+        if coding is not None:
+            if coding.lower() != b"chunked":
+                raise ValueError(f"transfer coding {coding!r} is refused")
+            return status, self.chunked(limit), keep and length is None and not self.buffer
+        if length is None:
+            if len(body := self.take(limit + 1)) > limit:
+                raise ValueError(f"the body is over {limit} bytes")
+            return status, body, False
+        sizes = {size.strip() for size in length.split(b",")}
+        if len(sizes) > 1 or not (size := sizes.pop()).isdigit() or int(size) > limit:
+            raise ValueError(f"Content-Length {length!r} is not one length of at most {limit} bytes")
+        return status, self.take(int(size), "Content-Length"), keep and not self.buffer
+
+    def chunked(self, limit: int) -> bytes:
+        chunks, total = [], 0
+        while True:
+            digits = self.line().partition(b";")[0].rstrip(b" \t")
+            if not digits or digits.strip(b"0123456789abcdefABCDEF") or (total := total + int(digits, 16)) > limit:
+                raise ValueError(f"chunk size {digits[:64]!r} is not hex, or the body is over {limit} bytes")
+            if not (size := int(digits, 16)):
+                self.fields()  # the trailer section, read and dropped
+                return b"".join(chunks)
+            chunks.append(self.take(size, "chunk"))
+            if self.take(2, "chunk") != b"\r\n":
+                raise ValueError("a chunk is not followed by CRLF")
+
+
 def exchange(
     url: str, headers: Mapping[str, str], *, limit: int, data: bytes | None = None
 ) -> tuple[int, bytes]:
-    """GET ``url``, or POST ``data`` to it, with no proxy and no redirect (RFC
-    8461 section 3.3); a non-2xx reply comes back as ``(status, b"")``, unread.
-    Each thread keeps one HTTP/1.1 connection per origin, pooled again only
-    after a fully read 2xx reply not marked ``Connection: close``, and replaced
-    if it reads ready. A POST, which may have run its tool, is never resent; a
-    GET is, once and fresh, when a reused connection ended before a status line."""
+    """GET ``url``, or POST ``data`` to it, with no proxy and no redirect (RFC 8461 section
+    3.3); a non-2xx or 204 reply comes back as ``(status, b"")``, unread. ``http.client``
+    only connects (TCP, TLS, SNI, certificate check); the reply is hostile input, read here
+    by RFC 9112 section 6.3. Each break of these rules is a ``FetchError``:
+
+    - the status line is ``HTTP/1.1`` or ``HTTP/1.0``, a space and 3 digits*; 1xx is refused*;
+    - a line ends in (CR)LF and holds at most 65,536 bytes, a head at most 100 fields;
+      obs-fold* and a line without a name and colon* are refused;
+    - chunked wins over ``Content-Length`` and that connection is not pooled; a chunk size
+      is hex digits* and a chunk ends in CRLF*; another ``Transfer-Encoding`` is refused*,
+      as are ``Content-Length`` values that differ* or are not digits*; with neither, the
+      body is read to close and the connection is not pooled;
+    - a declared body over ``limit`` is refused unread; EOF cuts short a head*, a chunked
+      body* or a ``Content-Length`` body.
+
+    ``http.client`` reads what the rules marked * refuse (it skips a 100). Per thread and
+    origin, a connection is pooled after a whole 2xx reply not marked ``Connection: close``
+    with nothing after it, and replaced if it reads ready. A POST, which may have run its
+    tool, is never resent; a GET is, once and fresh, if a reused one closed before replying."""
     method = "GET" if data is None else "POST"
     try:
         parts = urllib.parse.urlsplit(url)
-        if parts.scheme not in _CONNECTIONS or not parts.hostname:
+        origin = (parts.scheme, parts.hostname, parts.port)
+        if parts.scheme not in _CONNECTIONS or not origin[1]:
             raise ValueError("not an absolute http(s) URL")
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        origin, idle = (parts.scheme, parts.hostname, parts.port), _THREAD.idle
-        pooled = idle.pop(origin, None)
+        length = {} if data is None else {"Content-Length": str(len(data))}
+        fields = {"Host": parts.netloc, "Accept-Encoding": "identity", **headers, **length}
+        head = [f"{method} {target} HTTP/1.1", *(f"{name}: {value}" for name, value in fields.items())]
+        if " " in target or not (text := "".join(head)).isascii() or not text.isprintable():
+            raise ValueError("the request holds a control or non-ASCII character, or a space in its target")
+        request = "\r\n".join([*head, "", ""]).encode("ascii") + (data or b"")
+        pooled = (idle := _THREAD.idle).pop(origin, None)
         if pooled is not None:
             ready = select.poll()  # unlike select.select, takes an fd above 1023
             ready.register(pooled.sock, select.POLLIN)
@@ -217,15 +312,15 @@ def exchange(
                 pooled = None
         while True:
             connection = pooled or _CONNECTIONS[parts.scheme](parts.netloc, timeout=PEER_TIMEOUT_S)
-            keep, stale = False, ConnectionError  # while sending, nothing has been read
+            keep, stale = False, ConnectionError  # until a reply begins, nothing was read
             try:
-                connection.request(method, target, data, headers)
-                stale = http.client.RemoteDisconnected  # then only an empty status line
-                with connection.getresponse() as response:
-                    status, body, unread = response.status, b"", None
-                    if 200 <= status < 300:
-                        body, unread = response.read(limit + 1), response.length
-                        keep = response.isclosed() and not response.will_close and len(body) <= limit
+                if pooled is None:
+                    connection.connect()
+                connection.sock.sendall(request)
+                if not (reply := _Reply(connection.sock)).buffer:
+                    raise ConnectionResetError("the peer closed the connection without replying")
+                stale = ()
+                status, body, keep = reply.read(limit)
                 break
             except stale:
                 if pooled is None or data is not None:
@@ -240,11 +335,6 @@ def exchange(
                     connection.close()
     except _PEER_FAILURES as exc:
         raise FetchError(f"{method} {url} failed: {exc}") from exc
-    if len(body) > limit:
-        raise FetchError(f"{method} {url} returned more than {limit} bytes")
-    if unread:
-        # ``length`` counts down the Content-Length; the peer closed early.
-        raise FetchError(f"{method} {url} ended {unread} bytes short of its Content-Length")
     return status, body
 
 

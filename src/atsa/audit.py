@@ -120,6 +120,9 @@ def _format_timestamp(moment: datetime) -> str:
 class AuditLog:
     """Appender holding the chain head. Records are kept in memory and
     forwarded to an optional sink; a sink failure propagates to the caller.
+    The record may already be on disk then, so after a failed sink write the
+    log refuses every append until it is resumed from disk: a later record
+    would repeat the failed one's seq and break the chain for ``verify_chain``.
     ``clock`` stamps every record."""
 
     def __init__(
@@ -131,6 +134,7 @@ class AuditLog:
         self.clock = clock
         self._records: list[AuditRecord] = []
         self._mutex = threading.Lock()
+        self._sink_failed = False
 
     @classmethod
     def resume(cls, records: Sequence[AuditRecord], sink: AuditSink | None = None) -> "AuditLog":
@@ -158,6 +162,8 @@ class AuditLog:
         if missing:
             raise AuditError(f"event {event!r} payload missing fields: {', '.join(missing)}")
         with self._mutex:
+            if self._sink_failed:
+                raise AuditError("a sink write failed; resume the log from disk before appending")
             seq = len(self._records)
             prev_hash = self._records[-1].hash if self._records else GENESIS_PREV_HASH
             timestamp = _format_timestamp(self.clock())
@@ -170,7 +176,9 @@ class AuditLog:
                 hash=compute_record_hash(prev_hash, seq, timestamp, event, payload),
             )
             if self._sink is not None:
+                self._sink_failed = True  # stays set if the write raises
                 self._sink.write(record)
+                self._sink_failed = False
             self._records.append(record)
             return record
 

@@ -17,6 +17,7 @@ import itertools
 import json
 import os
 import threading
+import urllib.parse
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Mapping, Protocol
@@ -296,6 +297,12 @@ def load_registry_file(raw: bytes | str) -> list[RegistryEntry]:
         if not isinstance(transport_spec, dict):
             raise RegistryError("'transport' must be a JSON object")
         url = _require_nonempty_string(transport_spec.get("url", endpoint), "transport.url")
+        if _origin(url) != _origin(endpoint):
+            # The document is fetched from the endpoint's origin; a tools/call to
+            # another would reach a server nothing verified, with the bearer token.
+            raise RegistryError(
+                f"'transport.url' origin {_origin(url)} differs from 'endpoint' origin {_origin(endpoint)}"
+            )
         bearer_env = transport_spec.get("bearerTokenEnv")
         provider: Callable[[], str] | None = None
         if bearer_env is not None:
@@ -312,6 +319,16 @@ def load_registry_file(raw: bytes | str) -> list[RegistryEntry]:
             )
         )
     return entries
+
+
+def _origin(url: str) -> str:
+    """``scheme://host:port`` of ``url``, the port filled in for http(s)."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        port = parts.port or {"http": 80, "https": 443}.get(parts.scheme)
+    except ValueError as exc:
+        raise RegistryError(f"bad URL {url!r}: {exc}") from exc
+    return f"{parts.scheme}://{parts.hostname}:{port}"
 
 
 def _require_nonempty_string(value: Any, name: str) -> str:

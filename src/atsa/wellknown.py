@@ -22,6 +22,11 @@ __all__ = ["StubServer", "StubServerConfig", "serve"]
 # A tools/call request is a few hundred bytes; a larger declared body is refused unread.
 MAX_REQUEST_BYTES = 1024 * 1024
 
+# ``socket.SHUT_RDWR`` (2 on Linux, the BSDs, macOS and Windows). Shutting a
+# connection down wakes a handler thread blocked on its next request line,
+# where closing it would not. Only ``admission`` may import network modules.
+_SHUT_RDWR = 2
+
 
 @dataclass
 class StubServerConfig:
@@ -51,6 +56,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Headers and body go out in two writes; on a kept-alive connection,
     # Nagle's algorithm would hold the body back until the client's delayed ACK.
     disable_nagle_algorithm = True
+    # Seconds a kept-alive connection may sit idle before the stub closes it.
+    # Long, because a client never resends a pooled POST that a close races.
+    timeout = 60
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002 - stdlib signature
         pass
@@ -137,15 +145,37 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, config: StubServerConfig) -> None:
-        super().__init__((config.host, config.port), _Handler)
         self.config = config
         self.counters: dict[str, int] = {}
         self.counter_lock = threading.Lock()
+        self.live: set[Any] = set()  # accepted connections not yet shut down, under counter_lock
+        super().__init__((config.host, config.port), _Handler)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self.counter_lock:
+            self.live.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self.counter_lock:
+            self.live.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and end every live connection, idle or not."""
+        super().server_close()
+        with self.counter_lock:
+            live = list(self.live)
+        for request in live:
+            try:
+                request.shutdown(_SHUT_RDWR)
+            except OSError:
+                pass  # the client hung up first
 
 
 class StubServer:
-    """Running stub plus its counters. ``shutdown`` is idempotent and leaves
-    the counters readable."""
+    """Running stub plus its counters. ``shutdown`` is idempotent, ends every
+    connection a client keeps open, and leaves the counters readable."""
 
     def __init__(self, config: StubServerConfig) -> None:
         self._server = _Server(config)

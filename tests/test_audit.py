@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import errno
 import json
+import os
 import random
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -120,6 +122,36 @@ def test_sink_failure_aborts_append():
         log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     # the failed record must not appear in memory either
     assert log.records == ()
+
+
+def test_a_failed_fsync_refuses_later_appends_and_leaves_a_file_that_verifies(tmp_path, monkeypatch):
+    # The line reaches the file before fsync fails, so the next append must
+    # not reuse its seq; the log stays refused until it resumes from disk.
+    path = tmp_path / "audit.jsonl"
+    sink = JsonlAuditSink(path)
+    fsync = os.fsync
+
+    def fsync_failing_once(descriptor):
+        monkeypatch.setattr("atsa.audit.os.fsync", fsync)
+        raise OSError(errno.EIO, "I/O error")
+
+    try:
+        log = _ticking_log(sink=sink)
+        log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+        monkeypatch.setattr("atsa.audit.os.fsync", fsync_failing_once)
+        with pytest.raises(OSError):
+            log.append(EVENT_CONNECT_DENY, {"reason": "bad_signature"})
+        with pytest.raises(AuditError, match="resume the log from disk"):
+            log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    finally:
+        sink.close()
+    records = load_audit_jsonl(path)
+    assert [record.seq for record in records] == [0, 1]
+    assert verify_chain(records) is None
+    sink = JsonlAuditSink(path)
+    AuditLog.resume(records, sink=sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    sink.close()
+    assert verify_chain(load_audit_jsonl(path)) is None
 
 
 def test_recording_sink_sees_every_record():

@@ -521,6 +521,19 @@ def test_fuzz_registry_entry_without_bridge_id_is_config_error(tmp_path, capsys)
     assert _main_exit_code(["fuzz", "--per-category", "1", "--registry", str(registry)]) == EXIT_CONFIG
 
 
+def test_fuzz_registry_transport_url_on_another_origin_is_config_error(tmp_path, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text(
+        json.dumps(
+            [{"endpoint": "https://x.example/mcp", "bridgeId": "b", "requiredClearance": "restricted-plus",
+              "allowedTools": ["alpha_tool"], "transport": {"url": "https://y.example/mcp"}}]
+        )
+    )
+    assert _main_exit_code(["fuzz", "--per-category", "1", "--registry", str(registry)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "https://y.example:443" in err and "https://x.example:443" in err
+
+
 def test_fuzz_corpus_line_that_is_not_an_object_is_config_error(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("[1,2]\n")

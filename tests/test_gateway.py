@@ -463,3 +463,30 @@ def test_load_registry_file_accepts_bare_array():
 def test_load_registry_file_rejects_malformed(broken):
     with pytest.raises(RegistryError):
         load_registry_file(broken)
+
+
+def _registry_with_transport_url(url):
+    entry = {"endpoint": SERVER_URL, "bridgeId": "b", "requiredClearance": "internal", "allowedTools": []}
+    return json.dumps([{**entry, "transport": {"url": url}}])
+
+
+@pytest.mark.parametrize(
+    "url, origin",
+    [
+        ("http://tools.example/mcp", "http://tools.example:80"),
+        ("https://other.example/mcp", "https://other.example:443"),
+        ("https://tools.example:8443/mcp", "https://tools.example:8443"),
+    ],
+    ids=["scheme", "host", "port"],
+)
+def test_load_registry_file_refuses_a_transport_url_on_another_origin(url, origin):
+    # The document is fetched from the endpoint's origin, so a tools/call to
+    # any other would reach a server that nothing verified.
+    with pytest.raises(RegistryError) as refused:
+        load_registry_file(_registry_with_transport_url(url))
+    assert origin in str(refused.value) and "https://tools.example:443" in str(refused.value)
+
+
+def test_load_registry_file_allows_another_path_on_the_endpoint_origin():
+    (entry,) = load_registry_file(_registry_with_transport_url("https://TOOLS.example:443/rpc"))
+    assert entry.transport.url == "https://TOOLS.example:443/rpc"

@@ -14,22 +14,36 @@ returns ``(status, body)`` or raises ``FetchError``, and
 Connection reuse is pinned too: one connection per origin per thread, a
 fresh one after the peer hangs up, never a resent POST, and no pooled
 socket left open once its thread ends.
+
+``exchange`` reads replies itself. A differential property holds it to
+``http.client`` on generated replies: both give the same ``(status, body)``
+or both fail, save where ``exchange`` is stricter by a rule its docstring
+marks. The https path runs on loopback too, against a CA made here.
 """
 
 from __future__ import annotations
 
+import datetime
 import http.client
+import io
+import ipaddress
 import json
 import os
 import resource
+import ssl
 import subprocess
 import sys
 import threading
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -405,3 +419,202 @@ def test_a_pooled_connection_above_descriptor_1023_is_reused(connections, signed
         for descriptor in filler:
             os.close(descriptor)
         stub.shutdown()
+
+
+# The reader against ``http.client``, the parser ``exchange`` used before.
+class _Replayed:
+    """Socket stand-in from which ``http.client.HTTPResponse`` reads one raw reply."""
+
+    def __init__(self, reply: bytes) -> None:
+        self.reply = reply
+
+    def makefile(self, mode: str) -> io.BytesIO:
+        return io.BytesIO(self.reply)
+
+
+def _http_client_reads(reply: bytes, limit: int) -> tuple[int, bytes] | None:
+    """``(status, body)`` as ``exchange`` took it from ``http.client``, or None where that failed."""
+    response = http.client.HTTPResponse(_Replayed(reply), method="GET")
+    try:
+        response.begin()
+        if not 200 <= response.status < 300:
+            return response.status, b""
+        body = response.read(limit + 1)
+    except (http.client.HTTPException, OSError, ValueError):
+        return None
+    finally:
+        response.close()
+    return None if len(body) > limit or response.length else (response.status, body)
+
+
+def _refused_only_by_exchange(reply: bytes) -> bool:
+    """The generated replies that ``exchange`` refuses by a rule its docstring
+    marks as stricter than ``http.client``: a 1xx status, and a chunked body
+    cut short inside its last lines, where ``http.client`` takes EOF as the end."""
+    chunked = b"Transfer-Encoding: chunked" in reply
+    return reply.startswith(b"HTTP/1.1 1") or (chunked and not reply.endswith(b"\r\n\r\n"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reply=_replies())
+def test_the_reader_agrees_with_http_client(peer, reply):
+    peer.reply = reply = reply.replace(b"{origin}", peer.url.encode("ascii"))
+    expected = _http_client_reads(reply, MAX_DOCUMENT_BYTES)
+    try:
+        got = HttpFetcher()(peer.url + WELL_KNOWN_PATHS[0])
+    except FetchError:
+        got = None
+    assert got == expected or (got is None and _refused_only_by_exchange(reply))
+
+
+def _reply(*fields: bytes, body: bytes = b"{}") -> bytes:
+    return b"\r\n".join([b"HTTP/1.1 200 OK", *fields, b"", body])
+
+
+@pytest.mark.parametrize(
+    "reply, refusal, http_client_reads",
+    [
+        (_reply(b"Content-Length: 2", b"Content-Length: 3"), "not one length", (200, b"{}")),
+        (_reply(b"X-Note: one", b"  two: three", b"Content-Length: 2"), "obs-fold", (200, b"{}")),
+        (b"HTTP/1.1 100 Continue\r\n\r\n" + _ok(b"{}"), "interim", (200, b"{}")),
+        (_reply(b"X-Long: " + b"a" * 70_000, b"Content-Length: 2"), "over 65536 bytes", None),
+        (_reply(*(b"X-%d: y" % n for n in range(100)), b"Content-Length: 2"), "more than 100", None),
+        (_reply(b"Transfer-Encoding: gzip, chunked", body=b"2\r\n{}\r\n0\r\n\r\n"), "transfer coding", (200, b"2\r\n{}\r\n0\r\n\r\n")),
+        (_reply(b"Transfer-Encoding: chunked", body=b"0x2\r\n{}\r\n0\r\n\r\n"), "not hex", (200, b"{}")),
+        (_reply(b"Transfer-Encoding: chunked", body=b"2\r\n{}..0\r\n\r\n"), "not followed by CRLF", (200, b"{}")),
+    ],
+    ids=[
+        "differing_lengths", "obs_fold", "interim_1xx", "long_line", "too_many_fields", "other_coding",
+        "chunk_size_not_hex", "chunk_not_ended_by_crlf",
+    ],
+)
+def test_the_reader_refuses_a_reply_that_breaks_a_framing_rule(peer, reply, refusal, http_client_reads):
+    peer.reply = reply
+    with pytest.raises(FetchError, match=refusal):
+        HttpFetcher()(peer.url + WELL_KNOWN_PATHS[0])
+    assert _http_client_reads(reply, MAX_DOCUMENT_BYTES) == http_client_reads
+
+
+@pytest.mark.parametrize(
+    "reply, pooled",
+    [
+        (_reply(b"Transfer-Encoding: chunked", body=b"2\r\n{}\r\n0\r\n\r\n"), True),
+        (_reply(b"Transfer-Encoding: chunked", b"Content-Length: 99", body=b"2\r\n{}\r\n0\r\n\r\n"), False),
+        (_ok(b"{}") + _ok(b"[]"), False),
+    ],
+    ids=["chunked", "chunked_and_length", "bytes_after_the_reply"],
+)
+def test_a_reply_is_read_and_pooled_only_when_framed_alone(connections, reply, pooled):
+    with RawPeer(reply, keep_alive=True) as peer:
+        assert HttpFetcher()(peer.url + WELL_KNOWN_PATHS[0]) == (200, b"{}")
+        [connection] = connections
+        assert (connection.sock is not None) == pooled
+
+
+@pytest.mark.parametrize(
+    "path, token",
+    [("/mcp", "sesame\r\nX-Injected: yes"), ("/a b", "sesame"), ("/mcp", "s\u00e9same")],
+    ids=["crlf_in_a_header", "space_in_the_target", "non_ascii_header"],
+)
+def test_a_request_that_cannot_be_sent_verbatim_is_refused_unsent(path, token):
+    with RawPeer(_ok(JSON_RPC_OK)) as peer:
+        transport = HttpTransport(peer.url + path, bearer_provider=lambda: token)
+        with pytest.raises(TransportError, match="control or non-ASCII"):
+            transport.request({"jsonrpc": "2.0", "id": 1}, {"Content-Type": "application/json"})
+        assert peer.requests == []
+
+
+# The https path on loopback: a CA and a leaf for 127.0.0.1, the stub's
+# listening socket wrapped with ``ssl``, and ``SSL_CERT_FILE`` naming the CA.
+def _certificate(subject: str, key, ca: x509.Certificate | None, ca_key, *, leaf: bool) -> x509.Certificate:
+    """A certificate for ``subject``, signed by ``ca`` or, with no ``ca``, by its own key."""
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, subject)])
+    signing_key = ca_key or key
+    now = datetime.datetime.now(datetime.timezone.utc)
+    draft = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(ca.subject if ca else name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(minutes=5))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(x509.BasicConstraints(ca=not leaf, path_length=None), critical=True)
+        .add_extension(x509.SubjectKeyIdentifier.from_public_key(key.public_key()), critical=False)
+        .add_extension(
+            x509.AuthorityKeyIdentifier.from_issuer_public_key(signing_key.public_key()), critical=False
+        )
+    )
+    if leaf:
+        draft = draft.add_extension(
+            x509.SubjectAlternativeName([x509.IPAddress(ipaddress.ip_address(subject))]), critical=False
+        ).add_extension(x509.ExtendedKeyUsage([ExtendedKeyUsageOID.SERVER_AUTH]), critical=False)
+    usage = x509.KeyUsage(
+        digital_signature=leaf, content_commitment=False, key_encipherment=False, data_encipherment=False,
+        key_agreement=False, key_cert_sign=not leaf, crl_sign=not leaf, encipher_only=False, decipher_only=False,
+    )
+    return draft.add_extension(usage, critical=True).sign(signing_key, hashes.SHA256())
+
+
+def _pem(certificate: x509.Certificate) -> bytes:
+    return certificate.public_bytes(serialization.Encoding.PEM)
+
+
+@pytest.fixture(scope="module")
+def pki(tmp_path_factory):
+    """PEM files: the CA that signed the stub's leaf, an unrelated CA, and the leaf with its key."""
+    directory = tmp_path_factory.mktemp("pki")
+    ca_key, other_key, leaf_key = (ec.generate_private_key(ec.SECP256R1()) for _ in range(3))
+    ca = _certificate("atsa test CA", ca_key, None, None, leaf=False)
+    leaf = _certificate("127.0.0.1", leaf_key, ca, ca_key, leaf=True)
+    key = leaf_key.private_bytes(
+        serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8, serialization.NoEncryption()
+    )
+    files = {
+        "ca": _pem(ca),
+        "other_ca": _pem(_certificate("another CA", other_key, None, None, leaf=False)),
+        "leaf": _pem(leaf) + key,
+    }
+    for name, contents in files.items():
+        (directory / f"{name}.pem").write_bytes(contents)
+    return SimpleNamespace(**{name: str(directory / f"{name}.pem") for name in files})
+
+
+@pytest.fixture
+def https_stub(pki, signed_doc):
+    stub = serve(StubServerConfig.for_document(signed_doc, {"list_labels": lambda arguments: arguments}))
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(pki.leaf)
+    # Same descriptor, so the stub's running accept loop now accepts TLS.
+    stub._server.socket = context.wrap_socket(stub._server.socket, server_side=True)
+    try:
+        yield stub, SimpleNamespace(url="https://" + stub.url.removeprefix("http://"))
+    finally:
+        stub.shutdown()
+
+
+def test_an_allowed_invoke_over_https_shares_one_handshake(
+    connections, monkeypatch, pki, https_stub, scheme, trust_root
+):
+    monkeypatch.setenv("SSL_CERT_FILE", pki.ca)
+    stub, origin = https_stub
+    gateway, audit = _enclaved_gateway(origin, scheme, trust_root, HttpFetcher())
+    for n in range(5):
+        result = gateway.invoke(origin.url + "/mcp", ToolCall("list_labels", {"n": n}))
+        assert (result.status, result.payload) == (DispatchStatus.ok, {"n": n})
+    assert len(connections) == 1 and isinstance(connections[0].sock, ssl.SSLSocket)
+    assert stub.tools_call_count() == 5
+    assert [record.event for record in audit.records] == [EVENT_CONNECT_ALLOW] * 5
+
+
+def test_a_peer_certified_by_an_unknown_ca_is_fetch_failed_with_no_post(
+    monkeypatch, pki, https_stub, scheme, trust_root
+):
+    monkeypatch.setenv("SSL_CERT_FILE", pki.other_ca)
+    stub, origin = https_stub
+    gateway, audit = _enclaved_gateway(origin, scheme, trust_root, HttpFetcher())
+    result = gateway.invoke(origin.url + "/mcp", ToolCall("list_labels"))
+    assert (result.status, result.reason) == (DispatchStatus.denied, DenyReason.fetch_failed)
+    assert "CERTIFICATE_VERIFY_FAILED" in result.detail
+    assert [record.event for record in audit.records] == [EVENT_CONNECT_DENY]
+    assert stub.tools_call_count() == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -11,6 +12,7 @@ import urllib.request
 import pytest
 
 from atsa import (
+    HttpFetcher,
     StubServer,
     StubServerConfig,
     WELL_KNOWN_PATHS,
@@ -200,6 +202,19 @@ def test_shutdown_is_idempotent_and_preserves_counters(signed_doc):
     assert stub.counters[f"GET {WELL_KNOWN_PATHS[0]}"] == 1
     with pytest.raises(OSError):
         urllib.request.urlopen(stub.url + WELL_KNOWN_PATHS[0], timeout=1)
+
+
+def test_shutdown_ends_the_handler_of_a_kept_alive_connection(signed_doc):
+    stub = serve(StubServerConfig.for_document(signed_doc))
+    before = set(threading.enumerate())
+    assert HttpFetcher()(stub.url + WELL_KNOWN_PATHS[0])[0] == 200
+    # The fetcher pools its connection, so the stub's handler waits for the next request.
+    [handler] = set(threading.enumerate()) - before
+    started = time.monotonic()
+    stub.shutdown()
+    handler.join(timeout=1)
+    assert handler not in threading.enumerate()
+    assert time.monotonic() - started < 1
 
 
 def test_for_document_serializes_once(signed_doc):
