@@ -1,0 +1,26 @@
+"""The one reader of JSON text from outside the program. Bytes are decoded as UTF-8
+only (RFC 8259, section 8.1), never sniffed for UTF-16 or UTF-32, and text nested
+past the recursion limit fails like any other malformed text, as the caller's error."""
+
+from __future__ import annotations
+
+import json
+import os
+from typing import Any, Iterator
+
+
+def read_json(text: bytes | str, error: type[Exception], prefix: str) -> Any:
+    """The value of one JSON text. Any failure raises ``error(f"{prefix}: {reason}")``."""
+    try:
+        return json.loads(text if isinstance(text, str) else str(text, "utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"{prefix}: {exc}") from exc
+
+
+def read_jsonl(path: str | os.PathLike[str], error: type[Exception]) -> Iterator[tuple[int, Any]]:
+    """``(line number, value)`` for each line of the file at ``path`` that is not blank,
+    counting from 0. A line that is not one JSON text, a bad byte included, raises ``error``."""
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle):
+            if line.strip():
+                yield number, read_json(line, error, f"line {number}: not valid JSON")

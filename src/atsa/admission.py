@@ -29,8 +29,11 @@ one connection per origin per thread, so an allowed dispatch's GET and POST shar
 from __future__ import annotations
 
 import atexit
+import functools
 import http.client
+import os
 import select
+import ssl
 import threading
 import urllib.parse
 from dataclasses import dataclass
@@ -147,16 +150,32 @@ class FetchError(Exception):
     """Well-known document could not be retrieved."""
 
 
+# The only schemes a peer is contacted on, each with its default port.
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+
+
+def split_url(url: str) -> tuple[urllib.parse.SplitResult, str]:
+    """The one URL reader: ``url`` split, and its lowercased host. A ValueError unless ``url``
+    is absolute http(s) with a host and no userinfo (RFC 9110, section 4.2.4)."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme in _DEFAULT_PORTS and "@" not in parts.netloc and (host := parts.hostname):
+            return parts, host
+    except ValueError:  # an unbalanced "["
+        pass
+    raise ValueError("not an absolute http(s) URL")
+
+
+def origin_of(parts: urllib.parse.SplitResult, host: str) -> tuple[str, str, int]:
+    """``(scheme, host, port)`` of a URL ``split_url`` read, 80 or 443 filled in; a bad port is a ValueError."""
+    port = parts.port
+    return parts.scheme, host, _DEFAULT_PORTS[parts.scheme] if port is None else port
+
+
 def host_of(url: str) -> str:
     """Lowercased host component of ``url``: no scheme, port, or path."""
-    host = urllib.parse.urlsplit(url).hostname
-    if not host:
-        raise ValueError(f"URL has no host: {url!r}")
-    return host
+    return split_url(url)[1]
 
-
-# The only schemes a peer is contacted on, each with the class that connects to it.
-_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 # Every way an exchange with a peer can fail to complete. A refused or reset
 # connection or a failed TLS handshake is an OSError; a bad URL, request or reply
@@ -173,6 +192,22 @@ PEER_TIMEOUT_S = 10.0
 MAX_IDLE_ORIGINS = 8
 
 _MAX_LINE_BYTES, _MAX_FIELDS = 65536, 100  # the longest reply line, the most fields: as http.client
+
+
+@functools.lru_cache
+def _tls_context(cert_file: str | None, cert_dir: str | None) -> ssl.SSLContext:
+    """One client context per CA store, as loading a CA bundle takes tens of ms. Keyed on
+    ``SSL_CERT_FILE`` and ``SSL_CERT_DIR``, which OpenSSL reads as it builds one."""
+    context = ssl.create_default_context()
+    context.set_alpn_protocols(["http/1.1"])  # as on the context http.client builds
+    return context
+
+
+def _connection(scheme: str, netloc: str) -> http.client.HTTPConnection:
+    if scheme == "http":
+        return http.client.HTTPConnection(netloc, timeout=PEER_TIMEOUT_S)
+    context = _tls_context(os.environ.get("SSL_CERT_FILE"), os.environ.get("SSL_CERT_DIR"))
+    return http.client.HTTPSConnection(netloc, timeout=PEER_TIMEOUT_S, context=context)
 
 
 class _Idle(dict):
@@ -292,10 +327,8 @@ def exchange(
     tool, is never resent; a GET is, once and fresh, if a reused one closed before replying."""
     method = "GET" if data is None else "POST"
     try:
-        parts = urllib.parse.urlsplit(url)
-        origin = (parts.scheme, parts.hostname, parts.port)
-        if parts.scheme not in _CONNECTIONS or not origin[1]:
-            raise ValueError("not an absolute http(s) URL")
+        parts, host = split_url(url)
+        origin = origin_of(parts, host)
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         length = {} if data is None else {"Content-Length": str(len(data))}
         fields = {"Host": parts.netloc, "Accept-Encoding": "identity", **headers, **length}
@@ -311,7 +344,7 @@ def exchange(
                 pooled.close()  # the peer hung up while the connection sat idle
                 pooled = None
         while True:
-            connection = pooled or _CONNECTIONS[parts.scheme](parts.netloc, timeout=PEER_TIMEOUT_S)
+            connection = pooled or _connection(parts.scheme, parts.netloc)
             keep, stale = False, ConnectionError  # until a reply begins, nothing was read
             try:
                 if pooled is None:
@@ -353,11 +386,9 @@ def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
     non-200/404 status raises FetchError.
     """
     try:
-        parts = urllib.parse.urlsplit(server_url)  # ValueError on an unbalanced "["
+        parts = split_url(server_url)[0]
     except ValueError:
-        parts = None
-    if parts is None or parts.scheme not in _CONNECTIONS or not parts.hostname:
-        raise FetchError(f"server URL must be absolute http(s): {server_url!r}")
+        raise FetchError(f"server URL must be absolute http(s): {server_url!r}") from None
     base = f"{parts.scheme}://{parts.netloc}"
     for path in WELL_KNOWN_PATHS:
         status, body = fetcher(base + path)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO
 
+from ._json import read_jsonl
 from .sad import canonical_json_bytes
 from .trustroot import format_rfc3339
 
@@ -241,18 +242,5 @@ def record_from_wire(data: Mapping[str, Any]) -> AuditRecord:
 
 
 def load_audit_jsonl(path: str | os.PathLike[str]) -> list[AuditRecord]:
-    """Records of a JSONL log. A line that is not a JSON record raises
-    AuditError. A byte that is not UTF-8 is read as a lone surrogate, so it
-    fails on its own line, as JSON or as a content hash."""
-    records: list[AuditRecord] = []
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for line_number, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise AuditError(f"line {line_number}: not valid JSON: {exc}") from exc
-            records.append(record_from_wire(data))
-    return records
+    """Records of a JSONL log. A line that is not a JSON record raises AuditError."""
+    return [record_from_wire(data) for _, data in read_jsonl(path, AuditError)]

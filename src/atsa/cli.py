@@ -24,6 +24,7 @@ from pathlib import Path
 
 import click
 
+from ._json import read_json
 from .admission import AdmissionGate, Flavor, HttpFetcher, serving
 from .audit import AuditLog, JsonlAuditSink, load_audit_jsonl, verify_chain, AuditError
 from .conformance import (
@@ -35,11 +36,12 @@ from .conformance import (
     run_vectors,
     write_vector_fixtures,
 )
-from .gateway import load_registry_file
+from .gateway import RegistryError, load_registry_file
 from .lattice import (
     BUILTIN_SCHEME_NAMES,
     ClassificationScheme,
     LevelNotFoundError,
+    SchemeError,
     get_builtin_scheme,
     load_scheme,
 )
@@ -74,8 +76,8 @@ def _load_scheme_spec(spec: str) -> ClassificationScheme:
     path = Path(spec)
     if path.exists():
         try:
-            return load_scheme(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # SchemeError, or a file that is not UTF-8
+            return load_scheme(path.read_bytes())
+        except SchemeError as exc:
             raise ConfigError(f"invalid scheme file {spec}: {exc}") from exc
     raise ConfigError(
         f"unknown scheme {spec!r}: not a builtin ({', '.join(BUILTIN_SCHEME_NAMES)}) and not a file"
@@ -84,7 +86,7 @@ def _load_scheme_spec(spec: str) -> ClassificationScheme:
 
 def _load_trust_root(path: str, lock: bool) -> TrustRoot:
     try:
-        records = load_trust_root_file(Path(path).read_text(encoding="utf-8"))
+        records = load_trust_root_file(Path(path).read_bytes())
     except OSError as exc:
         raise ConfigError(f"cannot read trust root {path}: {exc}") from exc
     except TrustRootError as exc:
@@ -112,7 +114,7 @@ def _open_audit_log(audit_path: str | None) -> AuditLog:
 
 def _load_keypair(path: str) -> KeyPair:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = read_json(Path(path).read_bytes(), ConfigError, f"invalid key file {path}")
         return KeyPair(
             key_id=data["keyId"],
             public_key=base64.b64decode(data["publicKey"], validate=True),
@@ -313,8 +315,8 @@ def fuzz(
     """Run the seeded adversarial campaign against a fully wired gateway."""
     if registry_path:
         try:
-            entries = load_registry_file(Path(registry_path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # RegistryError, or a file that is not UTF-8
+            entries = load_registry_file(Path(registry_path).read_bytes())
+        except RegistryError as exc:
             raise ConfigError(f"invalid registry {registry_path}: {exc}") from exc
         if not entries:
             raise ConfigError(f"registry {registry_path} has no entries")
@@ -379,10 +381,7 @@ def serve(config_path: str) -> None:
     Config JSON: {"sad": "path-or-null", "tools": {"name": result}, "host",
     "port", "mcpPath"}. Prints the bound URL, then serves until interrupted.
     """
-    try:
-        spec = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid server config {config_path}: {exc}") from exc
+    spec = read_json(Path(config_path).read_bytes(), ConfigError, f"invalid server config {config_path}")
     if not isinstance(spec, dict):
         raise ConfigError("server config must be a JSON object")
     sad_bytes = None

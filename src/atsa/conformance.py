@@ -33,6 +33,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from ._json import read_jsonl
 from .admission import AdmissionGate, DenyReason, Flavor, Verdict, serving, verify_server_clearance
 from .audit import EVENT_TOOL_DENY, AuditLog
 from .gateway import (
@@ -571,18 +572,15 @@ def _forge_malformed(rng: random.Random, setup: CampaignSetup) -> str:
         return text[: rng.randrange(1, max(2, len(text) // 2))]
     if variant == 1:
         return f"!!not-json-{rng.randrange(1_000_000)}!!"
-    if variant == 2:
-        data = json.loads(text)
-        data["v"] = rng.choice(["1", 1.5, None, True])
-        return json.dumps(data)
-    if variant == 3:
-        data = json.loads(text)
-        data["v"] = 2
-        return json.dumps(data)
     if variant == 4:
         return json.dumps([text[:20], rng.randrange(100)])
-    data = json.loads(text)
-    data.pop(rng.choice(("id", "publisher", "version", "clearance", "capabilities")))
+    data = json.loads(text)  # the document just serialized, not outside input
+    if variant == 2:
+        data["v"] = rng.choice(["1", 1.5, None, True])
+    elif variant == 3:
+        data["v"] = 2
+    else:
+        data.pop(rng.choice(("id", "publisher", "version", "clearance", "capabilities")))
     return json.dumps(data)
 
 
@@ -655,10 +653,6 @@ class CategoryResult:
     denied: int
     admitted: int
 
-    @property
-    def clean(self) -> bool:
-        return self.denied == self.total and self.admitted == 0
-
 
 @dataclass(frozen=True)
 class CampaignReport:
@@ -687,12 +681,7 @@ class CampaignReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            not self.mismatches
-            and self.admitted == 0
-            and self.network_writes == 0
-            and all(c.clean for c in self.categories)
-        )
+        return not self.mismatches and self.network_writes == 0
 
     def render_text(self) -> str:
         lines = [f"adversarial campaign  seed={self.seed}  allowlist={list(self.allowlist)}"]
@@ -717,16 +706,7 @@ class CampaignReport:
         return {
             "seed": self.seed,
             "allowlist": list(self.allowlist),
-            "categories": [
-                {
-                    "kind": c.kind,
-                    "category": c.category,
-                    "total": c.total,
-                    "denied": c.denied,
-                    "admitted": c.admitted,
-                }
-                for c in self.categories
-            ],
+            "categories": [asdict(c) for c in self.categories],
             "networkWrites": self.network_writes,
             "toolDenialsAudited": self.tool_denials_audited,
             "mismatches": [
@@ -867,26 +847,18 @@ def load_corpus_jsonl(path: str | Path) -> list[CorpusCase]:
     from the category, and an explicit ``kind`` must agree with it."""
     known = set(TOOL_CATEGORIES) | set(FORGERY_CATEGORIES)
     cases: list[CorpusCase] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"line {line_number}: not valid JSON: {exc}") from exc
-            if not isinstance(data, dict):
-                raise ValueError(f"line {line_number}: a corpus case must be a JSON object")
-            category = data.get("category")
-            if category not in known:
-                raise ValueError(f"line {line_number}: unknown category {category!r}")
-            kind = KIND_TOOL if category in TOOL_CATEGORIES else KIND_ASSERTION
-            if data.get("kind", kind) != kind:
-                raise ValueError(f"line {line_number}: kind {data['kind']!r} does not match category {category!r}")
-            case_input = data.get("input")
-            expectation = data.get("expectation")
-            if not isinstance(case_input, str) or not isinstance(expectation, str):
-                raise ValueError(f"line {line_number}: 'input' and 'expectation' must be strings")
-            cases.append(CorpusCase(kind, category, case_input, expectation))
+    for line_number, data in read_jsonl(path, ValueError):
+        if not isinstance(data, dict):
+            raise ValueError(f"line {line_number}: a corpus case must be a JSON object")
+        category = data.get("category")
+        if category not in known:
+            raise ValueError(f"line {line_number}: unknown category {category!r}")
+        kind = KIND_TOOL if category in TOOL_CATEGORIES else KIND_ASSERTION
+        if data.get("kind", kind) != kind:
+            raise ValueError(f"line {line_number}: kind {data['kind']!r} does not match category {category!r}")
+        case_input = data.get("input")
+        expectation = data.get("expectation")
+        if not isinstance(case_input, str) or not isinstance(expectation, str):
+            raise ValueError(f"line {line_number}: 'input' and 'expectation' must be strings")
+        cases.append(CorpusCase(kind, category, case_input, expectation))
     return cases

@@ -17,12 +17,12 @@ import itertools
 import json
 import os
 import threading
-import urllib.parse
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Mapping, Protocol
 
-from .admission import AdmissionGate, ConnectStatus, DenyReason, FetchError, Flavor, exchange
+from ._json import read_json
+from .admission import AdmissionGate, ConnectStatus, DenyReason, FetchError, Flavor, exchange, origin_of, split_url
 from .audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, AuditLog
 
 __all__ = [
@@ -179,13 +179,11 @@ class HttpTransport:
         data = json.dumps(payload).encode("utf-8")
         try:
             status, body = exchange(self.url, headers, limit=MAX_REPLY_BYTES, data=data)
-            if not 200 <= status < 300:
-                raise TransportError(f"POST {self.url} returned status {status}")
-            return json.loads(body)
         except FetchError as exc:
             raise TransportError(str(exc)) from exc
-        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise TransportError(f"POST {self.url} failed: {exc}") from exc
+        if not 200 <= status < 300:
+            raise TransportError(f"POST {self.url} returned status {status}")
+        return read_json(body, TransportError, f"POST {self.url} failed")
 
 
 def jsonrpc_tools_call(transport: Transport, call: ToolCall) -> Any:
@@ -267,10 +265,7 @@ def load_registry_file(raw: bytes | str) -> list[RegistryEntry]:
     """Parse the registry file format: an array of entries with an ``http``
     transport block. Bearer tokens come from the named environment variable
     at call time, never from the file itself."""
-    try:
-        data = json.loads(raw)
-    except ValueError as exc:
-        raise RegistryError(f"registry file is not valid JSON: {exc}") from exc
+    data = read_json(raw, RegistryError, "registry file is not valid JSON")
     if isinstance(data, dict):
         data = data.get("entries")
     if not isinstance(data, list):
@@ -297,12 +292,10 @@ def load_registry_file(raw: bytes | str) -> list[RegistryEntry]:
         if not isinstance(transport_spec, dict):
             raise RegistryError("'transport' must be a JSON object")
         url = _require_nonempty_string(transport_spec.get("url", endpoint), "transport.url")
-        if _origin(url) != _origin(endpoint):
+        if (origin := _origin(url)) != (home := _origin(endpoint)):
             # The document is fetched from the endpoint's origin; a tools/call to
             # another would reach a server nothing verified, with the bearer token.
-            raise RegistryError(
-                f"'transport.url' origin {_origin(url)} differs from 'endpoint' origin {_origin(endpoint)}"
-            )
+            raise RegistryError(f"'transport.url' origin {origin} differs from 'endpoint' origin {home}")
         bearer_env = transport_spec.get("bearerTokenEnv")
         provider: Callable[[], str] | None = None
         if bearer_env is not None:
@@ -322,13 +315,12 @@ def load_registry_file(raw: bytes | str) -> list[RegistryEntry]:
 
 
 def _origin(url: str) -> str:
-    """``scheme://host:port`` of ``url``, the port filled in for http(s)."""
+    """``scheme://host:port`` of the http(s) URL ``url``, its default port filled in."""
     try:
-        parts = urllib.parse.urlsplit(url)
-        port = parts.port or {"http": 80, "https": 443}.get(parts.scheme)
+        scheme, host, port = origin_of(*split_url(url))
     except ValueError as exc:
         raise RegistryError(f"bad URL {url!r}: {exc}") from exc
-    return f"{parts.scheme}://{parts.hostname}:{port}"
+    return f"{scheme}://{host}:{port}"
 
 
 def _require_nonempty_string(value: Any, name: str) -> str:

@@ -9,8 +9,9 @@ use them, but are never consulted by any admission decision here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+
+from ._json import read_json
 
 __all__ = [
     "BUILTIN_SCHEME_NAMES",
@@ -178,10 +179,7 @@ def levels_up_to(scheme: ClassificationScheme, name: str) -> tuple[str, ...]:
 
 def load_scheme(raw: bytes | str) -> ClassificationScheme:
     """Load a scheme from its JSON file form, applying full validation."""
-    try:
-        data = json.loads(raw)
-    except ValueError as exc:
-        raise SchemeError(f"scheme file is not valid JSON: {exc}") from exc
+    data = read_json(raw, SchemeError, "scheme file is not valid JSON")
     if not isinstance(data, dict):
         raise SchemeError("scheme file must be a JSON object")
     name = data.get("name")

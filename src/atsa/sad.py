@@ -49,6 +49,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
+from ._json import read_json
+
 __all__ = [
     "DOCUMENT_VERSION",
     "MCP_SERVER_CAPABILITY",
@@ -319,17 +321,7 @@ def parse_document(raw: bytes | str) -> AttestationDocument:
     DocumentError on malformed input and UnsupportedVersionError when
     ``v`` is an integer other than 1.
     """
-    if isinstance(raw, (bytes, bytearray)):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DocumentError(f"document is not valid UTF-8: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except ValueError as exc:
-        raise DocumentError(f"document is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise DocumentError("document nests too deeply") from exc
+    data = read_json(raw, DocumentError, "document is not valid JSON")
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
 

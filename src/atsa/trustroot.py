@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import base64
 import binascii
-import json
+import re
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable
 
+from ._json import read_json
 from .lattice import ClassificationScheme
 
 __all__ = [
@@ -43,6 +44,8 @@ def parse_rfc3339(value: str) -> datetime:
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
+    # Python 3.10's fromisoformat reads a fraction of 3 or 6 digits only; 3.11 reads any, to 6.
+    text = re.sub(r"\.(\d+)", lambda digits: "." + digits[1][:6].ljust(6, "0"), text, count=1)
     try:
         parsed = datetime.fromisoformat(text)
     except ValueError as exc:
@@ -137,10 +140,7 @@ def load_trust_root_file(raw: bytes | str) -> list[SignerRecord]:
     ``{"signers": [{"keyId", "publicKey", "approvedClearance", "notAfter"?}]}``
     with base64 public keys. Raises TrustRootError on any malformation,
     including wrong key length or duplicate key ids."""
-    try:
-        data = json.loads(raw)
-    except ValueError as exc:
-        raise TrustRootError(f"trust root file is not valid JSON: {exc}") from exc
+    data = read_json(raw, TrustRootError, "trust root file is not valid JSON")
     if not isinstance(data, dict) or not isinstance(data.get("signers"), list):
         raise TrustRootError("trust root file must be an object with a 'signers' array")
     records: list[SignerRecord] = []

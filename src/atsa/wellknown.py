@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
+from ._json import read_json
 from .admission import WELL_KNOWN_PATHS
 from .sad import AttestationDocument, serialize_document
 
@@ -109,8 +110,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         raw = self.rfile.read(int(length))
         try:
-            payload = json.loads(raw)
-        except (ValueError, RecursionError):
+            payload = read_json(raw, ValueError, "parse error")
+        except ValueError:
             reply = _rpc_error(None, -32700, "parse error")
         else:
             reply = self._dispatch(config, payload)

@@ -39,7 +39,7 @@ from atsa import (
     verify_server_clearance,
 )
 from atsa import sad
-from atsa.admission import MAX_DOCUMENT_BYTES
+from atsa.admission import MAX_DOCUMENT_BYTES, origin_of, split_url
 from atsa.conformance import VECTOR_NOW
 from conftest import FIXED_NOW, NOT_AFTER, ORIGIN, SERVER_URL, fetcher_for
 from doubles import StaticFetcher
@@ -53,6 +53,22 @@ def test_host_of():
         host_of("not a url")
     with pytest.raises(ValueError):
         host_of("mailto:me@example.com")
+
+
+def test_a_default_port_named_or_left_out_is_one_origin():
+    assert origin_of(*split_url("http://h/")) == origin_of(*split_url("http://H:80/x")) == ("http", "h", 80)
+    assert origin_of(*split_url("https://h/")) == origin_of(*split_url("https://h:443")) == ("https", "h", 443)
+    assert origin_of(*split_url("http://[::1]:8080/")) == ("http", "::1", 8080)
+
+
+@pytest.mark.parametrize(
+    "url",
+    ["http://u:secret@h/", "http://u@h/", "http://[::1/", "http://h:99999/", "http://h:x/", "http:///x", "ftp://h/"],
+    ids=["userinfo", "user", "unbalanced-bracket", "port-out-of-range", "port-not-a-number", "no-host", "not-http"],
+)
+def test_the_url_reader_refuses_a_url_that_names_no_http_origin(url):
+    with pytest.raises(ValueError):
+        origin_of(*split_url(url))
 
 
 def test_fetch_prefers_first_well_known_path(signed_doc):

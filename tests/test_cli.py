@@ -489,6 +489,19 @@ def _operator_path_case(case, workspace, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("")
         return ["vectors", "--out", str(taken)], taken
+    if case.endswith("-deep"):
+        # JSON nested past the recursion limit is a malformed file like any other.
+        deep = tmp_path / "deep.json"
+        deep.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+        command = {
+            "verify-trust-root-deep": ["verify", workspace["sad"], "--required", "restricted-plus", "--trust-root"],
+            "verify-scheme-deep": [*verify, "--scheme"],
+            "fuzz-registry-deep": ["fuzz", "--per-category", "1", "--registry"],
+            "fuzz-corpus-deep": ["fuzz", "--corpus"],
+            "serve-config-deep": ["serve"],
+            "sign-key-deep": ["sign", workspace["unsigned"], "--key"],
+        }[case]
+        return [*command, str(deep)], deep
     assert case == "fuzz-corpus-out"
     return ["fuzz", "--per-category", "1", "--corpus-out", str(missing / "c.jsonl")], missing / "c.jsonl"
 
@@ -496,7 +509,9 @@ def _operator_path_case(case, workspace, tmp_path):
 @pytest.mark.parametrize(
     "case",
     ["verify-scheme-dir", "verify-scheme-not-utf8", "verify-audit-dir", "verify-audit-missing-dir",
-     "keygen-out", "sign-out", "vectors-out-file", "fuzz-corpus-out"],
+     "keygen-out", "sign-out", "vectors-out-file", "fuzz-corpus-out",
+     "verify-trust-root-deep", "verify-scheme-deep", "fuzz-registry-deep", "fuzz-corpus-deep",
+     "serve-config-deep", "sign-key-deep"],
 )
 def test_unusable_operator_path_is_config_error(workspace, tmp_path, capsys, case):
     args, path = _operator_path_case(case, workspace, tmp_path)

@@ -18,11 +18,14 @@ socket left open once its thread ends.
 ``exchange`` reads replies itself. A differential property holds it to
 ``http.client`` on generated replies: both give the same ``(status, body)``
 or both fail, save where ``exchange`` is stricter by a rule its docstring
-marks. The https path runs on loopback too, against a CA made here.
+marks. The https path runs on loopback too, against a CA made here: fresh
+connections share one TLS context, and a leaf for another host or an expired
+one is refused before any POST.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import http.client
 import io
@@ -70,6 +73,7 @@ from atsa import (
     serialize_document,
     serve,
 )
+from atsa.admission import exchange
 from atsa.gateway import MAX_REPLY_BYTES
 from conftest import FIXED_NOW, fetcher_for
 from doubles import RawPeer
@@ -81,6 +85,8 @@ SHORT_BODY = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Leng
 BAD_PORT_REDIRECT = b"HTTP/1.1 302 Found\r\nLocation: http://127.0.0.1:99999/x\r\nContent-Length: 0\r\n\r\n"
 DEEP = b"[" * 200_000 + b"]" * 200_000
 DEEP_BODY = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(DEEP), DEEP)
+UTF16 = JSON_RPC_OK.decode().encode("utf-16")  # JSON text is UTF-8 (RFC 8259, section 8.1)
+UTF16_BODY = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(UTF16), UTF16)
 # A valid JSON-RPC reply padded with whitespace to one byte over the cap.
 OVERSIZED_BODY = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (MAX_REPLY_BYTES + 1) + (
     b'{"jsonrpc": "2.0", "id": 1, "result": {}}'.ljust(MAX_REPLY_BYTES + 1)
@@ -120,8 +126,8 @@ def test_bad_well_known_reply_is_fetch_failed(peer, scheme, trust_root, reply):
 
 @pytest.mark.parametrize(
     "reply",
-    [GARBAGE, SHORT_BODY, BAD_PORT_REDIRECT, DEEP_BODY, OVERSIZED_BODY],
-    ids=["garbage", "short_body", "bad_port_redirect", "deep_nesting", "oversized"],
+    [GARBAGE, SHORT_BODY, BAD_PORT_REDIRECT, DEEP_BODY, OVERSIZED_BODY, UTF16_BODY],
+    ids=["garbage", "short_body", "bad_port_redirect", "deep_nesting", "oversized", "utf16"],
 )
 def test_bad_tools_call_reply_is_transport_error(peer, scheme, trust_root, signed_doc, reply):
     peer.reply = reply
@@ -320,6 +326,17 @@ def test_a_post_the_peer_hangs_up_on_is_never_resent(connections, scheme, trust_
         assert [record.event for record in audit.records] == [EVENT_CONNECT_ALLOW]
         assert peer.hung_up.acquire(timeout=5)
         assert len(connections) == 1 and len(_posts(peer)) == 1
+
+
+def test_a_url_with_userinfo_is_refused_before_a_byte_is_sent(connections):
+    # The pool is keyed by origin, so a URL with userinfo would go out on this
+    # connection with the userinfo in its Host field (RFC 9110 section 4.2.4).
+    with RawPeer(_ok(JSON_RPC_OK), keep_alive=True) as peer:
+        assert HttpFetcher()(peer.url + WELL_KNOWN_PATHS[0])[0] == 200
+        url = peer.url.replace("http://", "http://u:secret@") + "/mcp"
+        with pytest.raises(FetchError, match="not an absolute http"):
+            exchange(url, {}, limit=MAX_REPLY_BYTES, data=JSON_RPC_OK)
+    assert len(peer.requests) == len(connections) == 1
 
 
 def test_a_get_on_a_stale_connection_is_resent_once(connections):
@@ -524,13 +541,16 @@ def test_a_request_that_cannot_be_sent_verbatim_is_refused_unsent(path, token):
         assert peer.requests == []
 
 
-# The https path on loopback: a CA and a leaf for 127.0.0.1, the stub's
-# listening socket wrapped with ``ssl``, and ``SSL_CERT_FILE`` naming the CA.
-def _certificate(subject: str, key, ca: x509.Certificate | None, ca_key, *, leaf: bool) -> x509.Certificate:
-    """A certificate for ``subject``, signed by ``ca`` or, with no ``ca``, by its own key."""
+# The https path on loopback: a CA and leaves it signed, the stub's listening
+# socket wrapped with ``ssl``, and ``SSL_CERT_FILE`` naming the CA.
+def _certificate(
+    subject: str, key, ca: x509.Certificate | None, ca_key, *, leaf: bool, age=datetime.timedelta(0)
+) -> x509.Certificate:
+    """A certificate for ``subject``, signed by ``ca`` or, with no ``ca``, by its own key,
+    valid for a day from five minutes before ``age`` ago."""
     name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, subject)])
     signing_key = ca_key or key
-    now = datetime.datetime.now(datetime.timezone.utc)
+    now = datetime.datetime.now(datetime.timezone.utc) - age
     draft = (
         x509.CertificateBuilder()
         .subject_name(name)
@@ -562,35 +582,46 @@ def _pem(certificate: x509.Certificate) -> bytes:
 
 @pytest.fixture(scope="module")
 def pki(tmp_path_factory):
-    """PEM files: the CA that signed the stub's leaf, an unrelated CA, and the leaf with its key."""
+    """PEM files: the CA that signed the stub's leaves, an unrelated CA, and three leaves
+    with their key: for ``127.0.0.1``, for another address, and for ``127.0.0.1`` but expired."""
     directory = tmp_path_factory.mktemp("pki")
     ca_key, other_key, leaf_key = (ec.generate_private_key(ec.SECP256R1()) for _ in range(3))
     ca = _certificate("atsa test CA", ca_key, None, None, leaf=False)
-    leaf = _certificate("127.0.0.1", leaf_key, ca, ca_key, leaf=True)
     key = leaf_key.private_bytes(
         serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8, serialization.NoEncryption()
     )
     files = {
         "ca": _pem(ca),
         "other_ca": _pem(_certificate("another CA", other_key, None, None, leaf=False)),
-        "leaf": _pem(leaf) + key,
+        "leaf": _pem(_certificate("127.0.0.1", leaf_key, ca, ca_key, leaf=True)) + key,
+        "other_host_leaf": _pem(_certificate("127.0.0.2", leaf_key, ca, ca_key, leaf=True)) + key,
+        "expired_leaf": _pem(
+            _certificate("127.0.0.1", leaf_key, ca, ca_key, leaf=True, age=datetime.timedelta(days=2))
+        ) + key,
     }
     for name, contents in files.items():
         (directory / f"{name}.pem").write_bytes(contents)
     return SimpleNamespace(**{name: str(directory / f"{name}.pem") for name in files})
 
 
-@pytest.fixture
-def https_stub(pki, signed_doc):
+@contextlib.contextmanager
+def _https_stub(leaf: str, signed_doc):
+    """The stub, serving TLS with the certificate chain and key in the file ``leaf``."""
     stub = serve(StubServerConfig.for_document(signed_doc, {"list_labels": lambda arguments: arguments}))
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-    context.load_cert_chain(pki.leaf)
+    context.load_cert_chain(leaf)
     # Same descriptor, so the stub's running accept loop now accepts TLS.
     stub._server.socket = context.wrap_socket(stub._server.socket, server_side=True)
     try:
         yield stub, SimpleNamespace(url="https://" + stub.url.removeprefix("http://"))
     finally:
         stub.shutdown()
+
+
+@pytest.fixture
+def https_stub(pki, signed_doc):
+    with _https_stub(pki.leaf, signed_doc) as served:
+        yield served
 
 
 def test_an_allowed_invoke_over_https_shares_one_handshake(
@@ -616,5 +647,42 @@ def test_a_peer_certified_by_an_unknown_ca_is_fetch_failed_with_no_post(
     result = gateway.invoke(origin.url + "/mcp", ToolCall("list_labels"))
     assert (result.status, result.reason) == (DispatchStatus.denied, DenyReason.fetch_failed)
     assert "CERTIFICATE_VERIFY_FAILED" in result.detail
+    assert [record.event for record in audit.records] == [EVENT_CONNECT_DENY]
+    assert stub.tools_call_count() == 0
+
+
+def test_fresh_https_connections_share_one_tls_context(connections, monkeypatch, pki, https_stub, tmp_path):
+    # A bundle path no other test names, so the one context for it is built here.
+    bundle = tmp_path / "ca.pem"
+    bundle.write_bytes(Path(pki.ca).read_bytes())
+    monkeypatch.setenv("SSL_CERT_FILE", str(bundle))
+    loads = []
+    load_default_certs = ssl.SSLContext.load_default_certs
+
+    def counting(self, *args):
+        loads.append(self)
+        return load_default_certs(self, *args)
+
+    monkeypatch.setattr(ssl.SSLContext, "load_default_certs", counting)
+    _, origin = https_stub
+    for _ in range(3):
+        assert HttpFetcher()(origin.url + "/absent")[0] == 404  # a 404 is never pooled
+    assert len(connections) == 3 and len(loads) == 1
+
+
+@pytest.mark.parametrize(
+    "leaf, refusal",
+    [("other_host_leaf", "IP address mismatch"), ("expired_leaf", "certificate has expired")],
+    ids=["another_host", "expired"],
+)
+def test_a_peer_whose_leaf_does_not_verify_is_fetch_failed_with_no_post(
+    monkeypatch, pki, signed_doc, scheme, trust_root, leaf, refusal
+):
+    monkeypatch.setenv("SSL_CERT_FILE", pki.ca)
+    with _https_stub(getattr(pki, leaf), signed_doc) as (stub, origin):
+        gateway, audit = _enclaved_gateway(origin, scheme, trust_root, HttpFetcher())
+        result = gateway.invoke(origin.url + "/mcp", ToolCall("list_labels"))
+    assert (result.status, result.reason) == (DispatchStatus.denied, DenyReason.fetch_failed)
+    assert "CERTIFICATE_VERIFY_FAILED" in result.detail and refusal in result.detail
     assert [record.event for record in audit.records] == [EVENT_CONNECT_DENY]
     assert stub.tools_call_count() == 0

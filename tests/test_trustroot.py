@@ -170,6 +170,16 @@ def test_not_after_accepts_offset_form():
     assert records[0].not_after == NOT_AFTER
 
 
+@pytest.mark.parametrize(
+    ("fraction", "microsecond"),
+    [("5", 500_000), ("25", 250_000), ("125", 125_000), ("123456", 123_456), ("123456789", 123_456)],
+)
+def test_not_after_reads_a_fraction_of_any_length(fraction, microsecond):
+    """Python 3.10's ``fromisoformat`` alone reads only 3 or 6 digits."""
+    records = load_trust_root_file(_root_json([_entry(notAfter=f"2027-01-01T00:00:00.{fraction}Z")]))
+    assert records[0].not_after == NOT_AFTER.replace(microsecond=microsecond)
+
+
 def test_not_after_is_optional():
     entry = _entry()
     del entry["notAfter"]

@@ -9,6 +9,9 @@ and a corpus of such cases survives a JSONL dump and load and replays to a
 report, from the library and from ``atsa fuzz``.
 A last test holds, in both flavors, that an endpoint without a registered
 bridge is refused without fetching anything from it.
+
+Every loader of JSON from outside the program refuses text that is not
+UTF-8 or that nests past the recursion limit with its own error.
 """
 
 from __future__ import annotations
@@ -31,16 +34,20 @@ from atsa import (
     DenyReason,
     DispatchResult,
     DispatchStatus,
+    DocumentError,
     FORGERY_CATEGORIES,
     Flavor,
     Gateway,
     JsonlAuditSink,
     RegistryEntry,
+    RegistryError,
+    SchemeError,
     ServerRegistry,
     SignerRecord,
     TOOL_CATEGORIES,
     ToolCall,
     TrustRoot,
+    TrustRootError,
     Verdict,
     canonical_json_bytes,
     dump_corpus_jsonl,
@@ -49,6 +56,10 @@ from atsa import (
     levels_up_to,
     load_audit_jsonl,
     load_corpus_jsonl,
+    load_registry_file,
+    load_scheme,
+    load_trust_root_file,
+    parse_document,
     run_campaign,
     serialize_document,
     sign_document,
@@ -278,3 +289,19 @@ def test_fuzz_replays_and_writes_a_corpus_with_a_lone_surrogate(tmp_path):
         main(["fuzz", "--corpus", str(corpus_path), "--corpus-out", str(out_path)])
     assert exc_info.value.code in (EXIT_OK, EXIT_VERDICT)
     assert load_corpus_jsonl(out_path) == load_corpus_jsonl(corpus_path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{}".encode("utf-16"), "{}".encode("utf-32"), b'{"v": "\xff"}', b"[" * 200_000 + b"]" * 200_000],
+    ids=["utf-16", "utf-32", "not-utf-8", "deep"],
+)
+@pytest.mark.parametrize(
+    "load, error",
+    [(parse_document, DocumentError), (load_registry_file, RegistryError),
+     (load_trust_root_file, TrustRootError), (load_scheme, SchemeError)],
+    ids=["document", "registry", "trust-root", "scheme"],
+)
+def test_every_json_loader_refuses_text_it_cannot_read_with_its_own_error(load, error, text):
+    with pytest.raises(error, match="not valid JSON"):
+        load(text)

@@ -141,6 +141,12 @@ def test_parse_error_is_minus_32700(server):
     assert resp["error"]["code"] == -32700
 
 
+def test_a_body_not_in_utf8_is_a_parse_error(server):
+    request = {"jsonrpc": "2.0", "id": 1, "method": "tools/call", "params": {"name": "list_labels"}}
+    _, resp = _post(server.url + "/mcp", json.dumps(request).encode("utf-16"))
+    assert resp["error"]["code"] == -32700
+
+
 def test_body_nested_past_the_recursion_limit_is_a_parse_error(server):
     _, resp = _post(server.url + "/mcp", b"[" * 100_000 + b"]" * 100_000)
     assert resp["error"]["code"] == -32700
