@@ -18,6 +18,15 @@ several checks at once and callers key behavior off the reason:
 9. clearance dominates the requirement    -> below_required
 10. serving host bound, when hosts listed -> host_not_bound
 
+Checks 3-10 run on every call, against that call's clock, trust root,
+required level and URL. Only the outcome of check 2 is remembered: the
+``DOCUMENT_CACHE_SIZE`` most recently seen documents of at most
+``MEMO_MAX_BODY_BYTES`` each, keyed by the SHA-256 of the fetched bytes, map
+to their parsed ``AttestationDocument`` or their ``DocumentError`` text.
+Parsing is a pure function of the bytes, so an unchanged document is parsed
+once and any changed byte is parsed afresh. The cached document never leaves
+``verify_server_clearance``: a ``Verdict`` holds only strings.
+
 ``AdmissionGate.connect`` wraps the verdict with flavor semantics (enclaved
 denies, open warns but never silently allows) and writes exactly one audit
 record per decision. An audit append failure aborts the connection.
@@ -30,12 +39,15 @@ from __future__ import annotations
 
 import atexit
 import functools
+import hashlib
 import http.client
 import os
+import re
 import select
 import ssl
 import threading
 import urllib.parse
+from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -48,7 +60,7 @@ from .audit import (
     AuditLog,
 )
 from .lattice import ClassificationScheme, LevelNotFoundError
-from .sad import MCP_SERVER_CAPABILITY, DocumentError, parse_document, verify_signature
+from .sad import MCP_SERVER_CAPABILITY, MEMO_MAX_BODY_BYTES, AttestationDocument, DocumentError, parse_document, verify_signature
 from .trustroot import TrustRoot
 
 __all__ = [
@@ -164,6 +176,16 @@ def split_url(url: str) -> tuple[urllib.parse.SplitResult, str]:
     except ValueError:  # an unbalanced "["
         pass
     raise ValueError("not an absolute http(s) URL")
+
+
+# An authority's userinfo, or what may be meant as one: all before an "@" that no
+# "/", "?" or "#" precedes, past any "scheme://" (RFC 3986, section 3.2.1).
+_USERINFO = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]*://)?[^/?#]*@")
+
+
+def redacted(url: str) -> str:
+    """``url`` for a message or the audit log: any userinfo, which may hold a password, is ``***``."""
+    return _USERINFO.sub(r"\1***@", url, count=1)
 
 
 def origin_of(parts: urllib.parse.SplitResult, host: str) -> tuple[str, str, int]:
@@ -367,7 +389,7 @@ def exchange(
                 else:
                     connection.close()
     except _PEER_FAILURES as exc:
-        raise FetchError(f"{method} {url} failed: {exc}") from exc
+        raise FetchError(f"{method} {redacted(url)} failed: {exc}") from exc
     return status, body
 
 
@@ -388,7 +410,7 @@ def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
     try:
         parts = split_url(server_url)[0]
     except ValueError:
-        raise FetchError(f"server URL must be absolute http(s): {server_url!r}") from None
+        raise FetchError(f"server URL must be absolute http(s): {redacted(server_url)!r}") from None
     base = f"{parts.scheme}://{parts.netloc}"
     for path in WELL_KNOWN_PATHS:
         status, body = fetcher(base + path)
@@ -397,6 +419,33 @@ def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
         if status != 404:
             raise FetchError(f"GET {base + path} returned status {status}")
     raise FetchError(f"no attestation document at well-known paths under {base}")
+
+
+# Parse outcomes by the SHA-256 of the document bytes, least recently used
+# first: an AttestationDocument, or the text of the DocumentError it raised.
+# Bodies over MEMO_MAX_BODY_BYTES are parsed every time and never kept, so a
+# hostile peer serving ever new bytes pins at most 256 small documents.
+DOCUMENT_CACHE_SIZE = 256
+_DOCUMENTS: OrderedDict[bytes, AttestationDocument | str] = OrderedDict()
+_DOCUMENTS_LOCK = threading.Lock()
+
+
+def _parsed(raw: bytes, digest: bytes) -> AttestationDocument | str:
+    """``parse_document(raw)``, or the text of its DocumentError, remembered by ``digest``."""
+    with _DOCUMENTS_LOCK:
+        if (outcome := _DOCUMENTS.get(digest)) is not None:
+            _DOCUMENTS.move_to_end(digest)
+            return outcome
+    try:
+        outcome = parse_document(raw)
+    except DocumentError as exc:
+        outcome = str(exc)
+    if len(raw) <= MEMO_MAX_BODY_BYTES:
+        with _DOCUMENTS_LOCK:
+            _DOCUMENTS[digest] = outcome
+            if len(_DOCUMENTS) > DOCUMENT_CACHE_SIZE:
+                _DOCUMENTS.popitem(last=False)
+    return outcome
 
 
 def verify_server_clearance(
@@ -417,10 +466,9 @@ def verify_server_clearance(
     except FetchError as exc:
         return Verdict.deny(DenyReason.fetch_failed, str(exc))
 
-    try:
-        document = parse_document(raw)
-    except DocumentError as exc:
-        return Verdict.deny(DenyReason.manifest_invalid, str(exc))
+    document = _parsed(raw, hashlib.sha256(raw).digest())
+    if isinstance(document, str):
+        return Verdict.deny(DenyReason.manifest_invalid, document)
 
     if MCP_SERVER_CAPABILITY not in document.capabilities:
         return Verdict.deny(

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Any, Callable, Mapping, Protocol
 
 from ._json import read_json
-from .admission import AdmissionGate, ConnectStatus, DenyReason, FetchError, Flavor, exchange, origin_of, split_url
+from .admission import AdmissionGate, ConnectStatus, DenyReason, FetchError, Flavor, exchange, origin_of, redacted, split_url
 from .audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, AuditLog
 
 __all__ = [
@@ -233,7 +233,7 @@ class Gateway:
         if entry is None:
             # Never dispatchable, so nothing is fetched from the URL the agent
             # named; the refusal is audited like any other connect denial.
-            detail = f"no registered bridge for {endpoint!r}"
+            detail = f"no registered bridge for {redacted(endpoint)!r}"
             self.audit.append(
                 EVENT_CONNECT_DENY, {"reason": DenyReason.no_registered_bridge.value, "detail": detail}
             )
@@ -319,7 +319,7 @@ def _origin(url: str) -> str:
     try:
         scheme, host, port = origin_of(*split_url(url))
     except ValueError as exc:
-        raise RegistryError(f"bad URL {url!r}: {exc}") from exc
+        raise RegistryError(f"bad URL {redacted(url)!r}: {exc}") from exc
     return f"{scheme}://{host}:{port}"
 
 

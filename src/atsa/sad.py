@@ -25,11 +25,15 @@ dicts, and sorts every array by the escaped UTF-8 bytes of its members'
 serialization, innermost arrays first. The ``json`` call sorts object keys
 by code point, which is their UTF-8 byte order for Unicode scalar values.
 
-``verify_signature`` remembers the 1024 most recently used Ed25519 results,
-keyed on the full public key, signature and canonical body bytes, so
-re-verifying an unchanged document costs a dictionary lookup and any changed
-byte is checked afresh. Only the signature is remembered: expiry, approval, domination and
-host binding are checked on every call by ``admission``.
+Caching. A document computes its canonical body once, on first use, and
+keeps it: its fields are frozen. ``verify_signature`` remembers the 1024 most
+recently used Ed25519 results, keyed on the full public key, signature and
+canonical body bytes of at most 4 KiB, so re-verifying an unchanged document
+costs a dictionary lookup and any changed byte is checked afresh.
+``admission`` keeps recently parsed documents by the SHA-256 of their bytes,
+so a document fetched again unchanged reuses both. Nothing else is
+remembered: the capability, signer, expiry, approval, signature, domination
+and host-binding checks run on every call in ``admission``.
 """
 
 from __future__ import annotations
@@ -118,6 +122,14 @@ class AttestationDocument:
         object.__setattr__(self, "capabilities", tuple(self.capabilities))
         if self.net_allowed_hosts is not None:
             object.__setattr__(self, "net_allowed_hosts", tuple(self.net_allowed_hosts))
+
+    @functools.cached_property
+    def _canonical_body(self) -> bytes:
+        # The fields are frozen, so the body is computed once per document.
+        body = _registered_fields(self)
+        body.pop("signature", None)
+        body["signerKeyId"] = self.signer_key_id
+        return canonical_json_bytes(body)
 
 
 @dataclass(frozen=True)
@@ -239,10 +251,7 @@ def _registered_fields(doc: AttestationDocument) -> dict[str, Any]:
 def canonical_body(doc: AttestationDocument) -> bytes:
     """Signing-input bytes for ``doc``. Identical for a document with and
     without its signature attached."""
-    body = _registered_fields(doc)
-    body.pop("signature", None)
-    body["signerKeyId"] = doc.signer_key_id
-    return canonical_json_bytes(body)
+    return doc._canonical_body
 
 
 def sign_document(doc: AttestationDocument, key: KeyPair) -> AttestationDocument:

@@ -39,9 +39,20 @@ class TrustRootLockedError(RuntimeError):
     """Attempt to replace a locked trust root."""
 
 
+# RFC 3339 section 5.6 date-time, its offset optional: a value without one is
+# read as UTC. The field ranges are left to fromisoformat.
+_DATE_TIME = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?([Zz]|[+-][0-9]{2}:[0-9]{2})?")
+
+
 def parse_rfc3339(value: str) -> datetime:
-    """Parse an RFC 3339 timestamp. Naive values are taken as UTC."""
+    """Parse an RFC 3339 timestamp. Naive values are taken as UTC.
+
+    Only the RFC's date-time form is read, so Python 3.10 and 3.11 accept the
+    same texts: ``fromisoformat`` alone also takes a bare date, a space
+    separator, no seconds and, on 3.11, ISO 8601 basic and week forms."""
     text = value.strip()
+    if not _DATE_TIME.fullmatch(text):
+        raise TrustRootError(f"invalid RFC 3339 timestamp {value!r}")
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     # Python 3.10's fromisoformat reads a fraction of 3 or 6 digits only; 3.11 reads any, to 6.

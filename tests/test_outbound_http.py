@@ -20,7 +20,9 @@ socket left open once its thread ends.
 or both fail, save where ``exchange`` is stricter by a rule its docstring
 marks. The https path runs on loopback too, against a CA made here: fresh
 connections share one TLS context, and a leaf for another host or an expired
-one is refused before any POST.
+one is refused before any POST. Pooling holds over TLS as over plain http: a
+connection the peer closed while idle is replaced, a bearer token goes only to
+its own origin, and a reply over the cap closes its connection.
 """
 
 from __future__ import annotations
@@ -686,3 +688,56 @@ def test_a_peer_whose_leaf_does_not_verify_is_fetch_failed_with_no_post(
     assert "CERTIFICATE_VERIFY_FAILED" in result.detail and refusal in result.detail
     assert [record.event for record in audit.records] == [EVENT_CONNECT_DENY]
     assert stub.tools_call_count() == 0
+
+
+@contextlib.contextmanager
+def _tls_peer(pki, reply, *, keep_alive: bool):
+    """A ``RawPeer`` that speaks TLS with the leaf for ``127.0.0.1``; yields it and its https URL."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(pki.leaf)
+    with RawPeer(reply, keep_alive=keep_alive) as peer:
+        peer._server.socket = context.wrap_socket(peer._server.socket, server_side=True)
+        yield peer, "https://" + peer.url.removeprefix("http://")
+
+
+def test_a_tls_peer_that_closes_an_idle_connection_gets_it_replaced(connections, monkeypatch, pki):
+    monkeypatch.setenv("SSL_CERT_FILE", pki.ca)
+    with _tls_peer(pki, _ok(JSON_RPC_OK), keep_alive=False) as (peer, url):
+        fetch = HttpFetcher()
+        assert fetch(url + WELL_KNOWN_PATHS[0]) == (200, JSON_RPC_OK)
+        assert peer.hung_up.acquire(timeout=5)
+        [first] = connections
+        assert fetch(url + WELL_KNOWN_PATHS[0]) == (200, JSON_RPC_OK)
+    assert len(connections) == 2 and first.sock is None
+    assert len(peer.requests) == 2
+
+
+def test_a_bearer_token_reaches_only_its_own_tls_origin(connections, monkeypatch, pki):
+    monkeypatch.setenv("SSL_CERT_FILE", pki.ca)
+    with _tls_peer(pki, _ok(JSON_RPC_OK), keep_alive=True) as (first, first_url), _tls_peer(
+        pki, _ok(JSON_RPC_OK), keep_alive=True
+    ) as (second, second_url):
+        secret = HttpTransport(first_url + "/mcp", bearer_provider=lambda: "sesame")
+        plain = HttpTransport(second_url + "/mcp")
+        for _ in range(3):
+            for transport in (secret, plain):
+                transport.request({"jsonrpc": "2.0", "id": 1}, {"Content-Type": "application/json"})
+            assert HttpFetcher()(first_url + WELL_KNOWN_PATHS[0])[0] == 200
+    assert len(connections) == 2 and all(isinstance(c.sock, ssl.SSLSocket) for c in connections)
+    posts, gets = _posts(first), [request for request in first.requests if request.startswith(b"GET ")]
+    assert len(posts) == len(gets) == len(second.requests) == 3
+    assert all(b"\r\nAuthorization: Bearer sesame\r\n" in request for request in posts)
+    assert not any(b"sesame" in request for request in gets + second.requests)
+
+
+def test_an_over_cap_reply_over_tls_closes_its_connection(connections, monkeypatch, pki):
+    monkeypatch.setenv("SSL_CERT_FILE", pki.ca)
+    replies = iter([OVER_DOCUMENT_CAP, _ok(b"{}")])
+    with _tls_peer(pki, lambda request: next(replies), keep_alive=True) as (peer, url):
+        fetch = HttpFetcher()
+        with pytest.raises(FetchError, match=f"at most {MAX_DOCUMENT_BYTES} bytes"):
+            fetch(url + WELL_KNOWN_PATHS[0])
+        [first] = connections
+        assert first.sock is None
+        assert fetch(url + WELL_KNOWN_PATHS[0]) == (200, b"{}")
+    assert len(connections) == 2 and len(peer.requests) == 2

@@ -180,6 +180,32 @@ def test_not_after_reads_a_fraction_of_any_length(fraction, microsecond):
     assert records[0].not_after == NOT_AFTER.replace(microsecond=microsecond)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2027-01-01",
+        "2027-01-01 00:00:00+00:00",
+        "20270101T000000+00:00",
+        "2027-W01-1T00:00:00+00:00",
+        "2027-01-01T00:00+00:00",
+        "2027-01-01T00:00:00.+00:00",
+        "2027-01-01T00:00:00+0000",
+        "\uff12\uff10\uff12\uff17-01-01T00:00:00Z",
+    ],
+    ids=["date-only", "space-separator", "basic-form", "week-date", "no-seconds", "empty-fraction",
+         "offset-without-colon", "non-ascii-digits"],
+)
+def test_not_after_refuses_what_rfc3339_date_time_does_not_allow(text):
+    with pytest.raises(TrustRootError, match="invalid RFC 3339"):
+        load_trust_root_file(_root_json([_entry(notAfter=text)]))
+
+
+@pytest.mark.parametrize("text", ["2027-01-01t00:00:00z", "2027-01-01T00:00:00", "2027-01-01T01:00:00+01:00"])
+def test_not_after_reads_lowercase_naive_and_offset_forms(text):
+    records = load_trust_root_file(_root_json([_entry(notAfter=text)]))
+    assert records[0].not_after == NOT_AFTER
+
+
 def test_not_after_is_optional():
     entry = _entry()
     del entry["notAfter"]
