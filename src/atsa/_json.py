@@ -19,8 +19,10 @@ def read_json(text: bytes | str, error: type[Exception], prefix: str) -> Any:
 
 def read_jsonl(path: str | os.PathLike[str], error: type[Exception]) -> Iterator[tuple[int, Any]]:
     """``(line number, value)`` for each line of the file at ``path`` that is not blank,
-    counting from 0. A line that is not one JSON text, a bad byte included, raises ``error``."""
+    counting from 0. A line that is not one JSON text, a bad byte included, raises ``error``,
+    which tells a torn last line, one that a crash cut before its newline, from a bad one."""
     with open(path, "rb") as handle:
         for number, line in enumerate(handle):
             if line.strip():
-                yield number, read_json(line, error, f"line {number}: not valid JSON")
+                fault = "not valid JSON" if line.endswith(b"\n") else "torn final line (no newline)"
+                yield number, read_json(line, error, f"line {number}: {fault}")

@@ -19,12 +19,12 @@ several checks at once and callers key behavior off the reason:
 10. serving host bound, when hosts listed -> host_not_bound
 
 Checks 3-10 run on every call, against that call's clock, trust root,
-required level and URL. Only the outcome of check 2 is remembered: the
-``DOCUMENT_CACHE_SIZE`` most recently seen documents of at most
-``MEMO_MAX_BODY_BYTES`` each, keyed by the SHA-256 of the fetched bytes, map
-to their parsed ``AttestationDocument`` or their ``DocumentError`` text.
-Parsing is a pure function of the bytes, so an unchanged document is parsed
-once and any changed byte is parsed afresh. The cached document never leaves
+required level and URL. One memo, ``_DOCUMENTS``, holds what depends only on
+the bytes: for the ``DOCUMENT_CACHE_SIZE`` most recent documents of at most
+``MEMO_MAX_BODY_BYTES``, keyed by the SHA-256 of the fetched bytes, their
+``DocumentError`` text, or their ``AttestationDocument`` and its check 8 result
+per public key, which is fixed because its signature and canonical body are.
+Any changed byte is a new entry. The cached document never leaves
 ``verify_server_clearance``: a ``Verdict`` holds only strings.
 
 ``AdmissionGate.connect`` wraps the verdict with flavor semantics (enclaved
@@ -60,7 +60,7 @@ from .audit import (
     AuditLog,
 )
 from .lattice import ClassificationScheme, LevelNotFoundError
-from .sad import MCP_SERVER_CAPABILITY, MEMO_MAX_BODY_BYTES, AttestationDocument, DocumentError, parse_document, verify_signature
+from .sad import MCP_SERVER_CAPABILITY, AttestationDocument, DocumentError, parse_document, verify_signature
 from .trustroot import TrustRoot
 
 __all__ = [
@@ -421,23 +421,24 @@ def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
     raise FetchError(f"no attestation document at well-known paths under {base}")
 
 
-# Parse outcomes by the SHA-256 of the document bytes, least recently used
-# first: an AttestationDocument, or the text of the DocumentError it raised.
-# Bodies over MEMO_MAX_BODY_BYTES are parsed every time and never kept, so a
-# hostile peer serving ever new bytes pins at most 256 small documents.
+# By the SHA-256 of the bytes, least recently used first: the DocumentError text,
+# or the document and its signature result per trust-root key (racing threads
+# store the same result). Bodies over MEMO_MAX_BODY_BYTES are parsed and verified
+# every time and never kept: a peer serving ever new bytes pins at most 256 small ones.
 DOCUMENT_CACHE_SIZE = 256
-_DOCUMENTS: OrderedDict[bytes, AttestationDocument | str] = OrderedDict()
+MEMO_MAX_BODY_BYTES = 4 * 1024
+_DOCUMENTS: OrderedDict[bytes, tuple[AttestationDocument, dict[bytes, bool]] | str] = OrderedDict()
 _DOCUMENTS_LOCK = threading.Lock()
 
 
-def _parsed(raw: bytes, digest: bytes) -> AttestationDocument | str:
-    """``parse_document(raw)``, or the text of its DocumentError, remembered by ``digest``."""
+def _parsed(raw: bytes, digest: bytes) -> tuple[AttestationDocument, dict[bytes, bool]] | str:
+    """``parse_document(raw)`` and its signature results, or its DocumentError text, remembered by ``digest``."""
     with _DOCUMENTS_LOCK:
         if (outcome := _DOCUMENTS.get(digest)) is not None:
             _DOCUMENTS.move_to_end(digest)
             return outcome
     try:
-        outcome = parse_document(raw)
+        outcome = parse_document(raw), {}
     except DocumentError as exc:
         outcome = str(exc)
     if len(raw) <= MEMO_MAX_BODY_BYTES:
@@ -466,9 +467,10 @@ def verify_server_clearance(
     except FetchError as exc:
         return Verdict.deny(DenyReason.fetch_failed, str(exc))
 
-    document = _parsed(raw, hashlib.sha256(raw).digest())
-    if isinstance(document, str):
-        return Verdict.deny(DenyReason.manifest_invalid, document)
+    outcome = _parsed(raw, hashlib.sha256(raw).digest())
+    if isinstance(outcome, str):
+        return Verdict.deny(DenyReason.manifest_invalid, outcome)
+    document, verified = outcome
 
     if MCP_SERVER_CAPABILITY not in document.capabilities:
         return Verdict.deny(
@@ -498,7 +500,9 @@ def verify_server_clearance(
             f"signer {signer.key_id!r} is not approved to assert {document.clearance!r}",
         )
 
-    if not verify_signature(document, signer.public_key):
+    if (valid := verified.get(signer.public_key)) is None:
+        valid = verified[signer.public_key] = verify_signature(document, signer.public_key)
+    if not valid:
         return Verdict.deny(
             DenyReason.bad_signature, "signature does not verify over the canonical body"
         )

@@ -25,22 +25,21 @@ dicts, and sorts every array by the escaped UTF-8 bytes of its members'
 serialization, innermost arrays first. The ``json`` call sorts object keys
 by code point, which is their UTF-8 byte order for Unicode scalar values.
 
-Caching. A document computes its canonical body once, on first use, and
-keeps it: its fields are frozen. ``verify_signature`` remembers the 1024 most
-recently used Ed25519 results, keyed on the full public key, signature and
-canonical body bytes of at most 4 KiB, so re-verifying an unchanged document
-costs a dictionary lookup and any changed byte is checked afresh.
-``admission`` keeps recently parsed documents by the SHA-256 of their bytes,
-so a document fetched again unchanged reuses both. Nothing else is
-remembered: the capability, signer, expiry, approval, signature, domination
-and host-binding checks run on every call in ``admission``.
+Duplicate member names. An object that names a member twice, which I-JSON
+(RFC 7493, section 2.3) forbids, keeps the last one, as ``json`` does. The
+signature covers only the kept values, so an appended duplicate that changes
+a signed value is denied, at the signature clause or an earlier one, and one
+that repeats the value changes nothing.
+
+Nothing here is cached: each call parses, canonicalizes or verifies afresh.
+``admission`` keeps the one memo: by the SHA-256 of the fetched bytes, the
+parse outcome and the signature result per public key.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
-import functools
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -122,14 +121,6 @@ class AttestationDocument:
         object.__setattr__(self, "capabilities", tuple(self.capabilities))
         if self.net_allowed_hosts is not None:
             object.__setattr__(self, "net_allowed_hosts", tuple(self.net_allowed_hosts))
-
-    @functools.cached_property
-    def _canonical_body(self) -> bytes:
-        # The fields are frozen, so the body is computed once per document.
-        body = _registered_fields(self)
-        body.pop("signature", None)
-        body["signerKeyId"] = self.signer_key_id
-        return canonical_json_bytes(body)
 
 
 @dataclass(frozen=True)
@@ -251,7 +242,10 @@ def _registered_fields(doc: AttestationDocument) -> dict[str, Any]:
 def canonical_body(doc: AttestationDocument) -> bytes:
     """Signing-input bytes for ``doc``. Identical for a document with and
     without its signature attached."""
-    return doc._canonical_body
+    body = _registered_fields(doc)
+    body.pop("signature", None)
+    body["signerKeyId"] = doc.signer_key_id
+    return canonical_json_bytes(body)
 
 
 def sign_document(doc: AttestationDocument, key: KeyPair) -> AttestationDocument:
@@ -277,23 +271,8 @@ def verify_signature(doc: AttestationDocument, public_key: bytes) -> bool:
         return False
     if len(raw) != 64:
         return False
-    body = canonical_body(doc)
-    verifies = _ed25519_verifies if len(body) <= MEMO_MAX_BODY_BYTES else _ed25519_verifies.__wrapped__
-    return verifies(public_key, raw, body)
-
-
-# Verification is a pure function of (key, signature, body), so every result,
-# False included, may be reused. A changed byte anywhere is a different key.
-# A real canonical body is a few hundred bytes; larger ones bypass the memo,
-# which so holds at most about 4 MiB of bodies.
-VERIFIED_CACHE_SIZE = 1024
-MEMO_MAX_BODY_BYTES = 4 * 1024
-
-
-@functools.lru_cache(maxsize=VERIFIED_CACHE_SIZE)
-def _ed25519_verifies(public_key: bytes, signature: bytes, body: bytes) -> bool:
     try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, body)
+        Ed25519PublicKey.from_public_bytes(public_key).verify(raw, canonical_body(doc))
     except (InvalidSignature, ValueError):
         return False
     return True

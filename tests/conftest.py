@@ -1,5 +1,5 @@
-"""Shared fixtures: a signer, a trusted root, a baseline document, and a
-static fetcher serving it from a fake origin."""
+"""Shared fixtures: a signer, a trusted root, a baseline document, a static
+fetcher serving it from a fake origin, and a count of Ed25519 checks."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from atsa import (
     serialize_document,
     sign_document,
 )
+from atsa import admission
 from doubles import StaticFetcher
 
 FIXED_NOW = datetime(2026, 1, 1, tzinfo=timezone.utc)
@@ -94,3 +95,18 @@ def gate(scheme, trust_root, fetcher, audit_log):
         fetcher=fetcher,
         audit=audit_log,
     )
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The public key of every Ed25519 check ``verify_server_clearance`` makes, from an empty document cache."""
+    checked = []
+    verify = admission.verify_signature
+
+    def counting(document, public_key):
+        checked.append(public_key)
+        return verify(document, public_key)
+
+    monkeypatch.setattr(admission, "verify_signature", counting)
+    admission._DOCUMENTS.clear()
+    return checked

@@ -5,7 +5,9 @@ from __future__ import annotations
 import base64
 import json
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -42,7 +44,7 @@ from atsa import (
     sign_document,
     verify_server_clearance,
 )
-from atsa import admission, sad
+from atsa import admission
 from atsa.admission import MAX_DOCUMENT_BYTES, exchange, origin_of, redacted, split_url
 from atsa.conformance import _FORGERIES, VECTOR_NOW, campaign_setup
 from conftest import FIXED_NOW, NOT_AFTER, ORIGIN, SERVER_URL, fetcher_for
@@ -471,16 +473,34 @@ def test_clause_order_is_documented_observably(signed_doc, scheme, trust_root):
     assert verdict.allowed
 
 
-def _cached_allow(doc, scheme, trust_root, **kwargs):
-    """Verify ``doc`` twice so the second run reads the signature memo."""
+# The document cache. Each parse outcome, and each signature result per public
+# key, is remembered by the SHA-256 of the fetched bytes; every other clause is
+# checked on every call.
+@pytest.fixture
+def parses(monkeypatch):
+    """Every body ``verify_server_clearance`` parses, from an empty document cache."""
+    parsed = []
+    parse = admission.parse_document
+
+    def counting(raw):
+        parsed.append(raw)
+        return parse(raw)
+
+    monkeypatch.setattr(admission, "parse_document", counting)
+    admission._DOCUMENTS.clear()
+    return parsed
+
+
+def _cached_allow(doc, scheme, trust_root, checks, **kwargs):
+    """Verify ``doc`` twice, checking its signature on the first run only."""
+    before = len(checks)
     for _ in range(2):
-        hits = sad._ed25519_verifies.cache_info().hits
         assert verify_server_clearance(**_request(doc, scheme, trust_root, **kwargs)).allowed
-    assert sad._ed25519_verifies.cache_info().hits == hits + 1
+    assert len(checks) == before + 1
 
 
-def test_memo_keeps_clock_and_config_clauses_live(signed_doc, scheme, trust_root, signer):
-    _cached_allow(signed_doc, scheme, trust_root)
+def test_memo_keeps_clock_and_config_clauses_live(checks, signed_doc, scheme, trust_root, signer):
+    _cached_allow(signed_doc, scheme, trust_root, checks)
 
     later = datetime(2028, 1, 1, tzinfo=timezone.utc)
     assert verify_server_clearance(
@@ -495,31 +515,61 @@ def test_memo_keeps_clock_and_config_clauses_live(signed_doc, scheme, trust_root
         **_request(signed_doc, scheme, low_root)
     ).reason == DenyReason.signer_not_approved
 
-    hits = sad._ed25519_verifies.cache_info().hits
     assert verify_server_clearance(
         **_request(signed_doc, scheme, trust_root, required="SCI")
     ).reason == DenyReason.below_required
-    assert sad._ed25519_verifies.cache_info().hits == hits + 1
+    assert checks == [signer.public_key]
 
 
-def test_memo_keeps_host_binding_live(baseline_doc, scheme, trust_root, signer):
+def test_memo_keeps_host_binding_live(checks, baseline_doc, scheme, trust_root, signer):
     bound = sign_document(replace(baseline_doc, net_allowed_hosts=("tools.example",)), signer)
-    _cached_allow(bound, scheme, trust_root)
-    hits = sad._ed25519_verifies.cache_info().hits
+    _cached_allow(bound, scheme, trust_root, checks)
     verdict = verify_server_clearance(
         **_request(bound, scheme, trust_root, url="https://elsewhere.example/mcp")
     )
     assert verdict.reason == DenyReason.host_not_bound
-    assert sad._ed25519_verifies.cache_info().hits == hits + 1
+    assert checks == [signer.public_key]
 
 
-def test_memo_does_not_retain_large_bodies(baseline_doc, signed_doc, scheme, trust_root, signer):
+def test_the_signature_memo_is_per_public_key(checks, signed_doc, scheme, trust_root, signer):
+    _cached_allow(signed_doc, scheme, trust_root, checks)
+    other = generate_keypair(signer.key_id)
+    rekeyed = TrustRoot([replace(trust_root.find(signer.key_id), public_key=other.public_key)])
+    assert verify_server_clearance(**_request(signed_doc, scheme, rekeyed)).reason == DenyReason.bad_signature
+    assert verify_server_clearance(**_request(signed_doc, scheme, rekeyed)).reason == DenyReason.bad_signature
+    assert verify_server_clearance(**_request(signed_doc, scheme, trust_root)).allowed
+    assert checks == [signer.public_key, other.public_key]
+
+
+def test_threads_sharing_the_memo_get_each_key_its_own_verdict(signed_doc, scheme, trust_root, signer):
+    documents = [sign_document(replace(signed_doc, version=f"2.3.{n}"), signer) for n in range(50)]
+    other = generate_keypair(signer.key_id)
+    roots = [trust_root, TrustRoot([replace(trust_root.find(signer.key_id), public_key=other.public_key)])]
+
+    def verdicts(offset):
+        return [
+            verify_server_clearance(**_request(documents[(offset + n) % 50], scheme, roots[n % 2])).allowed
+            for n in range(200)
+        ]
+
+    admission._DOCUMENTS.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(verdicts, offset) for offset in range(8)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[n % 2 == 0 for n in range(200)]] * 8
+
+
+def test_memo_does_not_retain_large_bodies(checks, baseline_doc, signed_doc, scheme, trust_root, signer):
     zero_signature = base64.b64encode(bytes(64)).decode("ascii")
-    sad._ed25519_verifies.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for index in range(sad.VERIFIED_CACHE_SIZE):
+        for index in range(1024):
             hostile = replace(
                 baseline_doc,
                 publisher=f"{index:04d}" + "x" * 16_000,
@@ -532,24 +582,8 @@ def test_memo_does_not_retain_large_bodies(baseline_doc, signed_doc, scheme, tru
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20
-    _cached_allow(signed_doc, scheme, trust_root)
-
-
-# The document cache. Each parse outcome is remembered by the SHA-256 of the
-# fetched bytes; every other clause is checked on every call.
-@pytest.fixture
-def parses(monkeypatch):
-    """Every body ``verify_server_clearance`` parses, from an empty document cache."""
-    parsed = []
-    parse = admission.parse_document
-
-    def counting(raw):
-        parsed.append(raw)
-        return parse(raw)
-
-    monkeypatch.setattr(admission, "parse_document", counting)
-    admission._DOCUMENTS.clear()
-    return parsed
+    assert len(checks) == 1024
+    _cached_allow(signed_doc, scheme, trust_root, checks)
 
 
 def test_a_second_fetch_of_identical_bytes_is_not_parsed_again(parses, signed_doc, scheme, trust_root):
@@ -574,11 +608,11 @@ def test_bytes_that_failed_to_parse_are_still_manifest_invalid(parses, scheme, t
     assert len(parses) == 1
 
 
-def test_a_document_over_the_memo_bound_is_parsed_on_every_fetch(parses, baseline_doc, signer, scheme, trust_root):
-    large = sign_document(replace(baseline_doc, publisher="p" * sad.MEMO_MAX_BODY_BYTES), signer)
+def test_a_document_over_the_memo_bound_is_parsed_and_verified_on_every_fetch(parses, checks, baseline_doc, signer, scheme, trust_root):
+    large = sign_document(replace(baseline_doc, publisher="p" * admission.MEMO_MAX_BODY_BYTES), signer)
     for _ in range(2):
         assert verify_server_clearance(**_request(large, scheme, trust_root)).allowed
-    assert len(parses) == 2 and not admission._DOCUMENTS
+    assert len(parses) == len(checks) == 2 and not admission._DOCUMENTS
 
 
 def test_the_document_cache_drops_the_least_recently_used(parses, scheme, trust_root):
@@ -618,6 +652,7 @@ _ROOTS = [  # unlocked, so that each may differ from the last
     TrustRoot([replace(_HIGH, not_after=_EXPIRY), _LOW]),
     TrustRoot([_LOW]),
     TrustRoot([replace(_HIGH, approved_clearance=("public", "internal"), not_after=_EXPIRY), _LOW]),
+    TrustRoot([replace(_HIGH, public_key=_SETUP.attacker_key.public_key, not_after=_EXPIRY), _LOW]),
 ]
 
 
@@ -635,8 +670,21 @@ def test_a_warm_cache_gives_the_verdict_of_a_cold_one(text, trust_root, now, req
     )
     warm = verify_server_clearance(**request)
     admission._DOCUMENTS.clear()
-    sad._ed25519_verifies.cache_clear()
     assert verify_server_clearance(**request) == warm
+
+
+# A member named twice keeps its last value (see the sad module docstring).
+@pytest.mark.parametrize(
+    ("clearance", "reason"),
+    [("public", DenyReason.bad_signature), ("top-secret", DenyReason.signer_not_approved), ("restricted-plus", None)],
+    ids=["lower", "not-in-scheme", "same"],
+)
+def test_a_duplicate_clearance_member_keeps_the_last_value(clearance, reason):
+    signed = sign_document(replace(_VALID, clearance="restricted-plus"), _SETUP.high_key)
+    text = serialize_document(signed, indent=None)[:-1] + f', "clearance": "{clearance}"}}'
+    request = _request(text.encode("utf-8"), get_builtin_scheme("default"), TrustRoot(list(_SETUP.signers)))
+    verdict = verify_server_clearance(**request)
+    assert (verdict.allowed, verdict.reason) == (reason is None, reason)
 
 
 def _padded(doc, size):

@@ -404,7 +404,7 @@ def _trailing_non_utf8_byte(lines):
     [
         (_payload_with_float, "chain violation at record 1"),
         (_nested_100k_deep, "chain violation: line 1: not valid JSON"),
-        (_trailing_non_utf8_byte, "chain violation: line 3: not valid JSON"),
+        (_trailing_non_utf8_byte, "chain violation: line 3: torn final line (no newline): 'utf-8' codec can't decode"),
     ],
     ids=["float", "deep-nesting", "non-utf8"],
 )
@@ -420,6 +420,25 @@ def test_tampered_audit_log_is_a_violation_not_a_crash(workspace, tmp_path, caps
     assert violation in capsys.readouterr().err
     assert _main_exit_code(args) == EXIT_CONFIG
     assert "cannot append to audit log" in capsys.readouterr().err
+
+
+def test_a_torn_final_line_has_its_own_message_and_a_documented_recovery(workspace, tmp_path, capsys):
+    audit_path = tmp_path / "audit.jsonl"
+    args = ["verify", workspace["sad"], "--required", "restricted-plus",
+            "--trust-root", workspace["root"], "--audit", str(audit_path)]
+    for _ in range(3):
+        assert _main_exit_code(args) == EXIT_OK
+    whole = audit_path.read_bytes()
+    audit_path.write_bytes(whole[:-20])  # a crash mid-write of the third record
+    capsys.readouterr()
+    assert _main_exit_code(["audit-verify", str(audit_path)]) == EXIT_VERDICT
+    assert "chain violation: line 2: torn final line (no newline): " in capsys.readouterr().err
+    assert _main_exit_code(args) == EXIT_CONFIG
+    assert "line 2: torn final line (no newline): " in capsys.readouterr().err
+    # Cut back to the last newline: the two complete records verify.
+    audit_path.write_bytes(whole[: whole.rindex(b"\n", 0, len(whole) - 20) + 1])
+    assert _main_exit_code(["audit-verify", str(audit_path)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "ok (2 records)"
 
 
 def test_audit_verify_treats_garbage_as_violation(runner, tmp_path):
