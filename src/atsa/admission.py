@@ -31,8 +31,9 @@ Any changed byte is a new entry. The cached document never leaves
 denies, open warns but never silently allows) and writes exactly one audit
 record per decision. An audit append failure aborts the connection.
 
-``exchange`` is the one place a peer is contacted. It speaks HTTP/1.1 itself on
-one connection per origin per thread, so an allowed dispatch's GET and POST share it.
+``exchange`` is the one place a peer is contacted. It opens the socket itself and
+speaks HTTP/1.1 on one connection per origin per thread, so an allowed dispatch's
+GET and POST share it.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from __future__ import annotations
 import atexit
 import functools
 import hashlib
-import http.client
 import os
 import re
 import select
+import socket
 import ssl
 import threading
 import urllib.parse
@@ -199,11 +200,6 @@ def host_of(url: str) -> str:
     return split_url(url)[1]
 
 
-# Every way an exchange with a peer can fail to complete. A refused or reset
-# connection or a failed TLS handshake is an OSError; a bad URL, request or reply
-# is a ValueError; a host that a connection class refuses is an HTTPException.
-_PEER_FAILURES = (OSError, ValueError, http.client.HTTPException)
-
 # A real document is a few hundred bytes; a larger body is refused unread.
 MAX_DOCUMENT_BYTES = 64 * 1024
 
@@ -213,7 +209,7 @@ PEER_TIMEOUT_S = 10.0
 # Idle connections one thread keeps, one per origin; the least recently used is closed.
 MAX_IDLE_ORIGINS = 8
 
-_MAX_LINE_BYTES, _MAX_FIELDS = 65536, 100  # the longest reply line, the most fields: as http.client
+_MAX_LINE_BYTES, _MAX_FIELDS = 65536, 100  # the longest reply line, the most fields in a head
 
 
 @functools.lru_cache
@@ -221,19 +217,22 @@ def _tls_context(cert_file: str | None, cert_dir: str | None) -> ssl.SSLContext:
     """One client context per CA store, as loading a CA bundle takes tens of ms. Keyed on
     ``SSL_CERT_FILE`` and ``SSL_CERT_DIR``, which OpenSSL reads as it builds one."""
     context = ssl.create_default_context()
-    context.set_alpn_protocols(["http/1.1"])  # as on the context http.client builds
+    context.set_alpn_protocols(["http/1.1"])  # the one protocol exchange speaks
     return context
 
 
-def _connection(scheme: str, netloc: str) -> http.client.HTTPConnection:
-    if scheme == "http":
-        return http.client.HTTPConnection(netloc, timeout=PEER_TIMEOUT_S)
-    context = _tls_context(os.environ.get("SSL_CERT_FILE"), os.environ.get("SSL_CERT_DIR"))
-    return http.client.HTTPSConnection(netloc, timeout=PEER_TIMEOUT_S, context=context)
+def _connect(scheme: str, host: str, port: int) -> socket.socket:
+    """A fresh connection to an origin: TCP with no Nagle delay and, for https, TLS with
+    ``host`` as SNI and its certificate checked. A failed handshake closes the socket."""
+    https = scheme == "https"
+    context = _tls_context(os.environ.get("SSL_CERT_FILE"), os.environ.get("SSL_CERT_DIR")) if https else None
+    sock = socket.create_connection((host, port), PEER_TIMEOUT_S)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return context.wrap_socket(sock, server_hostname=host) if context else sock
 
 
 class _Idle(dict):
-    """One thread's idle connections by origin, closed when the thread ends."""
+    """One thread's idle sockets by origin, closed when the thread ends."""
 
     def close(self) -> None:
         while self:
@@ -329,24 +328,24 @@ def exchange(
     url: str, headers: Mapping[str, str], *, limit: int, data: bytes | None = None
 ) -> tuple[int, bytes]:
     """GET ``url``, or POST ``data`` to it, with no proxy and no redirect (RFC 8461 section
-    3.3); a non-2xx or 204 reply comes back as ``(status, b"")``, unread. ``http.client``
-    only connects (TCP, TLS, SNI, certificate check); the reply is hostile input, read here
-    by RFC 9112 section 6.3. Each break of these rules is a ``FetchError``:
+    3.3); a non-2xx or 204 reply comes back as ``(status, b"")``, unread. ``_connect`` opens
+    the socket (TCP, TLS, SNI, certificate check); the reply is hostile input, read here by
+    RFC 9112 section 6.3. Each break of these rules is a ``FetchError``:
 
-    - the status line is ``HTTP/1.1`` or ``HTTP/1.0``, a space and 3 digits*; 1xx is refused*;
+    - the status line is ``HTTP/1.1`` or ``HTTP/1.0``, a space and 3 digits; 1xx is refused;
     - a line ends in (CR)LF and holds at most 65,536 bytes, a head at most 100 fields;
-      obs-fold* and a line without a name and colon* are refused;
+      obs-fold and a line without a name and colon are refused;
     - chunked wins over ``Content-Length`` and that connection is not pooled; a chunk size
-      is hex digits* and a chunk ends in CRLF*; another ``Transfer-Encoding`` is refused*,
-      as are ``Content-Length`` values that differ* or are not digits*; with neither, the
+      is hex digits and a chunk ends in CRLF; another ``Transfer-Encoding`` is refused,
+      as are ``Content-Length`` values that differ or are not digits; with neither, the
       body is read to close and the connection is not pooled;
-    - a declared body over ``limit`` is refused unread; EOF cuts short a head*, a chunked
-      body* or a ``Content-Length`` body.
+    - a declared body over ``limit`` is refused unread; EOF cuts short a head, a chunked
+      body or a ``Content-Length`` body.
 
-    ``http.client`` reads what the rules marked * refuse (it skips a 100). Per thread and
-    origin, a connection is pooled after a whole 2xx reply not marked ``Connection: close``
-    with nothing after it, and replaced if it reads ready. A POST, which may have run its
-    tool, is never resent; a GET is, once and fresh, if a reused one closed before replying."""
+    Per thread and origin, a connection is pooled after a whole 2xx reply not marked
+    ``Connection: close`` with nothing after it, and replaced if it reads ready. A POST,
+    which may have run its tool, is never resent; a GET is, once and fresh, if a reused one
+    closed before replying."""
     method = "GET" if data is None else "POST"
     try:
         parts, host = split_url(url)
@@ -355,24 +354,22 @@ def exchange(
         length = {} if data is None else {"Content-Length": str(len(data))}
         fields = {"Host": parts.netloc, "Accept-Encoding": "identity", **headers, **length}
         head = [f"{method} {target} HTTP/1.1", *(f"{name}: {value}" for name, value in fields.items())]
-        if " " in target or not (text := "".join(head)).isascii() or not text.isprintable():
-            raise ValueError("the request holds a control or non-ASCII character, or a space in its target")
+        if " " in parts.netloc + target or not (text := "".join(head)).isascii() or not text.isprintable():
+            raise ValueError("the request holds a control or non-ASCII character, or a space in its host or target")
         request = "\r\n".join([*head, "", ""]).encode("ascii") + (data or b"")
         pooled = (idle := _THREAD.idle).pop(origin, None)
         if pooled is not None:
             ready = select.poll()  # unlike select.select, takes an fd above 1023
-            ready.register(pooled.sock, select.POLLIN)
+            ready.register(pooled, select.POLLIN)
             if ready.poll(0):
                 pooled.close()  # the peer hung up while the connection sat idle
                 pooled = None
         while True:
-            connection = pooled or _connection(parts.scheme, parts.netloc)
+            sock = pooled or _connect(*origin)
             keep, stale = False, ConnectionError  # until a reply begins, nothing was read
             try:
-                if pooled is None:
-                    connection.connect()
-                connection.sock.sendall(request)
-                if not (reply := _Reply(connection.sock)).buffer:
+                sock.sendall(request)
+                if not (reply := _Reply(sock)).buffer:
                     raise ConnectionResetError("the peer closed the connection without replying")
                 stale = ()
                 status, body, keep = reply.read(limit)
@@ -383,12 +380,12 @@ def exchange(
                 pooled = None
             finally:
                 if keep:
-                    idle[origin] = connection
+                    idle[origin] = sock
                     if len(idle) > MAX_IDLE_ORIGINS:
                         idle.pop(next(iter(idle))).close()
                 else:
-                    connection.close()
-    except _PEER_FAILURES as exc:
+                    sock.close()
+    except (OSError, ValueError) as exc:  # a failed connect, handshake or read; a bad URL, request or reply
         raise FetchError(f"{method} {redacted(url)} failed: {exc}") from exc
     return status, body
 

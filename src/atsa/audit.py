@@ -10,10 +10,12 @@ nothing in this module swallows sink errors. A sink is any object with
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import threading
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO
@@ -56,6 +58,9 @@ EVENT_PAYLOAD_FIELDS: dict[str, tuple[str, ...]] = {
 
 GENESIS_PREV_HASH = bytes(32)
 
+# Seconds a JsonlAuditSink waits for another writer to release its file.
+AUDIT_LOCK_WAIT_S = 5.0
+
 
 class AuditError(ValueError):
     """Invalid event name, payload shape, or log wire format."""
@@ -88,24 +93,43 @@ class AuditSink(Protocol):
 
 class JsonlAuditSink:
     """One JSON object per line, flushed and fsynced before append returns.
-    The file is opened at the first write. A lone surrogate, which can only
-    sit inside a JSON string, is written as its ``\\uXXXX`` escape."""
+    A lone surrogate, which can only sit inside a JSON string, is written as
+    its ``\\uXXXX`` escape. One writer per file, or two would extend one
+    head: the sink takes an exclusive ``flock`` as it is built, before the
+    head is read, and holds it until ``close``. A second sink, in this process
+    or another, waits up to ``AUDIT_LOCK_WAIT_S``, then raises AuditError."""
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = os.fspath(path)
-        self._handle: TextIO | None = None
+        handle = open(self.path, "a", encoding="utf-8", errors="backslashreplace")
+        try:
+            deadline = time.monotonic() + AUDIT_LOCK_WAIT_S
+            while not _locked(handle):
+                if time.monotonic() >= deadline:
+                    raise AuditError("the log is in use by another writer")
+                time.sleep(0.01)
+        except BaseException:
+            handle.close()
+            raise
+        self._handle: TextIO = handle
 
     def write(self, record: AuditRecord) -> None:
         line = json.dumps(record_to_wire(record), ensure_ascii=False, separators=(",", ":"))
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8", errors="backslashreplace")
         self._handle.write(line + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
+        self._handle.close()
+
+
+def _locked(handle: TextIO) -> bool:
+    """Whether an exclusive ``flock`` on ``handle`` was taken without waiting."""
+    try:
+        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return False
+    return True
 
 
 def _utcnow() -> datetime:

@@ -100,14 +100,14 @@ def _load_trust_root(path: str, lock: bool) -> TrustRoot:
 def _open_audit_log(audit_path: str | None) -> AuditLog:
     """An audit file is one chain; repeated runs continue it rather than
     starting a second genesis that a later audit-verify would flag. The sink
-    opens the file at its first write, after the chain has verified, and is
-    closed when the command exits, whichever way it exits."""
+    locks the file before its head is read, so no other writer extends the
+    same head, and is closed when the command exits, whichever way it exits.
+    It writes only once the chain has verified."""
     if not audit_path:
         return AuditLog()
-    sink = click.get_current_context().with_resource(contextlib.closing(JsonlAuditSink(audit_path)))
     try:
-        existing = load_audit_jsonl(audit_path) if Path(audit_path).exists() else []
-        return AuditLog.resume(existing, sink)
+        sink = click.get_current_context().with_resource(contextlib.closing(JsonlAuditSink(audit_path)))
+        return AuditLog.resume(load_audit_jsonl(audit_path), sink)
     except AuditError as exc:
         raise ConfigError(f"cannot append to audit log {audit_path}: {exc}") from exc
 

@@ -5,6 +5,7 @@ that answers with raw bytes. Tests import them like ``reference_impl``."""
 from __future__ import annotations
 
 import itertools
+import socket
 import socketserver
 import threading
 from typing import Any, Callable, Mapping
@@ -83,9 +84,12 @@ class RawPeer:
     ``keep_alive`` it reads the next request on the same connection instead,
     until it sends an empty reply. The raw bytes of every request received,
     head and body, are kept in ``requests``, and ``hung_up`` is released each
-    time the peer has closed a connection."""
+    time the peer has closed a connection. It listens on ``host``, which may be
+    an IPv6 literal such as ``::1``; binding it raises OSError where it cannot."""
 
-    def __init__(self, reply: bytes | Callable[[bytes], bytes] = b"", *, keep_alive: bool = False) -> None:
+    def __init__(
+        self, reply: bytes | Callable[[bytes], bytes] = b"", *, keep_alive: bool = False, host: str = "127.0.0.1"
+    ) -> None:
         self.reply = reply
         self.requests: list[bytes] = []
         self.hung_up = threading.Semaphore(0)
@@ -119,6 +123,7 @@ class RawPeer:
 
         class Server(socketserver.ThreadingTCPServer):
             daemon_threads = True
+            address_family = socket.AF_INET6 if ":" in host else socket.AF_INET
 
             def handle_error(self, request, client_address) -> None:
                 pass  # the client hung up first; nothing to report
@@ -127,8 +132,9 @@ class RawPeer:
                 super().shutdown_request(request)
                 peer.hung_up.release()
 
-        self._server = Server(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self._server.server_address[1]}"
+        self._server = Server((host, 0), Handler)
+        authority = f"[{host}]" if ":" in host else host
+        self.url = f"http://{authority}:{self._server.server_address[1]}"
         self._thread = threading.Thread(
             target=lambda: self._server.serve_forever(poll_interval=0.05), daemon=True
         )

@@ -1,14 +1,20 @@
-"""Hash-chained audit log: linkage, vocabulary, durability, tamper evidence."""
+"""Hash-chained audit log: linkage, vocabulary, durability, tamper evidence,
+and one writer per JSONL file."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import errno
 import json
 import os
 import random
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +36,7 @@ from doubles import RecordingSink
 from reference_impl import reference_chain_first_bad
 
 FIXED_NOW = datetime(2026, 1, 1, tzinfo=timezone.utc)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _ticking_log(sink=None):
@@ -188,6 +195,90 @@ def test_jsonl_sink_appends_to_existing_file(tmp_path):
     log1.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     assert len(path.read_text().splitlines()) == 2
     sink.close()
+
+
+# One writer per file. A child process resumes the log named by argv[1] as the
+# CLI does, once a line or EOF reaches its stdin, and appends one record;
+# with HOLD set it then keeps the sink open until it is killed.
+RESUME_AND_APPEND = """
+import os, sys, time
+from atsa.audit import EVENT_CONNECT_DENY, AuditLog, JsonlAuditSink, load_audit_jsonl
+path = sys.argv[1]
+print("ready", flush=True)
+sys.stdin.readline()
+sink = JsonlAuditSink(path)
+AuditLog.resume(load_audit_jsonl(path), sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+if os.environ.get("HOLD"):
+    print("appended", flush=True)
+    time.sleep(60)
+sink.close()
+"""
+
+
+def _writer(path, **env) -> subprocess.Popen:
+    environment = {**os.environ, **env}
+    environment["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", RESUME_AND_APPEND, str(path)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=environment,
+    )
+
+
+def _genesis_file(path) -> None:
+    sink = JsonlAuditSink(path)
+    AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    sink.close()
+
+
+def test_eight_processes_resuming_one_file_extend_one_chain(tmp_path):
+    # Without the lock, each read seq 0 as the head and the file held seqs
+    # [0, 1, 1, 1, 1, 1, 1, 1, 1].
+    path = tmp_path / "audit.jsonl"
+    _genesis_file(path)
+    with contextlib.ExitStack() as stack:
+        writers = [stack.enter_context(_writer(path)) for _ in range(8)]
+        for writer in writers:
+            stack.callback(writer.kill)  # runs before each exit waits for its child
+        assert [writer.stdout.readline() for writer in writers] == ["ready\n"] * 8
+        for writer in writers:  # the barrier: EOF releases all eight at once
+            writer.stdin.close()
+        assert [writer.wait(timeout=60) for writer in writers] == [0] * 8, [w.stderr.read() for w in writers]
+    records = load_audit_jsonl(path)
+    assert [record.seq for record in records] == list(range(9))
+    assert verify_chain(records) is None
+
+
+def test_a_second_sink_on_one_file_is_refused_until_the_first_closes(tmp_path, monkeypatch):
+    # flock locks belong to the open file, so one process is two writers too.
+    monkeypatch.setattr("atsa.audit.AUDIT_LOCK_WAIT_S", 0.05)
+    path = tmp_path / "audit.jsonl"
+    first = JsonlAuditSink(path)
+    with pytest.raises(AuditError, match="in use by another writer"):
+        JsonlAuditSink(path)
+    first.close()
+    JsonlAuditSink(path).close()
+
+
+def test_a_killed_writers_file_can_be_resumed_at_once(tmp_path, monkeypatch):
+    monkeypatch.setattr("atsa.audit.AUDIT_LOCK_WAIT_S", 0.0)
+    path = tmp_path / "audit.jsonl"
+    _genesis_file(path)
+    with _writer(path, HOLD="1") as holder:
+        try:
+            assert holder.stdout.readline() == "ready\n"
+            holder.stdin.close()
+            assert holder.stdout.readline() == "appended\n"
+            with pytest.raises(AuditError, match="in use"):
+                JsonlAuditSink(path)
+        finally:
+            holder.kill()
+    assert holder.returncode == -signal.SIGKILL
+    sink = JsonlAuditSink(path)  # with no wait: the kernel dropped the lock with its holder
+    AuditLog.resume(load_audit_jsonl(path), sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    sink.close()
+    records = load_audit_jsonl(path)
+    assert [record.seq for record in records] == [0, 1, 2]
+    assert verify_chain(records) is None
 
 
 def test_load_audit_jsonl_rejects_garbage(tmp_path):

@@ -17,6 +17,7 @@ from click.testing import CliRunner
 
 from atsa import (
     AttestationDocument,
+    JsonlAuditSink,
     generate_keypair,
     load_audit_jsonl,
     serialize_document,
@@ -439,6 +440,21 @@ def test_a_torn_final_line_has_its_own_message_and_a_documented_recovery(workspa
     audit_path.write_bytes(whole[: whole.rindex(b"\n", 0, len(whole) - 20) + 1])
     assert _main_exit_code(["audit-verify", str(audit_path)]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "ok (2 records)"
+
+
+def test_verify_on_an_audit_log_in_use_is_config_error(workspace, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("atsa.audit.AUDIT_LOCK_WAIT_S", 0.0)
+    audit_path = tmp_path / "audit.jsonl"
+    holder = JsonlAuditSink(audit_path)
+    try:
+        args = ["verify", workspace["sad"], "--required", "restricted-plus",
+                "--trust-root", workspace["root"], "--audit", str(audit_path)]
+        assert _main_exit_code(args) == EXIT_CONFIG
+    finally:
+        holder.close()
+    err = capsys.readouterr().err
+    assert f"cannot append to audit log {audit_path}: the log is in use by another writer" in err
+    assert audit_path.read_text() == ""
 
 
 def test_audit_verify_treats_garbage_as_violation(runner, tmp_path):

@@ -1,4 +1,4 @@
-"""The CLI's audit sink: opened only for a chain that verifies, closed on
+"""The CLI's audit sink: written only for a chain that verifies, closed on
 every exit path."""
 
 from __future__ import annotations

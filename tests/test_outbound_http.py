@@ -11,18 +11,22 @@ property holds the seam contracts for generated replies: ``HttpFetcher``
 returns ``(status, body)`` or raises ``FetchError``, and
 ``HttpTransport.request`` returns or raises ``TransportError``.
 
-Connection reuse is pinned too: one connection per origin per thread, a
-fresh one after the peer hangs up, never a resent POST, and no pooled
-socket left open once its thread ends.
+Connection reuse is pinned too: one connection per origin per thread, an
+IPv6 literal origin included, a fresh one after the peer hangs up, never a
+resent POST, and no pooled socket left open once its thread ends. The tests
+count connections at ``admission._connect``, which opens every one; a URL
+whose host holds a space never reaches it, so no name is looked up.
 
-``exchange`` reads replies itself. A differential property holds it to
-``http.client`` on generated replies: both give the same ``(status, body)``
-or both fail, save where ``exchange`` is stricter by a rule its docstring
-marks. The https path runs on loopback too, against a CA made here: fresh
-connections share one TLS context, and a leaf for another host or an expired
-one is refused before any POST. Pooling holds over TLS as over plain http: a
-connection the peer closed while idle is replaced, a bearer token goes only to
-its own origin, and a reply over the cap closes its connection.
+``exchange`` opens its socket and reads replies itself. A differential
+property holds it to ``http.client``, kept here as the reference parser, on
+generated replies over plain TCP and over TLS: both give the same
+``(status, body)`` or both fail, save where ``exchange`` refuses what
+``http.client`` reads. The https path runs on loopback too, against a CA made
+here: fresh connections share one TLS context, and a leaf for another host or
+an expired one is refused before any POST. Pooling holds over TLS as over
+plain http: a connection the peer closed while idle is replaced, a bearer
+token goes only to its own origin, and a reply over the cap closes its
+connection.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import ipaddress
 import json
 import os
 import resource
+import socket
 import ssl
 import subprocess
 import sys
@@ -75,6 +80,7 @@ from atsa import (
     serialize_document,
     serve,
 )
+from atsa import admission
 from atsa.admission import exchange
 from atsa.gateway import MAX_REPLY_BYTES
 from conftest import FIXED_NOW, fetcher_for
@@ -266,22 +272,34 @@ def test_seams_return_or_raise_their_own_error(peer, reply):
 
 
 # Connection reuse. Each thread keeps one connection per origin; these tests
-# count TCP connects by wrapping ``HTTPConnection.connect``.
+# count TCP connects by wrapping ``admission._connect``.
 def _ok(body: bytes) -> bytes:
     return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+class _Opened:
+    """A socket ``_connect`` returned, seen as ``sock``: None once it is closed."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+
+    @property
+    def sock(self) -> socket.socket | None:
+        return None if self._sock.fileno() == -1 else self._sock
 
 
 @pytest.fixture
 def connections(monkeypatch):
     """Every connection ``exchange`` opens, in order."""
     opened = []
-    connect = http.client.HTTPConnection.connect
+    connect = admission._connect
 
-    def counting(self):
-        opened.append(self)
-        connect(self)
+    def counting(*origin):
+        sock = connect(*origin)
+        opened.append(_Opened(sock))
+        return sock
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    monkeypatch.setattr(admission, "_connect", counting)
     return opened
 
 
@@ -375,6 +393,31 @@ def test_a_reply_not_read_whole_closes_its_connection(connections, reply, keep_a
     assert len(connections) == 2
 
 
+def test_an_ipv6_literal_origin_is_one_pooled_connection(connections):
+    try:
+        peer = RawPeer(_ok(b"{}"), keep_alive=True, host="::1")
+    except OSError:
+        pytest.skip("::1 cannot be bound here")
+    with peer:
+        fetch = HttpFetcher()
+        for _ in range(2):
+            assert fetch(peer.url + WELL_KNOWN_PATHS[0]) == (200, b"{}")
+        [connection] = connections
+        assert connection.sock.family == socket.AF_INET6
+    authority = peer.url.removeprefix("http://")
+    assert authority.startswith("[::1]:") and len(peer.requests) == 2
+    assert all(b"\r\nHost: %s\r\n" % authority.encode() in request for request in peer.requests)
+
+
+def test_a_space_in_the_host_is_refused_before_any_lookup(monkeypatch):
+    lookups, connects = [], []
+    monkeypatch.setattr(socket, "getaddrinfo", lambda *args, **kwargs: lookups.append(args) or [])
+    monkeypatch.setattr(admission, "_connect", lambda *origin: connects.append(origin))
+    with pytest.raises(FetchError, match="GET http://exa mple.com/ failed"):
+        exchange("http://exa mple.com/", {}, limit=MAX_DOCUMENT_BYTES)
+    assert lookups == connects == []
+
+
 def test_origins_that_differ_only_by_port_never_share_a_connection(connections):
     with RawPeer(_ok(JSON_RPC_OK), keep_alive=True) as first, RawPeer(first.reply, keep_alive=True) as second:
         secret = HttpTransport(first.url + "/mcp", bearer_provider=lambda: "sesame")
@@ -440,7 +483,7 @@ def test_a_pooled_connection_above_descriptor_1023_is_reused(connections, signed
         stub.shutdown()
 
 
-# The reader against ``http.client``, the parser ``exchange`` used before.
+# The reader against ``http.client``, the reference parser.
 class _Replayed:
     """Socket stand-in from which ``http.client.HTTPResponse`` reads one raw reply."""
 
@@ -467,23 +510,44 @@ def _http_client_reads(reply: bytes, limit: int) -> tuple[int, bytes] | None:
 
 
 def _refused_only_by_exchange(reply: bytes) -> bool:
-    """The generated replies that ``exchange`` refuses by a rule its docstring
-    marks as stricter than ``http.client``: a 1xx status, and a chunked body
-    cut short inside its last lines, where ``http.client`` takes EOF as the end."""
+    """The generated replies that ``exchange`` refuses and ``http.client`` reads:
+    a 1xx status, which ``http.client`` skips, and a chunked body cut short inside
+    its last lines, where ``http.client`` takes EOF as the end."""
     chunked = b"Transfer-Encoding: chunked" in reply
     return reply.startswith(b"HTTP/1.1 1") or (chunked and not reply.endswith(b"\r\n\r\n"))
+
+
+def _agrees_with_http_client(peer, url: str, reply: bytes) -> None:
+    """``peer`` serves ``reply``, its ``{origin}`` made ``url``; a GET on ``url`` reads it as ``http.client`` does."""
+    peer.reply = reply = reply.replace(b"{origin}", url.encode("ascii"))
+    expected = _http_client_reads(reply, MAX_DOCUMENT_BYTES)
+    try:
+        got = HttpFetcher()(url + WELL_KNOWN_PATHS[0])
+    except FetchError:
+        got = None
+    assert got == expected or (got is None and _refused_only_by_exchange(reply))
 
 
 @settings(max_examples=200, deadline=None)
 @given(reply=_replies())
 def test_the_reader_agrees_with_http_client(peer, reply):
-    peer.reply = reply = reply.replace(b"{origin}", peer.url.encode("ascii"))
-    expected = _http_client_reads(reply, MAX_DOCUMENT_BYTES)
-    try:
-        got = HttpFetcher()(peer.url + WELL_KNOWN_PATHS[0])
-    except FetchError:
-        got = None
-    assert got == expected or (got is None and _refused_only_by_exchange(reply))
+    _agrees_with_http_client(peer, peer.url, reply)
+
+
+@pytest.fixture(scope="module")
+def tls_peer(pki):
+    """A TLS ``RawPeer`` for the whole module, and its https URL."""
+    with _tls_peer(pki, b"", keep_alive=False) as served:
+        yield served
+
+
+@settings(max_examples=200, deadline=None)
+@given(reply=_replies())
+def test_the_reader_agrees_with_http_client_over_tls(tls_peer, pki, reply):
+    peer, url = tls_peer
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("SSL_CERT_FILE", pki.ca)
+        _agrees_with_http_client(peer, url, reply)
 
 
 def _reply(*fields: bytes, body: bytes = b"{}") -> bytes:
