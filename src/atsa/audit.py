@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO
@@ -58,9 +57,6 @@ EVENT_PAYLOAD_FIELDS: dict[str, tuple[str, ...]] = {
 
 GENESIS_PREV_HASH = bytes(32)
 
-# Seconds a JsonlAuditSink waits for another writer to release its file.
-AUDIT_LOCK_WAIT_S = 5.0
-
 
 class AuditError(ValueError):
     """Invalid event name, payload shape, or log wire format."""
@@ -96,22 +92,25 @@ class JsonlAuditSink:
     A lone surrogate, which can only sit inside a JSON string, is written as
     its ``\\uXXXX`` escape. One writer per file, or two would extend one
     head: the sink takes an exclusive ``flock`` as it is built, before the
-    head is read, and holds it until ``close``. A second sink, in this process
-    or another, waits up to ``AUDIT_LOCK_WAIT_S``, then raises AuditError."""
+    head is read, and holds it until ``close``. A sink in another process
+    waits for it; a second sink in this process, which would wait forever,
+    raises AuditError."""
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = os.fspath(path)
-        handle = open(self.path, "a", encoding="utf-8", errors="backslashreplace")
+        self._handle: TextIO = open(self.path, "a", encoding="utf-8", errors="backslashreplace")
+        status = os.fstat(self._handle.fileno())
+        self._file = (status.st_dev, status.st_ino)
+        with _HELD_MUTEX:
+            if self._file in _HELD:
+                self._handle.close()
+                raise AuditError("the log is in use by another sink in this process")
+            _HELD.add(self._file)
         try:
-            deadline = time.monotonic() + AUDIT_LOCK_WAIT_S
-            while not _locked(handle):
-                if time.monotonic() >= deadline:
-                    raise AuditError("the log is in use by another writer")
-                time.sleep(0.01)
+            fcntl.flock(self._handle, fcntl.LOCK_EX)
         except BaseException:
-            handle.close()
+            self.close()
             raise
-        self._handle: TextIO = handle
 
     def write(self, record: AuditRecord) -> None:
         line = json.dumps(record_to_wire(record), ensure_ascii=False, separators=(",", ":"))
@@ -120,16 +119,15 @@ class JsonlAuditSink:
         os.fsync(self._handle.fileno())
 
     def close(self) -> None:
-        self._handle.close()
+        if not self._handle.closed:
+            self._handle.close()
+            with _HELD_MUTEX:
+                _HELD.discard(self._file)
 
 
-def _locked(handle: TextIO) -> bool:
-    """Whether an exclusive ``flock`` on ``handle`` was taken without waiting."""
-    try:
-        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except BlockingIOError:
-        return False
-    return True
+# The (device, inode) of each file a JsonlAuditSink in this process holds.
+_HELD: set[tuple[int, int]] = set()
+_HELD_MUTEX = threading.Lock()
 
 
 def _utcnow() -> datetime:

@@ -101,8 +101,9 @@ def _open_audit_log(audit_path: str | None) -> AuditLog:
     """An audit file is one chain; repeated runs continue it rather than
     starting a second genesis that a later audit-verify would flag. The sink
     locks the file before its head is read, so no other writer extends the
-    same head, and is closed when the command exits, whichever way it exits.
-    It writes only once the chain has verified."""
+    same head; another run on the same file waits until this one exits. The
+    sink is closed when the command exits, whichever way it exits, and
+    writes only once the chain has verified."""
     if not audit_path:
         return AuditLog()
     try:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import errno
+import fcntl
 import json
 import os
 import random
@@ -248,19 +249,28 @@ def test_eight_processes_resuming_one_file_extend_one_chain(tmp_path):
     assert verify_chain(records) is None
 
 
-def test_a_second_sink_on_one_file_is_refused_until_the_first_closes(tmp_path, monkeypatch):
-    # flock locks belong to the open file, so one process is two writers too.
-    monkeypatch.setattr("atsa.audit.AUDIT_LOCK_WAIT_S", 0.05)
+def test_a_second_sink_in_one_process_is_refused_until_the_first_closes(tmp_path):
+    # flock locks belong to the open file, so a second sink in this process
+    # would wait on the first forever.
     path = tmp_path / "audit.jsonl"
     first = JsonlAuditSink(path)
-    with pytest.raises(AuditError, match="in use by another writer"):
+    with pytest.raises(AuditError, match="in use by another sink in this process"):
         JsonlAuditSink(path)
     first.close()
+    first.close()  # a second close leaves the file free
     JsonlAuditSink(path).close()
 
 
-def test_a_killed_writers_file_can_be_resumed_at_once(tmp_path, monkeypatch):
-    monkeypatch.setattr("atsa.audit.AUDIT_LOCK_WAIT_S", 0.0)
+def _locked_by_another(path) -> bool:
+    with open(path, "a") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return True
+        return False
+
+
+def test_a_killed_writers_file_can_be_resumed_at_once(tmp_path):
     path = tmp_path / "audit.jsonl"
     _genesis_file(path)
     with _writer(path, HOLD="1") as holder:
@@ -268,12 +278,12 @@ def test_a_killed_writers_file_can_be_resumed_at_once(tmp_path, monkeypatch):
             assert holder.stdout.readline() == "ready\n"
             holder.stdin.close()
             assert holder.stdout.readline() == "appended\n"
-            with pytest.raises(AuditError, match="in use"):
-                JsonlAuditSink(path)
+            assert _locked_by_another(path)
         finally:
             holder.kill()
     assert holder.returncode == -signal.SIGKILL
-    sink = JsonlAuditSink(path)  # with no wait: the kernel dropped the lock with its holder
+    assert not _locked_by_another(path)  # the kernel dropped the lock with its holder
+    sink = JsonlAuditSink(path)
     AuditLog.resume(load_audit_jsonl(path), sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     sink.close()
     records = load_audit_jsonl(path)

@@ -9,8 +9,10 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -28,6 +30,9 @@ from atsa import (
 from atsa.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_VERDICT, cli, main
 from atsa.trustroot import SignerRecord
 from conftest import NOT_AFTER
+from doubles import RawPeer
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -442,8 +447,7 @@ def test_a_torn_final_line_has_its_own_message_and_a_documented_recovery(workspa
     assert capsys.readouterr().out.strip() == "ok (2 records)"
 
 
-def test_verify_on_an_audit_log_in_use_is_config_error(workspace, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("atsa.audit.AUDIT_LOCK_WAIT_S", 0.0)
+def test_verify_on_an_audit_log_this_process_holds_is_config_error(workspace, tmp_path, capsys):
     audit_path = tmp_path / "audit.jsonl"
     holder = JsonlAuditSink(audit_path)
     try:
@@ -453,8 +457,49 @@ def test_verify_on_an_audit_log_in_use_is_config_error(workspace, tmp_path, caps
     finally:
         holder.close()
     err = capsys.readouterr().err
-    assert f"cannot append to audit log {audit_path}: the log is in use by another writer" in err
+    assert f"cannot append to audit log {audit_path}: the log is in use by another sink in this process" in err
     assert audit_path.read_text() == ""
+
+
+def test_two_verify_runs_on_one_audit_log_append_in_turn(workspace, tmp_path):
+    # The first run holds the log while its peer is slow to reply; the second
+    # waits for it rather than failing, then extends the chain it left.
+    document = Path(workspace["sad"]).read_bytes()
+    release = threading.Event()
+
+    def slow_reply(request: bytes) -> bytes:
+        release.wait(30)
+        return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(document), document)
+
+    audit_path = tmp_path / "audit.jsonl"
+    environment = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+    def verify(target):
+        args = [sys.executable, "-m", "atsa.cli", "verify", target, "--required", "internal",
+                "--trust-root", workspace["root"], "--audit", str(audit_path)]
+        return subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=environment)
+
+    with RawPeer(slow_reply) as peer, verify(peer.url + "/mcp") as first:
+        try:
+            deadline = time.monotonic() + 30
+            while not peer.requests and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert peer.requests, first.stderr.read()  # the first run holds the log from before its GET
+            with verify(workspace["sad"]) as second:
+                try:
+                    with pytest.raises(subprocess.TimeoutExpired):
+                        second.wait(timeout=1)
+                    release.set()
+                    assert first.wait(timeout=30) == EXIT_OK, first.stderr.read()
+                    assert second.wait(timeout=30) == EXIT_OK, second.stderr.read()
+                finally:
+                    second.kill()
+        finally:
+            release.set()
+            first.kill()
+    records = load_audit_jsonl(audit_path)
+    assert [record.seq for record in records] == [0, 1]
+    assert verify_chain(records) is None
 
 
 def test_audit_verify_treats_garbage_as_violation(runner, tmp_path):
