@@ -26,13 +26,13 @@ from atsa import (
     RegistryEntry,
     ServerRegistry,
     SignerRecord,
+    StubServer,
     StubServerConfig,
     ToolCall,
     TrustRoot,
     generate_keypair,
     get_builtin_scheme,
     levels_up_to,
-    serve,
     sign_document,
     verify_chain,
 )
@@ -70,12 +70,12 @@ def main() -> int:
     )
     trust_root.lock_trust_root()
 
-    stub = serve(
+    stub = StubServer(
         StubServerConfig.for_document(
             document,
             tool_behaviors={"list_labels": {"labels": ["inbox", "starred"]}},
         )
-    )
+    ).start()
     endpoint = stub.url + "/mcp"
     print(f"stub server listening at {endpoint}")
 

@@ -15,7 +15,6 @@ import sys
 import time
 
 from atsa import generate_corpus, run_campaign
-from atsa.conformance import KIND_TOOL
 
 
 def main() -> int:
@@ -45,12 +44,10 @@ def main() -> int:
         cases = generate_corpus(seed, allowlist, args.per_category)
         report = run_campaign(cases, seed=seed, allowlist=allowlist)
         elapsed = time.monotonic() - started
-        tool_cases = sum(1 for case in cases if case.kind == KIND_TOOL)
-        admitted = sum(outcome.admitted for outcome in report.categories)
         verdict = "PASS" if report.passed else "FAIL"
         all_passed = all_passed and report.passed
-        print(f"{seed:>6} {len(cases):>7} {tool_cases:>7} {len(cases) - tool_cases:>7} "
-              f"{admitted:>8} {report.network_writes:>7} {len(report.mismatches):>8} "
+        print(f"{seed:>6} {len(cases):>7} {report.tool_cases:>7} {report.assertion_cases:>7} "
+              f"{report.admitted:>8} {report.network_writes:>7} {len(report.mismatches):>8} "
               f"{elapsed:>6.2f}  {verdict}")
         if args.verbose or not report.passed:
             print(report.render_text())

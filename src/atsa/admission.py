@@ -78,7 +78,6 @@ __all__ = [
     "HttpFetcher",
     "Verdict",
     "fetch_attestation",
-    "host_of",
     "serving",
     "verify_server_clearance",
 ]
@@ -193,11 +192,6 @@ def origin_of(parts: urllib.parse.SplitResult, host: str) -> tuple[str, str, int
     """``(scheme, host, port)`` of a URL ``split_url`` read, 80 or 443 filled in; a bad port is a ValueError."""
     port = parts.port
     return parts.scheme, host, _DEFAULT_PORTS[parts.scheme] if port is None else port
-
-
-def host_of(url: str) -> str:
-    """Lowercased host component of ``url``: no scheme, port, or path."""
-    return split_url(url)[1]
 
 
 # A real document is a few hundred bytes; a larger body is refused unread.
@@ -512,7 +506,7 @@ def verify_server_clearance(
 
     hosts = document.net_allowed_hosts or ()
     if hosts:
-        origin = host_of(server_url)
+        origin = split_url(server_url)[1]
         if origin not in {candidate.casefold() for candidate in hosts}:
             return Verdict.deny(
                 DenyReason.host_not_bound,

@@ -19,7 +19,6 @@ import contextlib
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import click
@@ -54,7 +53,7 @@ from .sad import (
     sign_document,
 )
 from .trustroot import TrustRoot, TrustRootError, load_trust_root_file
-from .wellknown import StubServerConfig, serve as serve_stub
+from .wellknown import StubServer, StubServerConfig
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -116,6 +115,8 @@ def _open_audit_log(audit_path: str | None) -> AuditLog:
 def _load_keypair(path: str) -> KeyPair:
     try:
         data = read_json(Path(path).read_bytes(), ConfigError, f"invalid key file {path}")
+        if not isinstance(data["keyId"], str) or not data["keyId"]:
+            raise ConfigError(f"invalid key file {path}: 'keyId' must be a non-empty string")
         return KeyPair(
             key_id=data["keyId"],
             public_key=base64.b64decode(data["publicKey"], validate=True),
@@ -399,28 +400,26 @@ def serve(config_path: str) -> None:
     tools = spec.get("tools") or {}
     if not isinstance(tools, dict):
         raise ConfigError("server config 'tools' must be an object")
-    try:
-        port = int(spec.get("port", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"server config 'port' must be an integer: {exc}") from exc
-    host = spec.get("host", "127.0.0.1")
-    mcp_path = spec.get("mcpPath", "/mcp")
+    # A key left out takes the StubServerConfig field's own default.
+    port = spec.get("port", StubServerConfig.port)
+    if isinstance(port, bool) or not isinstance(port, int):
+        raise ConfigError("server config 'port' must be an integer")
+    host = spec.get("host", StubServerConfig.host)
+    mcp_path = spec.get("mcpPath", StubServerConfig.mcp_path)
     for name, value in (("host", host), ("mcpPath", mcp_path)):
         if not isinstance(value, str):
             raise ConfigError(f"server config {name!r} must be a string")
     config = StubServerConfig(sad_bytes=sad_bytes, tool_behaviors=tools, host=host, port=port, mcp_path=mcp_path)
     try:
-        server = serve_stub(config)
+        server = StubServer(config)
     except (OSError, OverflowError) as exc:  # OverflowError: port outside 0-65535
         raise ConfigError(f"cannot bind {config.host}:{config.port}: {exc}") from exc
-    click.echo(f"serving at {server.url}")
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
+    with server:  # server_close on the way out, as ``python -m http.server`` does
+        try:
+            click.echo(f"serving at {server.url}")
+            server.serve_forever(poll_interval=0.05)
+        except KeyboardInterrupt:
+            pass
 
 
 def main(argv: list[str] | None = None) -> None:

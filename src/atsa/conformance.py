@@ -672,10 +672,6 @@ class CampaignReport:
         return sum(c.total for c in self.categories if c.kind == KIND_ASSERTION)
 
     @property
-    def denied(self) -> int:
-        return sum(c.denied for c in self.categories)
-
-    @property
     def admitted(self) -> int:
         return sum(c.admitted for c in self.categories)
 

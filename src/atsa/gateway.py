@@ -112,10 +112,6 @@ class ServerRegistry:
         self._frozen = False
         self._mutex = threading.Lock()
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     def register(self, entry: RegistryEntry) -> None:
         with self._mutex:
             if self._frozen:

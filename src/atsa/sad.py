@@ -114,7 +114,6 @@ class AttestationDocument:
     net_allowed_hosts: tuple[str, ...] | None = None
     verification: str | None = None
     signature: str | None = None
-    v: int = DOCUMENT_VERSION
     extra: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -221,7 +220,7 @@ def _registered_fields(doc: AttestationDocument) -> dict[str, Any]:
     """The registered wire fields of ``doc`` in ``WIRE_FIELDS`` order, absent
     optionals omitted."""
     fields: dict[str, Any] = {
-        "v": doc.v,
+        "v": DOCUMENT_VERSION,
         "id": doc.id,
         "publisher": doc.publisher,
         "version": doc.version,
@@ -334,7 +333,6 @@ def parse_document(raw: bytes | str) -> AttestationDocument:
         net_allowed_hosts=net_allowed_hosts,
         verification=_optional_string(data, "verification"),
         signature=_optional_string(data, "signature", allow_empty=True),
-        v=version,
         extra={k: v for k, v in data.items() if k not in WIRE_FIELDS},
     )
 

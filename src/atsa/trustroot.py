@@ -112,10 +112,6 @@ class TrustRoot:
         if signers:
             self.set_trust_root(signers)
 
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
     def set_trust_root(self, signers: Iterable[SignerRecord]) -> None:
         """Replace the signer set atomically. Raises TrustRootLockedError once
         the root is locked, leaving the existing set in force."""
@@ -141,9 +137,6 @@ class TrustRoot:
 
     def key_ids(self) -> tuple[str, ...]:
         return tuple(self._signers)
-
-    def __len__(self) -> int:
-        return len(self._signers)
 
 
 def load_trust_root_file(raw: bytes | str) -> list[SignerRecord]:

@@ -1,9 +1,11 @@
 """Loopback HTTP stub: serves an attestation document at both well-known
 paths and answers JSON-RPC tools/call requests from a behavior map.
 
-Used by the end-to-end tests and the demo script. The served document bytes
-are exactly the configured bytes, the same at both discovery paths, and
-per-route request counters remain readable after shutdown.
+The end-to-end tests and the demo script run ``StubServer(config).start()``,
+which serves on a daemon thread; ``atsa serve`` runs ``serve_forever`` in the
+foreground and closes on SIGINT. The served document bytes are exactly the
+configured bytes, the same at both discovery paths, and per-route request
+counters remain readable after ``server_close``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from ._json import read_json
 from .admission import WELL_KNOWN_PATHS
 from .sad import AttestationDocument, serialize_document
 
-__all__ = ["StubServer", "StubServerConfig", "serve"]
+__all__ = ["StubServer", "StubServerConfig"]
 
 # A tools/call request is a few hundred bytes; a larger declared body is refused unread.
 MAX_REQUEST_BYTES = 1024 * 1024
@@ -64,12 +66,6 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002 - stdlib signature
         pass
 
-    def _count(self) -> None:
-        server: _Server = self.server  # type: ignore[assignment]
-        with server.counter_lock:
-            key = f"{self.command} {self.path}"
-            server.counters[key] = server.counters.get(key, 0) + 1
-
     def _send(self, status: int, body: bytes, content_type: str = "application/json") -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
@@ -80,8 +76,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def do_GET(self) -> None:
-        self._count()
-        server: _Server = self.server  # type: ignore[assignment]
+        server: StubServer = self.server  # type: ignore[assignment]
+        server._count(f"GET {self.path}")
         config = server.config
         if self.path in WELL_KNOWN_PATHS:
             if config.sad_bytes is None:
@@ -92,8 +88,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(404, b'{"error": "not found"}')
 
     def do_POST(self) -> None:
-        self._count()
-        server: _Server = self.server  # type: ignore[assignment]
+        server: StubServer = self.server  # type: ignore[assignment]
+        server._count(f"POST {self.path}")
         config = server.config
         if self.path != config.mcp_path:
             self._send(404, b'{"error": "not found"}')
@@ -142,73 +138,69 @@ def _rpc_error(request_id: Any, code: int, message: str) -> dict[str, Any]:
     return {"jsonrpc": "2.0", "id": request_id, "error": {"code": code, "message": message}}
 
 
-class _Server(ThreadingHTTPServer):
+class StubServer(ThreadingHTTPServer):
+    """The stub, bound when built: a taken port raises OSError."""
+
     daemon_threads = True
 
     def __init__(self, config: StubServerConfig) -> None:
+        # Set before binding: a failed bind calls server_close.
         self.config = config
-        self.counters: dict[str, int] = {}
-        self.counter_lock = threading.Lock()
-        self.live: set[Any] = set()  # accepted connections not yet shut down, under counter_lock
+        self._counts: dict[str, int] = {}
+        self._lock = threading.Lock()
+        self._live: set[Any] = set()  # accepted connections not yet shut down, under _lock
+        self._thread: threading.Thread | None = None
         super().__init__((config.host, config.port), _Handler)
 
+    @property
+    def url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """Requests served, keyed ``"METHOD path"``."""
+        with self._lock:
+            return dict(self._counts)
+
+    def tools_call_count(self) -> int:
+        return self.counters.get(f"POST {self.config.mcp_path}", 0)
+
+    def _count(self, key: str) -> None:
+        with self._lock:
+            self._counts[key] = self._counts.get(key, 0) + 1
+
+    def start(self) -> "StubServer":
+        """Serve on a daemon thread until ``shutdown``."""
+        self._thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+        self._thread.start()
+        return self
+
+    def shutdown(self) -> None:
+        """Stop the thread ``start`` began, if any, then ``server_close``. Idempotent."""
+        thread, self._thread = self._thread, None
+        if thread is not None:  # BaseServer.shutdown waits for a serve_forever that never ran
+            super().shutdown()
+            thread.join()
+        self.server_close()
+
     def process_request(self, request: Any, client_address: Any) -> None:
-        with self.counter_lock:
-            self.live.add(request)
+        with self._lock:
+            self._live.add(request)
         super().process_request(request, client_address)
 
     def shutdown_request(self, request: Any) -> None:
-        with self.counter_lock:
-            self.live.discard(request)
+        with self._lock:
+            self._live.discard(request)
         super().shutdown_request(request)
 
     def server_close(self) -> None:
         """Stop listening and end every live connection, idle or not."""
         super().server_close()
-        with self.counter_lock:
-            live = list(self.live)
+        with self._lock:
+            live = list(self._live)
         for request in live:
             try:
                 request.shutdown(_SHUT_RDWR)
             except OSError:
                 pass  # the client hung up first
-
-
-class StubServer:
-    """Running stub plus its counters. ``shutdown`` is idempotent, ends every
-    connection a client keeps open, and leaves the counters readable."""
-
-    def __init__(self, config: StubServerConfig) -> None:
-        self._server = _Server(config)
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05), daemon=True
-        )
-        self._thread.start()
-        self._down = False
-
-    @property
-    def url(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    @property
-    def counters(self) -> dict[str, int]:
-        with self._server.counter_lock:
-            return dict(self._server.counters)
-
-    def tools_call_count(self) -> int:
-        return self.counters.get(f"POST {self._server.config.mcp_path}", 0)
-
-    def shutdown(self) -> None:
-        if self._down:
-            return
-        self._down = True
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5)
-
-
-def serve(config: StubServerConfig) -> StubServer:
-    """Start the stub on a background thread and return its handle. Binding
-    failures (port already taken) raise OSError."""
-    return StubServer(config)

@@ -37,6 +37,7 @@ from atsa import (
     SchemeError,
     ServerRegistry,
     SignerRecord,
+    StubServer,
     StubServerConfig,
     TOOL_CATEGORIES,
     ToolCall,
@@ -50,7 +51,6 @@ from atsa import (
     load_scheme,
     parse_document,
     run_campaign,
-    serve,
     verify_chain,
     verify_server_clearance,
 )
@@ -420,12 +420,12 @@ def test_criterion_08b_non_contiguous_rank_fixtures_rejected():
 def test_criterion_09_end_to_end_loopback_with_zero_denied_posts():
     vector1 = build_vectors()[0]
     assert vector1.expect_allow
-    stub = serve(
+    stub = StubServer(
         StubServerConfig(
             sad_bytes=vector1.document_bytes,
             tool_behaviors={"echo": lambda arguments: {"echo": dict(arguments)}},
         )
-    )
+    ).start()
     try:
         endpoint = stub.url + "/mcp"
         audit = AuditLog(clock=lambda: VECTOR_NOW)

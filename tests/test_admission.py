@@ -30,6 +30,7 @@ from atsa import (
     LevelNotFoundError,
     OPEN_FLAVOR_NOTE,
     SignerRecord,
+    StubServer,
     StubServerConfig,
     TrustRoot,
     WELL_KNOWN_PATHS,
@@ -37,9 +38,7 @@ from atsa import (
     fetch_attestation,
     generate_keypair,
     get_builtin_scheme,
-    host_of,
     serialize_document,
-    serve,
     serving,
     sign_document,
     verify_server_clearance,
@@ -52,13 +51,13 @@ from doubles import StaticFetcher
 
 
 def test_host_of():
-    assert host_of("https://tools.example/mcp") == "tools.example"
-    assert host_of("https://Tools.Example:8443/a/b?c=d") == "tools.example"
-    assert host_of("http://127.0.0.1:9000/") == "127.0.0.1"
+    assert split_url("https://tools.example/mcp")[1] == "tools.example"
+    assert split_url("https://Tools.Example:8443/a/b?c=d")[1] == "tools.example"
+    assert split_url("http://127.0.0.1:9000/")[1] == "127.0.0.1"
     with pytest.raises(ValueError):
-        host_of("not a url")
+        split_url("not a url")
     with pytest.raises(ValueError):
-        host_of("mailto:me@example.com")
+        split_url("mailto:me@example.com")
 
 
 def test_a_default_port_named_or_left_out_is_one_origin():
@@ -693,8 +692,8 @@ def _padded(doc, size):
 
 
 def test_http_fetcher_caps_the_body(signed_doc, scheme, trust_root):
-    at_cap = serve(StubServerConfig(sad_bytes=_padded(signed_doc, MAX_DOCUMENT_BYTES)))
-    over_cap = serve(StubServerConfig(sad_bytes=_padded(signed_doc, MAX_DOCUMENT_BYTES + 1)))
+    at_cap = StubServer(StubServerConfig(sad_bytes=_padded(signed_doc, MAX_DOCUMENT_BYTES))).start()
+    over_cap = StubServer(StubServerConfig(sad_bytes=_padded(signed_doc, MAX_DOCUMENT_BYTES + 1))).start()
     try:
         status, body = HttpFetcher()(at_cap.url + WELL_KNOWN_PATHS[0])
         assert (status, len(body)) == (200, MAX_DOCUMENT_BYTES)

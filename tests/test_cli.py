@@ -20,6 +20,7 @@ from click.testing import CliRunner
 from atsa import (
     AttestationDocument,
     JsonlAuditSink,
+    StubServer,
     generate_keypair,
     load_audit_jsonl,
     serialize_document,
@@ -129,6 +130,18 @@ def test_sign_in_place_is_the_default(runner, workspace, tmp_path):
         after = handle.read()
     assert before != after
     assert json.loads(after)["signerKeyId"] == "k"
+
+
+@pytest.mark.parametrize("key_id", [5, "", None, ["k"]])
+def test_sign_refuses_a_key_file_whose_key_id_is_not_a_non_empty_string(runner, workspace, tmp_path, capsys, key_id):
+    key_path = tmp_path / "k.key"
+    assert runner.invoke(cli, ["keygen", "--out", str(key_path)]).exit_code == EXIT_OK
+    key = json.loads(key_path.read_text())
+    key_path.write_text(json.dumps({**key, "keyId": key_id}))
+    before = Path(workspace["unsigned"]).read_bytes()
+    assert _main_exit_code(["sign", workspace["unsigned"], "--key", str(key_path)]) == EXIT_CONFIG
+    assert f"invalid key file {key_path}: 'keyId' must be a non-empty string" in capsys.readouterr().err
+    assert Path(workspace["unsigned"]).read_bytes() == before
 
 
 def test_sign_rejects_malformed_document(runner, tmp_path):
@@ -254,9 +267,9 @@ def test_verify_audit_log_accumulates_and_verifies(runner, workspace, tmp_path):
 
 
 def test_verify_url_against_live_stub(runner, workspace, signed_doc):
-    from atsa import StubServerConfig, serve
+    from atsa import StubServer, StubServerConfig
 
-    stub = serve(StubServerConfig.for_document(signed_doc, tool_behaviors={}))
+    stub = StubServer(StubServerConfig.for_document(signed_doc, tool_behaviors={})).start()
     try:
         result = runner.invoke(
             cli,
@@ -675,13 +688,22 @@ def test_serve_non_integer_port_is_config_error(tmp_path, capsys):
     assert "cannot bind 127.0.0.1:70000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("port", ["8080", 0.9, 1.0, False, True, None])
+def test_serve_port_is_a_json_integer_not_a_bool_float_or_string(tmp_path, capsys, monkeypatch, port):
+    monkeypatch.setattr(StubServer, "__init__", lambda self, config: pytest.fail(f"bound port {config.port!r}"))
+    config_path = tmp_path / "serve.json"
+    config_path.write_text(json.dumps({"sad": None, "port": port}))
+    assert _main_exit_code(["serve", str(config_path)]) == EXIT_CONFIG
+    assert "'port' must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("host", 1), ("mcpPath", ["/mcp"]), ("sad", 1)])
 def test_serve_non_string_host_or_path_is_config_error(tmp_path, capsys, monkeypatch, field, value):
-    def interrupt(seconds):
+    def interrupt(self, poll_interval):
         raise KeyboardInterrupt
 
-    # A server that starts anyway stops at its first sleep instead of serving on.
-    monkeypatch.setattr(time, "sleep", interrupt)
+    # A server that starts anyway stops at once instead of serving on.
+    monkeypatch.setattr(StubServer, "serve_forever", interrupt)
     config_path = tmp_path / "serve.json"
     config_path.write_text(json.dumps({"sad": None, field: value}))
     assert _main_exit_code(["serve", str(config_path)]) == EXIT_CONFIG
@@ -691,6 +713,33 @@ def test_serve_non_string_host_or_path_is_config_error(tmp_path, capsys, monkeyp
 def test_fuzz_allowlist_too_short_for_quota_is_config_error(capsys):
     assert _main_exit_code(["fuzz", "--allowlist", "1", "--per-category", "5"]) == EXIT_CONFIG
     assert "cannot produce 5 distinct cases" in capsys.readouterr().err
+
+
+def _start_serve(config_path):
+    """``atsa serve`` as a child process that dumps every thread's stack on SIGABRT."""
+    return subprocess.Popen(
+        [sys.executable, "-X", "faulthandler", "-m", "atsa.cli", "serve", str(config_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _interrupt(proc, timeout):
+    """SIGINT the child and return its exit code. A child still running after
+    ``timeout`` seconds gets SIGABRT, then SIGKILL, and the test fails with
+    the child's stderr, which holds the stacks."""
+    proc.send_signal(signal.SIGINT)
+    try:
+        return proc.wait(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        proc.send_signal(signal.SIGABRT)
+        try:
+            _, stderr = proc.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            _, stderr = proc.communicate()
+        pytest.fail(f"atsa serve did not exit within {timeout} s of SIGINT (exit {proc.returncode}):\n{stderr}")
 
 
 def test_serve_subprocess_end_to_end(tmp_path, signed_doc):
@@ -703,12 +752,7 @@ def test_serve_subprocess_end_to_end(tmp_path, signed_doc):
              "host": "127.0.0.1", "port": 0}
         )
     )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "atsa.cli", "serve", str(config_path)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
+    proc = _start_serve(config_path)
     try:
         line = proc.stdout.readline().strip()
         assert line.startswith("serving at http://127.0.0.1:")
@@ -726,15 +770,10 @@ def test_serve_subprocess_end_to_end(tmp_path, signed_doc):
         with urllib.request.urlopen(req, timeout=5) as resp:
             assert json.loads(resp.read())["result"] == {"labels": []}
     finally:
-        proc.send_signal(signal.SIGINT)
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(timeout=10)
+        returncode = _interrupt(proc, 10)
         proc.stdout.close()
         proc.stderr.close()
-    assert proc.returncode == 0
+    assert returncode == 0
 
 
 def test_serve_exits_promptly_with_an_idle_keep_alive_client(tmp_path, signed_doc):
@@ -743,12 +782,7 @@ def test_serve_exits_promptly_with_an_idle_keep_alive_client(tmp_path, signed_do
     (tmp_path / "doc.json").write_text(serialize_document(signed_doc))
     config_path = tmp_path / "serve.json"
     config_path.write_text(json.dumps({"sad": "doc.json", "host": "127.0.0.1", "port": 0}))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "atsa.cli", "serve", str(config_path)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
+    proc = _start_serve(config_path)
     connection = None
     try:
         url = proc.stdout.readline().strip().split("serving at ", 1)[1]
@@ -757,8 +791,7 @@ def test_serve_exits_promptly_with_an_idle_keep_alive_client(tmp_path, signed_do
         with connection.getresponse() as response:
             assert response.status == 200 and not response.will_close
             response.read()
-        proc.send_signal(signal.SIGINT)
-        assert proc.wait(timeout=5) == 0
+        assert _interrupt(proc, 5) == 0
     finally:
         if connection is not None:
             connection.close()

@@ -260,7 +260,7 @@ def test_campaign_denies_everything_and_writes_nothing():
     assert report.passed
     assert report.admitted == 0
     assert report.network_writes == 0
-    assert report.denied == len(cases)
+    assert sum(c.denied for c in report.categories) == len(cases)
     assert report.tool_denials_audited == sum(1 for c in cases if c.kind == KIND_TOOL)
     assert not report.mismatches
 

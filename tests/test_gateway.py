@@ -73,10 +73,8 @@ def test_freeze_is_one_way():
     registry = ServerRegistry()
     entry = _entry(CountingTransport())
     registry.register(entry)
-    assert not registry.frozen
     registry.freeze()
     registry.freeze()  # idempotent
-    assert registry.frozen
     with pytest.raises(RegistryFrozenError):
         registry.register(_entry(CountingTransport(), endpoint="https://new.example/mcp"))
     with pytest.raises(RegistryFrozenError):

@@ -73,12 +73,12 @@ from atsa import (
     HttpTransport,
     RegistryEntry,
     ServerRegistry,
+    StubServer,
     StubServerConfig,
     ToolCall,
     TransportError,
     jsonrpc_tools_call,
     serialize_document,
-    serve,
 )
 from atsa import admission
 from atsa.admission import exchange
@@ -308,7 +308,7 @@ def _posts(peer) -> list[bytes]:
 
 
 def test_exchanges_with_one_origin_share_one_connection(connections, scheme, trust_root, signed_doc):
-    stub = serve(StubServerConfig.for_document(signed_doc, {"list_labels": lambda arguments: arguments}))
+    stub = StubServer(StubServerConfig.for_document(signed_doc, {"list_labels": lambda arguments: arguments})).start()
     try:
         gateway, _ = _enclaved_gateway(stub, scheme, trust_root, HttpFetcher())
         for n in range(5):
@@ -432,7 +432,7 @@ def test_origins_that_differ_only_by_port_never_share_a_connection(connections):
 
 
 def test_eight_threads_through_one_gateway_get_their_own_results(connections, scheme, trust_root, signed_doc):
-    stub = serve(StubServerConfig.for_document(signed_doc, {"list_labels": lambda arguments: arguments}))
+    stub = StubServer(StubServerConfig.for_document(signed_doc, {"list_labels": lambda arguments: arguments})).start()
     try:
         gateway, _ = _enclaved_gateway(stub, scheme, trust_root, HttpFetcher())
 
@@ -453,7 +453,7 @@ def test_eight_threads_through_one_gateway_get_their_own_results(connections, sc
 
 
 def test_a_thread_that_ends_closes_its_pooled_connections(connections, signed_doc):
-    stub = serve(StubServerConfig.for_document(signed_doc))
+    stub = StubServer(StubServerConfig.for_document(signed_doc)).start()
     try:
         worker = threading.Thread(target=HttpFetcher(), args=(stub.url + WELL_KNOWN_PATHS[0],))
         worker.start()
@@ -468,7 +468,7 @@ def test_a_pooled_connection_above_descriptor_1023_is_reused(connections, signed
     # ``select.select`` refuses a descriptor at or above FD_SETSIZE (1024).
     if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
         pytest.skip("the descriptor limit is below 1100")
-    stub = serve(StubServerConfig.for_document(signed_doc))
+    stub = StubServer(StubServerConfig.for_document(signed_doc)).start()
     filler = []
     try:
         while not filler or filler[-1] < 1024:
@@ -673,11 +673,11 @@ def pki(tmp_path_factory):
 @contextlib.contextmanager
 def _https_stub(leaf: str, signed_doc):
     """The stub, serving TLS with the certificate chain and key in the file ``leaf``."""
-    stub = serve(StubServerConfig.for_document(signed_doc, {"list_labels": lambda arguments: arguments}))
+    stub = StubServer(StubServerConfig.for_document(signed_doc, {"list_labels": lambda arguments: arguments}))
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     context.load_cert_chain(leaf)
-    # Same descriptor, so the stub's running accept loop now accepts TLS.
-    stub._server.socket = context.wrap_socket(stub._server.socket, server_side=True)
+    stub.socket = context.wrap_socket(stub.socket, server_side=True)
+    stub.start()
     try:
         yield stub, SimpleNamespace(url="https://" + stub.url.removeprefix("http://"))
     finally:

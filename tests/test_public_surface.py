@@ -2,8 +2,9 @@
 shipped code: ``src``, ``scripts`` or the ``perfbench`` harness. A helper
 that only tests call belongs in the tests, so one cannot join the public
 surface unnoticed. Likewise every defaulted parameter and dataclass field of
-the package is set by some shipped call, so a setting only tests use cannot
-join it either."""
+the package is set by some shipped call, and every public method or property
+of a public class is read by shipped code, so a setting or a member only tests
+use cannot join it either."""
 
 from __future__ import annotations
 
@@ -184,3 +185,38 @@ def test_the_parameter_guard_reads_every_kind_of_setting():
         "wellknown.StubServerConfig.for_document(tool_behaviors)",  # classmethod
         "cli.main(argv)",
     } <= labels
+
+
+# Every public method and property of a public class in the package is read by
+# shipped code, as an attribute or a name. These are the exceptions.
+UNREAD_BY_DESIGN = {
+    "trustroot.TrustRoot.key_ids": "acceptance criterion 05 reads the pinned signer ids",
+}
+
+
+def _members(path: Path) -> list[tuple[str, str]]:
+    """(label, name) of every public method and property of one module's public classes."""
+    return [
+        (f"{path.stem}.{node.name}.{member.name}", member.name)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for member in node.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+    ]
+
+
+MEMBERS = [member for path in sorted(SRC.glob("*.py")) for member in _members(path)]
+
+
+def test_every_public_member_is_read_by_shipped_code():
+    assert {label for label, name in MEMBERS if name not in REFERENCED} == set(UNREAD_BY_DESIGN)
+
+
+def test_the_member_guard_reads_methods_and_properties():
+    labels = {label for label, _ in MEMBERS}
+    assert {
+        "trustroot.TrustRoot.key_ids",  # method
+        "wellknown.StubServer.url",  # property
+        "wellknown.StubServerConfig.for_document",  # classmethod
+    } <= labels
+    assert not any("._" in label for label in labels)  # private and dunder members are not read

@@ -17,7 +17,6 @@ from atsa import (
     StubServerConfig,
     WELL_KNOWN_PATHS,
     serialize_document,
-    serve,
 )
 
 
@@ -46,7 +45,7 @@ def server(signed_doc):
     config = StubServerConfig.for_document(
         signed_doc, tool_behaviors={"list_labels": {"labels": ["inbox", "sent"]}}
     )
-    stub = serve(config)
+    stub = StubServer(config).start()
     yield stub
     stub.shutdown()
 
@@ -60,7 +59,7 @@ def test_sad_served_byte_identically_at_both_paths(server, signed_doc):
 
 
 def test_unattested_server_404s_both_paths():
-    stub = serve(StubServerConfig(sad_bytes=None, tool_behaviors={}))
+    stub = StubServer(StubServerConfig(sad_bytes=None, tool_behaviors={})).start()
     try:
         for path in WELL_KNOWN_PATHS:
             status, _ = _get(stub.url + path)
@@ -90,7 +89,7 @@ def test_tools_call_callable_behavior(signed_doc):
     config = StubServerConfig.for_document(
         signed_doc, tool_behaviors={"echo": lambda args: {"got": args}}
     )
-    stub = serve(config)
+    stub = StubServer(config).start()
     try:
         _, resp = _post(
             stub.url + "/mcp",
@@ -169,7 +168,7 @@ def test_counters_track_routes(server):
 
 
 def test_tools_call_count_uses_the_configured_path(signed_doc):
-    stub = serve(StubServerConfig.for_document(signed_doc, {"list_labels": {}}, mcp_path="/rpc"))
+    stub = StubServer(StubServerConfig.for_document(signed_doc, {"list_labels": {}}, mcp_path="/rpc")).start()
     try:
         _post(
             stub.url + "/rpc",
@@ -201,7 +200,7 @@ def test_bad_content_length_is_400(server, length):
 
 
 def test_shutdown_is_idempotent_and_preserves_counters(signed_doc):
-    stub = serve(StubServerConfig.for_document(signed_doc, tool_behaviors={}))
+    stub = StubServer(StubServerConfig.for_document(signed_doc, tool_behaviors={})).start()
     _get(stub.url + WELL_KNOWN_PATHS[0])
     stub.shutdown()
     stub.shutdown()
@@ -210,8 +209,21 @@ def test_shutdown_is_idempotent_and_preserves_counters(signed_doc):
         urllib.request.urlopen(stub.url + WELL_KNOWN_PATHS[0], timeout=1)
 
 
+def test_a_stub_never_started_shuts_down_at_once_and_once(signed_doc):
+    stub = StubServer(StubServerConfig.for_document(signed_doc))
+    url = stub.url
+    # On a thread, so that a shutdown waiting for a serve loop that never ran fails the test.
+    closer = threading.Thread(target=lambda: (stub.shutdown(), stub.shutdown()), daemon=True)
+    closer.start()
+    closer.join(timeout=1)
+    assert not closer.is_alive()
+    assert stub.counters == {}
+    with pytest.raises(OSError):
+        urllib.request.urlopen(url + WELL_KNOWN_PATHS[0], timeout=1)
+
+
 def test_shutdown_ends_the_handler_of_a_kept_alive_connection(signed_doc):
-    stub = serve(StubServerConfig.for_document(signed_doc))
+    stub = StubServer(StubServerConfig.for_document(signed_doc)).start()
     before = set(threading.enumerate())
     assert HttpFetcher()(stub.url + WELL_KNOWN_PATHS[0])[0] == 200
     # The fetcher pools its connection, so the stub's handler waits for the next request.
