@@ -6,6 +6,22 @@ content, so any in-place edit, deletion, insertion, or reordering breaks the
 chain at a detectable index. Append failures must abort the guarded action;
 nothing in this module swallows sink errors. A sink is any object with
 ``write(record)``; ``JsonlAuditSink`` is the durable one.
+
+A record's content is hashed as its canonical JSON (``sad.canonical_json_bytes``),
+and ``append`` and ``verify_chain`` both reach it through one record encoder,
+``canonical_json_bytes`` here. Content whose ``seq`` is an ``int`` (not a
+``bool``), whose ``timestamp`` and ``event`` are ``str`` and whose ``payload``
+is a ``dict`` of ``str`` keys to ``str`` or ``None`` values, as in every
+record the admission gate and the gateway append, fills a fixed template::
+
+    {"event":E,"payload":{K:V,...},"seq":N,"timestamp":T}
+
+with the payload keys in code-point order and every string escaped by
+``json.encoder.encode_basestring``, the C escaper the canonical encoder uses.
+The text is encoded to UTF-8 with ``backslashreplace``, so a lone surrogate is
+written as ``\\udxxx``, as the canonical encoder writes it. Any other content
+(an int, bool or nested payload value, a non-string key, a ``bool`` seq) goes
+to ``sad.canonical_json_bytes`` unchanged, and raises what it raises.
 """
 
 from __future__ import annotations
@@ -17,10 +33,11 @@ import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO
 
+from . import sad
 from ._json import read_jsonl
-from .sad import canonical_json_bytes
 from .trustroot import format_rfc3339
 
 __all__ = [
@@ -77,10 +94,34 @@ def compute_record_hash(
 ) -> bytes:
     """SHA-256 over the previous hash concatenated with the canonical JSON of
     the record content (hash fields excluded)."""
-    content = canonical_json_bytes(
-        {"seq": seq, "timestamp": timestamp, "event": event, "payload": dict(payload)}
-    )
+    content = canonical_json_bytes({"seq": seq, "timestamp": timestamp, "event": event, "payload": payload})
     return hashlib.sha256(prev_hash + content).digest()
+
+
+_CONTENT_KEYS = frozenset(("event", "payload", "seq", "timestamp"))
+
+
+def canonical_json_bytes(value: Any) -> bytes:
+    """The bytes of ``sad.canonical_json_bytes(value)``. Record content of the
+    flat shape fills the template of the module docstring; any other value is
+    handed to ``sad.canonical_json_bytes``."""
+    if type(value) is not dict or value.keys() != _CONTENT_KEYS:
+        return sad.canonical_json_bytes(value)
+    seq, timestamp, event, payload = value["seq"], value["timestamp"], value["event"], value["payload"]
+    if type(seq) is not int or type(timestamp) is not str or type(event) is not str or type(payload) is not dict:
+        return sad.canonical_json_bytes(value)
+    for key, member in payload.items():
+        if type(key) is not str or (member is not None and type(member) is not str):
+            return sad.canonical_json_bytes(value)
+    members = []
+    for key in sorted(payload):
+        member = payload[key]
+        members.append(f"{encode_basestring(key)}:{'null' if member is None else encode_basestring(member)}")
+    text = (
+        f'{{"event":{encode_basestring(event)},"payload":{{{",".join(members)}}},'
+        f'"seq":{seq},"timestamp":{encode_basestring(timestamp)}}}'
+    )
+    return text.encode("utf-8", "backslashreplace")
 
 
 class AuditSink(Protocol):
@@ -94,12 +135,16 @@ class JsonlAuditSink:
     head: the sink takes an exclusive ``flock`` as it is built, before the
     head is read, and holds it until ``close``. A sink in another process
     waits for it; a second sink in this process, which would wait forever,
-    raises AuditError."""
+    raises AuditError. So does a file whose last byte, once the lock is
+    held, is not a newline: a crash cut its last line, and a record written
+    now would land on that line. The file is left as it is, and unlocked."""
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = os.fspath(path)
-        self._handle: TextIO = open(self.path, "a", encoding="utf-8", errors="backslashreplace")
-        status = os.fstat(self._handle.fileno())
+        # Opened for reading too, so the last byte can be read under the lock.
+        self._handle: TextIO = open(self.path, "a+", encoding="utf-8", errors="backslashreplace")
+        descriptor = self._handle.fileno()
+        status = os.fstat(descriptor)
         self._file = (status.st_dev, status.st_ino)
         with _HELD_MUTEX:
             if self._file in _HELD:
@@ -108,6 +153,11 @@ class JsonlAuditSink:
             _HELD.add(self._file)
         try:
             fcntl.flock(self._handle, fcntl.LOCK_EX)
+            size = os.fstat(descriptor).st_size
+            if size and os.pread(descriptor, 1, size - 1) != b"\n":
+                # Numbered from 0, as the loader numbers it.
+                line = os.pread(descriptor, size, 0).count(b"\n")
+                raise AuditError(f"line {line}: torn final line (no newline): cut the file back to its last newline")
         except BaseException:
             self.close()
             raise
@@ -190,13 +240,14 @@ class AuditLog:
             seq = len(self._records)
             prev_hash = self._records[-1].hash if self._records else GENESIS_PREV_HASH
             timestamp = _format_timestamp(self.clock())
+            stored = dict(payload)
             record = AuditRecord(
                 seq=seq,
                 timestamp=timestamp,
                 event=event,
-                payload=dict(payload),
+                payload=stored,
                 prev_hash=prev_hash,
-                hash=compute_record_hash(prev_hash, seq, timestamp, event, payload),
+                hash=compute_record_hash(prev_hash, seq, timestamp, event, stored),
             )
             if self._sink is not None:
                 self._sink_failed = True  # stays set if the write raises

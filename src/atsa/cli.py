@@ -382,14 +382,16 @@ def serve(config_path: str) -> None:
 
     Config JSON: {"sad": "path-or-null", "tools": {"name": result}, "host",
     "port", "mcpPath"}. Prints the bound URL, then serves until interrupted.
+    An absent or null "sad" serves no attestation, and an absent or null
+    "tools" serves no tools.
     """
     spec = read_json(Path(config_path).read_bytes(), ConfigError, f"invalid server config {config_path}")
     if not isinstance(spec, dict):
         raise ConfigError("server config must be a JSON object")
     sad_bytes = None
-    if spec.get("sad"):
-        if not isinstance(spec["sad"], str):
-            raise ConfigError("server config 'sad' must be a string")
+    if spec.get("sad") is not None:
+        if not isinstance(spec["sad"], str) or not spec["sad"]:
+            raise ConfigError("server config 'sad' must be a string naming a file, or null")
         sad_path = Path(spec["sad"])
         if not sad_path.is_absolute():
             sad_path = Path(config_path).parent / sad_path
@@ -397,9 +399,11 @@ def serve(config_path: str) -> None:
             sad_bytes = sad_path.read_bytes()
         except OSError as exc:
             raise ConfigError(f"cannot read SAD {sad_path}: {exc}") from exc
-    tools = spec.get("tools") or {}
-    if not isinstance(tools, dict):
-        raise ConfigError("server config 'tools' must be an object")
+    tools = spec.get("tools")
+    if tools is None:
+        tools = {}
+    elif not isinstance(tools, dict):
+        raise ConfigError("server config 'tools' must be an object, or null")
     # A key left out takes the StubServerConfig field's own default.
     port = spec.get("port", StubServerConfig.port)
     if isinstance(port, bool) or not isinstance(port, int):

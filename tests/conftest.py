@@ -6,6 +6,7 @@ from __future__ import annotations
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import settings
 
 from atsa import (
     AdmissionGate,
@@ -22,6 +23,16 @@ from atsa import (
 )
 from atsa import admission
 from doubles import StaticFetcher
+
+# A longer search for CI (``--hypothesis-profile=ci``): ten times the default
+# profile's examples. Tier-1 runs the default profile.
+settings.register_profile("ci", max_examples=1000, deadline=None)
+
+
+def examples(count: int) -> int:
+    """A property's own ``max_examples``: ``count`` under the default profile,
+    scaled as the loaded profile scales the default's 100."""
+    return count * settings.default.max_examples // 100
 
 FIXED_NOW = datetime(2026, 1, 1, tzinfo=timezone.utc)
 NOT_AFTER = datetime(2027, 1, 1, tzinfo=timezone.utc)

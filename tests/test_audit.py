@@ -1,5 +1,5 @@
 """Hash-chained audit log: linkage, vocabulary, durability, tamper evidence,
-and one writer per JSONL file."""
+one writer per JSONL file, and the record encoder against two oracles."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atsa import (
@@ -32,9 +32,11 @@ from atsa import (
     load_audit_jsonl,
     verify_chain,
 )
+from atsa import audit, sad
 from atsa.audit import GENESIS_PREV_HASH, compute_record_hash, record_from_wire, record_to_wire
+from conftest import examples
 from doubles import RecordingSink
-from reference_impl import reference_chain_first_bad
+from reference_impl import reference_canonical, reference_chain_first_bad
 
 FIXED_NOW = datetime(2026, 1, 1, tzinfo=timezone.utc)
 ROOT = Path(__file__).resolve().parent.parent
@@ -291,6 +293,25 @@ def test_a_killed_writers_file_can_be_resumed_at_once(tmp_path):
     assert verify_chain(records) is None
 
 
+def test_a_sink_on_a_torn_file_is_refused_and_leaves_the_file_untouched(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    sink = JsonlAuditSink(path)
+    _fill(_ticking_log(sink=sink), 3)
+    sink.close()
+    torn = path.read_bytes()[:-20]  # a crash mid-write of the third record
+    path.write_bytes(torn)
+    with pytest.raises(AuditError, match="line 2: torn final line \\(no newline\\)"):
+        JsonlAuditSink(path)
+    assert path.read_bytes() == torn
+    assert not _locked_by_another(path)
+    # Cut back to the last newline, the file takes a sink again.
+    path.write_bytes(torn[: torn.rindex(b"\n") + 1])
+    sink = JsonlAuditSink(path)
+    AuditLog.resume(load_audit_jsonl(path), sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    sink.close()
+    assert [record.seq for record in load_audit_jsonl(path)] == [0, 1, 2]
+
+
 def test_load_audit_jsonl_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")
@@ -377,7 +398,7 @@ _events = st.sampled_from(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.lists(_events, max_size=12))
 def test_any_append_sequence_verifies(entries):
     log = _ticking_log()
@@ -407,3 +428,69 @@ def test_resume_refuses_a_broken_chain():
     records[2] = replace(records[2], payload={"reason": "tampered"})
     with pytest.raises(AuditError, match="record 2"):
         AuditLog.resume(records)
+
+
+# The record encoder against sad.canonical_json_bytes and the reference
+# encoder. Strings mix every category, lone surrogates (Cs) included, with
+# characters whose escapes or encodings sort otherwise than their code points,
+# and ASCII that sorts between an escaped character and its backslash.
+_TRICKY = ["\x00", "\x01", "\n", "\x1f", " ", '"', "0", "A", "\\", "]", "u", "\x7f", "\ud7ff",
+           "\ud800", "\udbff", "\udc00", "\udfff", "\ue000", "\uffff", "\U00010000", "\U0001f642"]
+_tricky = st.sampled_from(_TRICKY)
+_text = st.text(st.characters(exclude_categories=()) | st.characters(categories=("Cs",)) | _tricky, max_size=6)
+# Short keys over the tricky characters alone often differ only in them.
+_flat_payloads = st.dictionaries(_text | st.text(_tricky, max_size=2), st.none() | _text, max_size=6)
+_flat_contents = st.fixed_dictionaries(
+    {"seq": st.integers(), "timestamp": _text, "event": st.sampled_from(sorted(audit.EVENT_PAYLOAD_FIELDS)) | _text,
+     "payload": _flat_payloads}
+)
+_members = st.recursive(
+    st.none() | st.booleans() | st.integers() | _text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=8,
+)
+# Each leaves the template: an int, bool or nested payload value, or a bool seq.
+_other_contents = st.fixed_dictionaries(
+    {"seq": st.integers() | st.booleans(), "timestamp": _text, "event": _text,
+     "payload": st.dictionaries(_text, _members, max_size=4)}
+)
+
+
+@settings(deadline=None)
+@given(content=_flat_contents | _other_contents)
+# Every tricky character as a key: any order but code-point order shows here.
+@example(content={"seq": 7, "timestamp": "\ud800", "event": "\x00",
+                  "payload": {key: key for key in _TRICKY} | {"": None}})
+def test_record_encoder_matches_canonical_json_and_the_oracle(content):
+    encoded = audit.canonical_json_bytes(content)
+    assert encoded == sad.canonical_json_bytes(content)
+    assert encoded == reference_canonical(content)
+
+
+@settings(deadline=None)
+@given(
+    content=_flat_contents,
+    key=st.integers() | st.booleans() | st.none() | st.tuples(_text),
+)
+def test_record_encoder_refuses_a_non_string_payload_key_as_canonical_json_does(content, key):
+    content["payload"][key] = "value"
+    with pytest.raises(TypeError, match="object keys must be strings"):
+        sad.canonical_json_bytes(content)
+    with pytest.raises(TypeError, match="object keys must be strings"):
+        audit.canonical_json_bytes(content)
+
+
+def _nested_past_the_recursion_limit():
+    value = []
+    for _ in range(sys.getrecursionlimit() + 10):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("member", [1.5, _nested_past_the_recursion_limit()], ids=["float", "deep-nesting"])
+def test_a_record_whose_payload_cannot_be_canonicalized_is_the_first_bad_index(member):
+    log = _ticking_log()
+    _fill(log, 4)
+    records = list(log.records)
+    records[2] = replace(records[2], payload={**records[2].payload, "detail": member})
+    assert verify_chain(records) == 2

@@ -710,18 +710,49 @@ def test_serve_non_string_host_or_path_is_config_error(tmp_path, capsys, monkeyp
     assert f"'{field}' must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("sad", 0, "'sad' must be a string naming a file, or null"),
+     ("sad", False, "'sad' must be a string naming a file, or null"),
+     ("sad", "", "'sad' must be a string naming a file, or null"),
+     ("sad", [], "'sad' must be a string naming a file, or null"),
+     ("tools", [], "'tools' must be an object, or null"),
+     ("tools", 0, "'tools' must be an object, or null"),
+     ("tools", False, "'tools' must be an object, or null"),
+     ("tools", "", "'tools' must be an object, or null")],
+)
+def test_serve_takes_only_an_absent_or_null_sad_or_tools_as_none(tmp_path, capsys, monkeypatch, field, value, message):
+    served = []
+    monkeypatch.setattr(StubServer, "serve_forever", lambda self, poll_interval: served.append(self.config))
+    config_path = tmp_path / "serve.json"
+    config_path.write_text(json.dumps({field: value}))
+    assert _main_exit_code(["serve", str(config_path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert served == []
+    # Absent and null both mean none.
+    for spec in ({}, {"sad": None, "tools": None}):
+        config_path.write_text(json.dumps(spec))
+        main(["serve", str(config_path)])
+    assert [(config.sad_bytes, config.tool_behaviors) for config in served] == [(None, {})] * 2
+
+
 def test_fuzz_allowlist_too_short_for_quota_is_config_error(capsys):
     assert _main_exit_code(["fuzz", "--allowlist", "1", "--per-category", "5"]) == EXIT_CONFIG
     assert "cannot produce 5 distinct cases" in capsys.readouterr().err
 
 
 def _start_serve(config_path):
-    """``atsa serve`` as a child process that dumps every thread's stack on SIGABRT."""
+    """``atsa serve`` as a child process that dumps every thread's stack on
+    SIGABRT. The child starts with SIGINT's default action even where this
+    process ignores SIGINT, as it does when a shell starts it in the
+    background: Python leaves an ignored SIGINT ignored, and the child would
+    never see the KeyboardInterrupt these tests send."""
     return subprocess.Popen(
         [sys.executable, "-X", "faulthandler", "-m", "atsa.cli", "serve", str(config_path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
 
 

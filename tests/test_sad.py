@@ -24,6 +24,7 @@ from atsa import (
     verify_signature,
 )
 from atsa.conformance import _flip_signature_byte
+from conftest import examples
 from reference_impl import (
     random_sad_wire_text,
     reference_canonical,
@@ -263,20 +264,20 @@ _docs = st.builds(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(doc=_docs)
 def test_canonical_body_matches_oracle_property(doc):
     wire = json.loads(serialize_document(doc))
     assert canonical_body(doc) == reference_sad_body(wire)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(doc=_docs)
 def test_round_trip_preserves_document(doc):
     assert parse_document(serialize_document(doc).encode("utf-8")) == doc
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(doc=_docs, seed=st.binary(min_size=32, max_size=32))
 def test_sign_verify_property(doc, seed):
     key = keypair_from_seed("prop-signer", seed)
@@ -303,7 +304,7 @@ _json_values = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(value=_json_values)
 def test_canonical_json_matches_oracle_property(value):
     assert canonical_json_bytes(value) == reference_canonical(value)
@@ -326,7 +327,7 @@ def _bury(inner):
     return in_list | in_dict
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(value=st.recursive(_unencodable, _bury, max_leaves=4))
 def test_canonical_json_rejects_unencodable_property(value):
     with pytest.raises(TypeError):
