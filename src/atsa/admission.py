@@ -47,6 +47,7 @@ import select
 import socket
 import ssl
 import threading
+import time
 import urllib.parse
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -66,7 +67,6 @@ from .trustroot import TrustRoot
 
 __all__ = [
     "MAX_DOCUMENT_BYTES",
-    "OPEN_FLAVOR_NOTE",
     "WELL_KNOWN_PATHS",
     "AdmissionGate",
     "ConnectResult",
@@ -87,8 +87,6 @@ WELL_KNOWN_PATHS = (
     "/.well-known/mcp-attestation",
     "/.well-known/enclawed-clearance.json",
 )
-
-OPEN_FLAVOR_NOTE = "open flavor: warn-only"
 
 # A fetcher returns (status, body) for one URL and raises FetchError on
 # transport failure. Injectable so verification is hermetically testable.
@@ -155,7 +153,6 @@ class Verdict:
 class ConnectResult:
     status: ConnectStatus
     verdict: Verdict
-    flavor_note: str | None = None
 
 
 class FetchError(Exception):
@@ -197,7 +194,7 @@ def origin_of(parts: urllib.parse.SplitResult, host: str) -> tuple[str, str, int
 # A real document is a few hundred bytes; a larger body is refused unread.
 MAX_DOCUMENT_BYTES = 64 * 1024
 
-# Seconds a peer gets to accept the connection and to answer each read.
+# Seconds one exchange may take, from its connect to the last byte of its reply.
 PEER_TIMEOUT_S = 10.0
 
 # Idle connections one thread keeps, one per origin; the least recently used is closed.
@@ -215,14 +212,29 @@ def _tls_context(cert_file: str | None, cert_dir: str | None) -> ssl.SSLContext:
     return context
 
 
-def _connect(scheme: str, host: str, port: int) -> socket.socket:
+def _left(deadline: float) -> float:
+    """Seconds left before an exchange's ``deadline``; a TimeoutError once none are."""
+    if (left := deadline - time.monotonic()) > 0:
+        return left
+    raise TimeoutError("timed out")  # the words a socket timeout gives
+
+
+def _connect(scheme: str, host: str, port: int, deadline: float) -> socket.socket:
     """A fresh connection to an origin: TCP with no Nagle delay and, for https, TLS with
-    ``host`` as SNI and its certificate checked. A failed handshake closes the socket."""
+    ``host`` as SNI and its certificate checked. The connect and the handshake each wait
+    at most until ``deadline``; a failed handshake closes the socket."""
     https = scheme == "https"
     context = _tls_context(os.environ.get("SSL_CERT_FILE"), os.environ.get("SSL_CERT_DIR")) if https else None
-    sock = socket.create_connection((host, port), PEER_TIMEOUT_S)
+    sock = socket.create_connection((host, port), _left(deadline))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return context.wrap_socket(sock, server_hostname=host) if context else sock
+    if context is None:
+        return sock
+    try:
+        sock.settimeout(_left(deadline))
+    except TimeoutError:
+        sock.close()
+        raise
+    return context.wrap_socket(sock, server_hostname=host)
 
 
 class _Idle(dict):
@@ -245,14 +257,20 @@ atexit.register(lambda: _THREAD.idle.close())  # finalizers at exit run in no se
 
 
 class _Reply:
-    """A reply on ``sock``, read by the rules of ``exchange``; bytes after it stay in ``buffer``."""
+    """A reply on ``sock``, read by the rules of ``exchange`` until its ``deadline``; bytes
+    after it stay in ``buffer``."""
 
-    def __init__(self, sock) -> None:
-        self.sock, self.buffer = sock, bytearray(sock.recv(65536))
+    def __init__(self, sock, deadline: float) -> None:
+        self.sock, self.deadline = sock, deadline
+        self.buffer = bytearray(self.recv())
+
+    def recv(self) -> bytes:
+        self.sock.settimeout(_left(self.deadline))
+        return self.sock.recv(65536)
 
     def line(self) -> bytes:
         while (end := self.buffer.find(b"\n", 0, _MAX_LINE_BYTES)) < 0:
-            if len(self.buffer) >= _MAX_LINE_BYTES or not (chunk := self.sock.recv(65536)):
+            if len(self.buffer) >= _MAX_LINE_BYTES or not (chunk := self.recv()):
                 raise ValueError(f"a reply line is cut short or over {_MAX_LINE_BYTES} bytes")
             self.buffer += chunk
         line, self.buffer[: end + 1] = bytes(self.buffer[:end]), b""
@@ -260,7 +278,7 @@ class _Reply:
 
     def take(self, size: int, framing: str = "") -> bytes:
         """``size`` bytes; with no ``framing``, as many as come before EOF."""
-        while len(self.buffer) < size and (chunk := self.sock.recv(65536)):
+        while len(self.buffer) < size and (chunk := self.recv()):
             self.buffer += chunk
         if framing and len(self.buffer) < size:
             raise ValueError(f"the reply ended {size - len(self.buffer)} bytes short of its {framing}")
@@ -339,8 +357,14 @@ def exchange(
     Per thread and origin, a connection is pooled after a whole 2xx reply not marked
     ``Connection: close`` with nothing after it, and replaced if it reads ready. A POST,
     which may have run its tool, is never resent; a GET is, once and fresh, if a reused one
-    closed before replying."""
+    closed before replying.
+
+    The whole call, that resent GET included, has ``PEER_TIMEOUT_S`` from its start: the
+    connect, the TLS handshake, the request write and each read of the reply wait only for
+    what is left, and a spent budget is a ``FetchError``. Name lookup (``getaddrinfo``) is
+    not covered, and a host with several addresses gives each connect attempt what is left."""
     method = "GET" if data is None else "POST"
+    deadline = time.monotonic() + PEER_TIMEOUT_S
     try:
         parts, host = split_url(url)
         origin = origin_of(parts, host)
@@ -359,11 +383,12 @@ def exchange(
                 pooled.close()  # the peer hung up while the connection sat idle
                 pooled = None
         while True:
-            sock = pooled or _connect(*origin)
+            sock = pooled or _connect(*origin, deadline)
             keep, stale = False, ConnectionError  # until a reply begins, nothing was read
             try:
+                sock.settimeout(_left(deadline))
                 sock.sendall(request)
-                if not (reply := _Reply(sock)).buffer:
+                if not (reply := _Reply(sock, deadline)).buffer:
                     raise ConnectionResetError("the peer closed the connection without replying")
                 stale = ()
                 status, body, keep = reply.read(limit)
@@ -558,4 +583,4 @@ class AdmissionGate:
 
         # Open flavor: surface the failure, never rewrite it into a success.
         self.audit.append(EVENT_CONNECT_WARN, {"reason": reason, "detail": verdict.detail})
-        return ConnectResult(ConnectStatus.warn, verdict, flavor_note=OPEN_FLAVOR_NOTE)
+        return ConnectResult(ConnectStatus.warn, verdict)

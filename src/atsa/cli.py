@@ -24,7 +24,7 @@ from pathlib import Path
 import click
 
 from ._json import read_json
-from .admission import AdmissionGate, Flavor, HttpFetcher, serving
+from .admission import AdmissionGate, ConnectStatus, Flavor, HttpFetcher, serving
 from .audit import AuditLog, JsonlAuditSink, load_audit_jsonl, verify_chain, AuditError
 from .conformance import (
     build_vectors,
@@ -246,7 +246,7 @@ def verify(
                     "signerKeyId": verdict.signer_key_id,
                     "reason": verdict.reason.value if verdict.reason else None,
                     "detail": verdict.detail,
-                    "flavorNote": result.flavor_note,
+                    "flavorNote": "open flavor: warn-only" if result.status is ConnectStatus.warn else None,
                 },
                 indent=2,
             )

@@ -5,11 +5,14 @@ a denial for each of eight reasons (not_mcp_server, unsigned,
 signer_not_trusted, signer_expired, signer_not_approved, bad_signature,
 below_required, host_not_bound; no vector yet for fetch_failed or
 manifest_invalid), and a host-binding admit, each a single mutation away
-from the baseline. The corpus generator replaces ad-hoc red-teaming with a
-deterministic campaign: given a seed and an allowlist it produces hostile
-tool names in nine categories plus forged attestation documents covering
-every admission-side forgery recipe, and the runner asserts that all of
-them are refused with zero tool-call writes.
+from the baseline; a vector expects an admit exactly when its
+``expect_reason`` is None. The corpus generator replaces ad-hoc
+red-teaming with a deterministic campaign: given a seed and an allowlist it
+produces hostile tool names in nine categories plus forged attestation
+documents covering every admission-side forgery recipe, each tagged with
+the reason it must be refused with (its ``expectation``). The runner
+asserts that every case, generated or replayed, is refused with exactly its
+own expectation and with zero tool-call writes.
 
 Each case family is one ordered table with a row per category:
 ``_TOOL_CASES`` gives a tool-name category's generator and its anchors, built
@@ -90,7 +93,6 @@ class ConformanceVector:
     required_level: str
     document_bytes: bytes
     signers: tuple[SignerRecord, ...]
-    expect_allow: bool
     expect_reason: DenyReason | None = None
 
 
@@ -101,7 +103,7 @@ class VectorOutcome:
     passed: bool
 
     def line(self) -> str:
-        expected = "ADMIT" if self.vector.expect_allow else f"DENY {self.vector.expect_reason.value}"
+        expected = "ADMIT" if self.vector.expect_reason is None else f"DENY {self.vector.expect_reason.value}"
         got = "ADMIT" if self.verdict.allowed else f"DENY {self.verdict.reason.value}"
         status = "PASS" if self.passed else "FAIL"
         return f"vector {self.vector.index:02d} {status}  expected {expected}, got {got}  ({self.vector.title})"
@@ -173,7 +175,6 @@ def build_vectors(signing_key: KeyPair | None = None) -> list[ConformanceVector]
             required_level=VECTOR_REQUIRED_LEVEL,
             document_bytes=serialize_document(document).encode("utf-8"),
             signers=signers,
-            expect_allow=expect_reason is None,
             expect_reason=expect_reason,
         )
 
@@ -216,7 +217,7 @@ def run_vectors(
             trust_root=TrustRoot(vec.signers),
             fetcher=serving(vec.document_bytes),
         )
-        if vec.expect_allow:
+        if vec.expect_reason is None:
             passed = verdict.allowed
         else:
             passed = (not verdict.allowed) and verdict.reason is vec.expect_reason
@@ -246,7 +247,7 @@ def write_vector_fixtures(vectors: Sequence[ConformanceVector], directory: str |
                 "document": sad_name,
                 "trustRoot": trust_root_to_wire(vec.signers),
                 "expect": {
-                    "allow": vec.expect_allow,
+                    "allow": vec.expect_reason is None,
                     "reason": vec.expect_reason.value if vec.expect_reason else None,
                 },
             }
@@ -262,9 +263,6 @@ def write_vector_fixtures(vectors: Sequence[ConformanceVector], directory: str |
 
 KIND_TOOL = "tool_name"
 KIND_ASSERTION = "forged_assertion"
-
-TOOL_EXPECTATION = DenyReason.tool_not_admitted.value
-
 
 @dataclass(frozen=True)
 class CorpusCase:
@@ -634,7 +632,7 @@ def generate_corpus(seed: int, allowlist: Sequence[str], per_category: int = 200
     for category, (generator, anchors) in _TOOL_CASES.items():
         candidates = itertools.chain(anchors(allowlist[0]), (generator(rng, allowlist) for _ in draws))
         for name in _distinct(candidates, per_category, seen_names, f"category {category!r}"):
-            cases.append(CorpusCase(KIND_TOOL, category, name, TOOL_EXPECTATION))
+            cases.append(CorpusCase(KIND_TOOL, category, name, DenyReason.tool_not_admitted.value))
 
     setup = campaign_setup(seed)
     seen_documents: set[str] = set()
@@ -740,9 +738,9 @@ def run_campaign(
     audit: AuditLog | None = None,
 ) -> CampaignReport:
     """Replay a corpus against a fully wired gateway (enclaved flavor, locked
-    trust root, counting transport). Tool-name cases must be denied by the
-    allowlist with zero transport writes; forged assertions must be denied at
-    exactly their targeted clause."""
+    trust root, counting transport). Every case must be denied with exactly
+    its own ``expectation``: a tool name through the gateway, with zero
+    transport writes, and a forged assertion at its targeted clause."""
     allowlist = tuple(allowlist)
     setup = campaign_setup(seed)
     audit_log = audit if audit is not None else AuditLog(clock=lambda: VECTOR_NOW)
@@ -794,7 +792,6 @@ def run_campaign(
                     got = "admitted"
                 else:
                     got = outcome.reason.value if outcome.reason else outcome.status.value
-                expected = TOOL_EXPECTATION
             else:
                 # A lone surrogate reaches the parser as its \uXXXX escape.
                 verdict = verify_server_clearance(
@@ -806,11 +803,10 @@ def run_campaign(
                     fetcher=serving(case.input.encode("utf-8", errors="backslashreplace")),
                 )
                 got = "admitted" if verdict.allowed else verdict.reason.value
-                expected = case.expectation
             # No status or reason is spelled "admitted", so it marks an admit.
             if got == "admitted":
                 admitted += 1
-            elif got == expected:
+            elif got == case.expectation:
                 denied += 1
                 continue
             mismatches.append((category, case.input, got))

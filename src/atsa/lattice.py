@@ -2,9 +2,10 @@
 
 A scheme is a ladder of levels with contiguous ranks 0..N-1. Names and
 aliases resolve case-insensitively to ranks; a server clearance ``s`` meets a
-requirement ``r`` exactly when rank(s) >= rank(r). Compartments and
-releasability markings are carried as scheme metadata for organizations that
-use them, but are never consulted by any admission decision here.
+requirement ``r`` exactly when rank(s) >= rank(r). Nothing else about a
+level takes part in a decision: the scheme carries no compartments or
+releasability markings, and a scheme file's ``compartments`` and ``markings``
+keys are ignored like any other unknown key.
 """
 
 from __future__ import annotations
@@ -54,14 +55,10 @@ class ClassificationScheme:
 
     name: str
     levels: tuple[ClassificationLevel, ...]
-    compartments: tuple[str, ...] = ()
-    markings: tuple[str, ...] = ()
     _ranks: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(sorted(self.levels, key=lambda l: l.rank)))
-        object.__setattr__(self, "compartments", tuple(self.compartments))
-        object.__setattr__(self, "markings", tuple(self.markings))
         if not self.name:
             raise SchemeError("scheme name must be non-empty")
         if not self.levels:
@@ -123,7 +120,6 @@ _BUILTINS = {
                 ClassificationLevel(4, "TOP SECRET"),
                 ClassificationLevel(5, "TS//SCI"),
             ),
-            markings=("NOFORN",),
         ),
         ClassificationScheme(
             name="healthcare-hipaa",
@@ -134,8 +130,6 @@ _BUILTINS = {
                 ClassificationLevel(3, "SENSITIVE-PHI"),
                 ClassificationLevel(4, "RESEARCH-EMBARGOED"),
             ),
-            compartments=("MENTAL-HEALTH", "GENETICS"),
-            markings=("BAA-COVERED",),
         ),
         ClassificationScheme(
             name="financial-services",
@@ -145,7 +139,6 @@ _BUILTINS = {
                 ClassificationLevel(2, "CONFIDENTIAL"),
                 ClassificationLevel(3, "MNPI"),
             ),
-            compartments=("M_AND_A",),
         ),
         ClassificationScheme(
             name="generic-3-tier",
@@ -202,15 +195,4 @@ def load_scheme(raw: bytes | str) -> ClassificationScheme:
         if not isinstance(aliases, list) or any(not isinstance(a, str) or not a for a in aliases):
             raise SchemeError("level 'aliases' must be an array of non-empty strings")
         levels.append(ClassificationLevel(rank, canonical, tuple(aliases)))
-    compartments = _string_list(data, "compartments")
-    markings = _string_list(data, "markings")
-    return ClassificationScheme(
-        name=name, levels=tuple(levels), compartments=compartments, markings=markings
-    )
-
-
-def _string_list(data: dict, key: str) -> tuple[str, ...]:
-    value = data.get(key, [])
-    if not isinstance(value, list) or any(not isinstance(m, str) for m in value):
-        raise SchemeError(f"scheme {key!r} must be an array of strings")
-    return tuple(value)
+    return ClassificationScheme(name=name, levels=tuple(levels))

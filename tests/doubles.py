@@ -8,6 +8,7 @@ import itertools
 import socket
 import socketserver
 import threading
+import time
 from typing import Any, Callable, Mapping
 
 from atsa import AuditRecord
@@ -82,13 +83,20 @@ class RawPeer:
     function of the request's raw bytes, and may be reassigned between
     requests. The peer closes the connection after one reply; with
     ``keep_alive`` it reads the next request on the same connection instead,
-    until it sends an empty reply. The raw bytes of every request received,
-    head and body, are kept in ``requests``, and ``hung_up`` is released each
-    time the peer has closed a connection. It listens on ``host``, which may be
-    an IPv6 literal such as ``::1``; binding it raises OSError where it cannot."""
+    until it sends an empty reply. With ``trickle``, each byte of a reply goes
+    out that many seconds after the one before. The raw bytes of every request
+    received, head and body, are kept in ``requests``, and ``hung_up`` is
+    released each time the peer has closed a connection. It listens on
+    ``host``, which may be an IPv6 literal such as ``::1``; binding it raises
+    OSError where it cannot."""
 
     def __init__(
-        self, reply: bytes | Callable[[bytes], bytes] = b"", *, keep_alive: bool = False, host: str = "127.0.0.1"
+        self,
+        reply: bytes | Callable[[bytes], bytes] = b"",
+        *,
+        keep_alive: bool = False,
+        host: str = "127.0.0.1",
+        trickle: float = 0.0,
     ) -> None:
         self.reply = reply
         self.requests: list[bytes] = []
@@ -105,7 +113,12 @@ class RawPeer:
                         return
                     peer.requests.append(request)
                     reply = peer.reply(request) if callable(peer.reply) else peer.reply
-                    self.wfile.write(reply)
+                    if trickle:
+                        for byte in reply:
+                            time.sleep(trickle)
+                            self.wfile.write(bytes([byte]))
+                    else:
+                        self.wfile.write(reply)
                     if not (keep_alive and reply):
                         return
 

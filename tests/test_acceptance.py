@@ -419,7 +419,7 @@ def test_criterion_08b_non_contiguous_rank_fixtures_rejected():
 
 def test_criterion_09_end_to_end_loopback_with_zero_denied_posts():
     vector1 = build_vectors()[0]
-    assert vector1.expect_allow
+    assert vector1.expect_reason is None
     stub = StubServer(
         StubServerConfig(
             sad_bytes=vector1.document_bytes,

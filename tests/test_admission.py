@@ -28,7 +28,6 @@ from atsa import (
     Flavor,
     HttpFetcher,
     LevelNotFoundError,
-    OPEN_FLAVOR_NOTE,
     SignerRecord,
     StubServer,
     StubServerConfig,
@@ -727,7 +726,6 @@ def test_connect_ok_records_allow(scheme, trust_root, fetcher, signer):
     gate = _gate(scheme, trust_root, fetcher)
     result = gate.connect(SERVER_URL, "restricted-plus", Flavor.enclaved)
     assert result.status == ConnectStatus.ok
-    assert result.flavor_note is None
     (record,) = gate.audit.records
     assert record.event == EVENT_CONNECT_ALLOW
     assert record.payload == {
@@ -751,7 +749,6 @@ def test_connect_open_warns_never_ok(scheme, trust_root, baseline_doc):
     result = gate.connect(SERVER_URL, "restricted-plus", Flavor.open)
     assert result.status == ConnectStatus.warn
     assert result.status != ConnectStatus.ok
-    assert result.flavor_note == OPEN_FLAVOR_NOTE
     (record,) = gate.audit.records
     assert record.event == EVENT_CONNECT_WARN
     assert record.payload["reason"] == "unsigned"
@@ -761,7 +758,6 @@ def test_connect_open_allows_cleanly_on_success(scheme, trust_root, fetcher):
     gate = _gate(scheme, trust_root, fetcher)
     result = gate.connect(SERVER_URL, "restricted-plus", Flavor.open)
     assert result.status == ConnectStatus.ok
-    assert result.flavor_note is None
 
 
 def test_skip_preflight_skips_fetch_but_not_audit(scheme, trust_root, fetcher):

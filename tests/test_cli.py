@@ -18,6 +18,8 @@ import pytest
 from click.testing import CliRunner
 
 from atsa import (
+    EVENT_CONNECT_ALLOW,
+    EVENT_CONNECT_DENY,
     AttestationDocument,
     JsonlAuditSink,
     StubServer,
@@ -196,6 +198,20 @@ def test_verify_json_report(runner, workspace):
     assert report["status"] == "ok"
     assert report["allowed"] is True
     assert report["clearance"] == "restricted-plus"
+    assert report["flavorNote"] is None
+
+
+def test_verify_enclaved_json_deny_has_no_flavor_note(runner, workspace):
+    result = runner.invoke(
+        cli,
+        ["verify", workspace["unsigned"], "--required", "restricted-plus",
+         "--trust-root", workspace["root"], "--flavor", "enclaved", "--json"],
+    )
+    assert result.exit_code == EXIT_VERDICT
+    report = json.loads(result.stdout)
+    assert report["status"] == "denied"
+    assert report["reason"] == "unsigned"
+    assert report["flavorNote"] is None
 
 
 def test_verify_open_flavor_warns_with_exit_1(runner, workspace):
@@ -338,6 +354,22 @@ def test_fuzz_fails_on_sabotaged_corpus(runner, tmp_path):
     result = runner.invoke(
         cli, ["fuzz", "--seed", "3", "--per-category", "2", "--corpus", str(corpus_path)]
     )
+    assert result.exit_code == EXIT_VERDICT
+    assert "result: FAIL" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        {"category": "near_miss", "input": "list_labelz", "expectation": "bad_signature"},
+        {"category": "unclassified", "input": "admin", "expectation": "no-such-reason"},
+    ],
+    ids=["near-miss", "unclassified"],
+)
+def test_fuzz_corpus_tool_case_is_checked_against_its_expectation(runner, tmp_path, case):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(json.dumps(case) + "\n")
+    result = runner.invoke(cli, ["fuzz", "--corpus", str(corpus_path)])
     assert result.exit_code == EXIT_VERDICT
     assert "result: FAIL" in result.stdout
 
@@ -512,6 +544,45 @@ def test_two_verify_runs_on_one_audit_log_append_in_turn(workspace, tmp_path):
             first.kill()
     records = load_audit_jsonl(audit_path)
     assert [record.seq for record in records] == [0, 1]
+    assert verify_chain(records) is None
+
+
+# ``atsa verify`` with the exchange deadline cut to 0.5 s.
+SHORT_DEADLINE_VERIFY = (
+    "import sys; from atsa import admission, cli; admission.PEER_TIMEOUT_S = 0.5; cli.main(sys.argv[1:])"
+)
+
+
+def test_a_verify_against_a_trickling_peer_releases_the_audit_log_within_its_deadline(workspace, tmp_path):
+    # The first run holds the log while its peer sends a reply one byte every
+    # 0.2 s, each byte well inside any per-read timeout. Its deadline ends the
+    # GET as fetch_failed; the second run, waiting on the log, then extends the chain.
+    trickled = b"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n" + b"x" * 20
+    audit_path = tmp_path / "audit.jsonl"
+    environment = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+    def verify(target):
+        args = [sys.executable, "-c", SHORT_DEADLINE_VERIFY, "verify", target, "--required", "internal",
+                "--trust-root", workspace["root"], "--flavor", "enclaved", "--audit", str(audit_path)]
+        return subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=environment)
+
+    with RawPeer(trickled, trickle=0.2) as peer, verify(peer.url + "/mcp") as first:
+        try:
+            deadline = time.monotonic() + 30
+            while not peer.requests and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert peer.requests, first.stderr.read()
+            with verify(workspace["sad"]) as second:
+                try:
+                    assert first.wait(timeout=5) == EXIT_VERDICT
+                    assert first.stderr.read().splitlines() == ["fetch_failed"]
+                    assert second.wait(timeout=30) == EXIT_OK, second.stderr.read()
+                finally:
+                    second.kill()
+        finally:
+            first.kill()
+    records = load_audit_jsonl(audit_path)
+    assert [record.event for record in records] == [EVENT_CONNECT_DENY, EVENT_CONNECT_ALLOW]
     assert verify_chain(records) is None
 
 

@@ -59,7 +59,6 @@ def test_vector_set_shape(vectors):
     assert [v.index for v in vectors] == list(range(1, 12))
     assert [(v.index, v.expect_reason) for v in vectors] == EXPECTED_VECTOR_REASONS
     for v in vectors:
-        assert v.expect_allow == (v.expect_reason is None)
         assert v.required_level == VECTOR_REQUIRED_LEVEL
 
 
@@ -274,14 +273,18 @@ def test_campaign_checks_targeted_clause_per_forgery():
         assert by_cat[category].denied == 6
 
 
-def test_campaign_flags_mislabeled_expectation():
+@pytest.mark.parametrize(
+    "kind, category, got",
+    [(KIND_TOOL, "near_miss", "tool_not_admitted"), (KIND_ASSERTION, "unsigned", "unsigned")],
+    ids=["tool", "forged"],
+)
+def test_campaign_flags_mislabeled_expectation(kind, category, got):
     cases = generate_corpus(6, ALLOWLIST, per_category=3)
-    target = next(i for i, c in enumerate(cases)
-                  if c.kind == KIND_ASSERTION and c.category == "unsigned")
+    target = next(i for i, c in enumerate(cases) if c.kind == kind and c.category == category)
     cases[target] = replace(cases[target], expectation="bad_signature")
     report = run_campaign(cases, seed=6, allowlist=ALLOWLIST)
     assert not report.passed
-    assert report.mismatches
+    assert report.mismatches == ((category, cases[target].input, got),)
 
 
 def test_campaign_counter_catches_a_real_dispatch():

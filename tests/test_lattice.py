@@ -87,17 +87,7 @@ def test_levels_up_to():
         levels_up_to(scheme, "nope")
 
 
-def test_metadata_is_carried_not_enforced():
-    hipaa = get_builtin_scheme("healthcare-hipaa")
-    assert set(hipaa.compartments) == {"MENTAL-HEALTH", "GENETICS"}
-    assert "BAA-COVERED" in hipaa.markings
-    assert "NOFORN" in get_builtin_scheme("us-government").markings
-    assert "M_AND_A" in get_builtin_scheme("financial-services").compartments
-    # metadata plays no part in rank comparison
-    assert hipaa.meets("SENSITIVE-PHI", "PHI")
-
-
-def _scheme_json(levels, compartments=(), markings=(), name="custom"):
+def _scheme_json(levels, name="custom", **extra):
     """The scheme file form that ``load_scheme`` reads."""
     return json.dumps(
         {
@@ -106,8 +96,7 @@ def _scheme_json(levels, compartments=(), markings=(), name="custom"):
                 {"rank": rank, "canonicalName": canonical, "aliases": list(aliases)}
                 for rank, canonical, aliases in levels
             ],
-            "compartments": list(compartments),
-            "markings": list(markings),
+            **extra,
         }
     )
 
@@ -115,23 +104,29 @@ def _scheme_json(levels, compartments=(), markings=(), name="custom"):
 def _scheme_file(scheme):
     return _scheme_json(
         [(level.rank, level.canonical_name, level.aliases) for level in scheme.levels],
-        scheme.compartments,
-        scheme.markings,
         scheme.name,
     )
 
 
 def test_load_custom_scheme_round_trip():
-    raw = _scheme_json(
-        [(0, "BRONZE", ["B"]), (1, "SILVER", []), (2, "GOLD", ["AU"])],
-        compartments=["VAULT"],
-        markings=["NO-EXPORT"],
-    )
+    raw = _scheme_json([(0, "BRONZE", ["B"]), (1, "SILVER", []), (2, "GOLD", ["AU"])])
     scheme = load_scheme(raw)
     assert scheme.resolve("au") == 2
     assert scheme.meets("GOLD", "b")
     again = load_scheme(_scheme_file(scheme))
     assert again == scheme
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"compartments": ["VAULT"], "markings": ["NO-EXPORT"]},
+        {"compartments": 5, "markings": {"not": "a list"}},
+    ],
+)
+def test_load_ignores_keys_outside_the_ladder(extra):
+    levels = [(0, "BRONZE", ["B"]), (1, "GOLD", [])]
+    assert load_scheme(_scheme_json(levels, **extra)) == load_scheme(_scheme_json(levels))
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,7 @@ import ssl
 import subprocess
 import sys
 import threading
+import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -144,6 +145,37 @@ def test_bad_tools_call_reply_is_transport_error(peer, scheme, trust_root, signe
     result = gateway.invoke(peer.url + "/mcp", ToolCall("list_labels"))
     assert result.status == DispatchStatus.transport_error
     assert [record.event for record in audit.records] == [EVENT_CONNECT_ALLOW]
+
+
+# A peer that sends a whole, valid reply, but one byte every 0.2 s: each read
+# alone is answered well within PEER_TIMEOUT_S, so only a deadline on the
+# whole exchange ends it.
+TRICKLED = b"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n" + b"x" * 20
+
+
+def test_a_trickled_well_known_reply_is_fetch_failed_within_the_deadline(monkeypatch, scheme, trust_root):
+    monkeypatch.setattr(admission, "PEER_TIMEOUT_S", 0.5)
+    with RawPeer(TRICKLED, trickle=0.2) as peer:
+        gateway, audit = _enclaved_gateway(peer, scheme, trust_root, HttpFetcher())
+        started = time.monotonic()
+        result = gateway.invoke(peer.url + "/mcp", ToolCall("list_labels"))
+        elapsed = time.monotonic() - started
+    assert (result.status, result.reason) == (DispatchStatus.denied, DenyReason.fetch_failed)
+    assert [record.event for record in audit.records] == [EVENT_CONNECT_DENY]
+    assert elapsed < 1.5
+
+
+def test_a_trickled_tools_call_reply_is_one_post_and_a_transport_error(monkeypatch, scheme, trust_root, signed_doc):
+    monkeypatch.setattr(admission, "PEER_TIMEOUT_S", 0.5)
+    with RawPeer(TRICKLED, trickle=0.2) as peer:
+        gateway, audit = _enclaved_gateway(peer, scheme, trust_root, fetcher_for(signed_doc, origin=peer.url))
+        started = time.monotonic()
+        result = gateway.invoke(peer.url + "/mcp", ToolCall("list_labels"))
+        elapsed = time.monotonic() - started
+        assert len(_posts(peer)) == 1
+    assert result.status == DispatchStatus.transport_error
+    assert [record.event for record in audit.records] == [EVENT_CONNECT_ALLOW]
+    assert elapsed < 1.5
 
 
 @pytest.mark.parametrize("scheme_name", ["file", "ftp", "data"])

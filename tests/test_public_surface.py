@@ -4,7 +4,8 @@ that only tests call belongs in the tests, so one cannot join the public
 surface unnoticed. Likewise every defaulted parameter and dataclass field of
 the package is set by some shipped call, and every public method or property
 of a public class is read by shipped code, so a setting or a member only tests
-use cannot join it either."""
+use cannot join it either. Every public field of a public dataclass is read as
+an attribute by shipped code, so state that nothing reads cannot join it."""
 
 from __future__ import annotations
 
@@ -220,3 +221,91 @@ def test_the_member_guard_reads_methods_and_properties():
         "wellknown.StubServerConfig.for_document",  # classmethod
     } <= labels
     assert not any("._" in label for label in labels)  # private and dunder members are not read
+
+
+# Every public field of a public dataclass in the package is read as an
+# attribute by shipped code, so state that no decision or output reads cannot
+# join it. A read in the declaring class's own ``__post_init__`` (which only
+# normalizes or checks the value) does not count. These are the exceptions.
+UNREAD_FIELDS_BY_DESIGN: dict[str, str] = {}
+
+
+def _fields(path: Path) -> list[tuple[str, str]]:
+    """(label, name) of every public field of one module's public dataclasses."""
+    return [
+        (f"{path.stem}.{node.name}.{field.target.id}", field.target.id)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and "dataclass" in _decorators(node)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and not field.target.id.startswith("_")
+    ]
+
+
+def _attribute_reads(path: Path) -> set[tuple[str, str | None, str | None]]:
+    """(attribute, enclosing class, enclosing function) of every attribute
+    one source file reads. Only the innermost class and function are kept."""
+    reads = set()
+
+    def visit(node: ast.AST, owner: str | None, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                reads.add((child.attr, owner, function))
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner, child.name)
+            else:
+                visit(child, owner, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None, None)
+    return {(attr, f"{path.stem}.{owner}" if owner else None, function) for attr, owner, function in reads}
+
+
+def _unread(fields: list[tuple[str, str]], reads: set[tuple[str, str | None, str | None]]) -> set[str]:
+    """Labels of the fields no read counts for."""
+    return {
+        label
+        for label, name in fields
+        if not any(
+            attr == name and (owner, function) != (label.rsplit(".", 1)[0], "__post_init__")
+            for attr, owner, function in reads
+        )
+    }
+
+
+FIELDS = [field for path in sorted(SRC.glob("*.py")) for field in _fields(path)]
+ATTRIBUTE_READS = set().union(*map(_attribute_reads, SHIPPED))
+
+
+def test_every_public_field_is_read_by_shipped_code():
+    assert _unread(FIELDS, ATTRIBUTE_READS) == set(UNREAD_FIELDS_BY_DESIGN)
+
+
+def test_the_field_guard_reads_public_dataclass_fields(tmp_path):
+    labels = {label for label, _ in FIELDS}
+    assert {
+        "gateway.RegistryEntry.skip_clearance_preflight",  # defaulted field
+        "lattice.ClassificationLevel.aliases",  # read by another class's __post_init__
+        "wellknown.StubServerConfig.tool_behaviors",  # plain @dataclass
+    } <= labels
+    assert not any("._" in label for label in labels)  # private fields are not read
+
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Kept:\n"
+        "    used: int\n"
+        "    normalized_only: tuple = ()\n"
+        "    _private: int = 0\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'normalized_only', tuple(self.normalized_only))\n"
+        "class Other:\n"
+        "    def __post_init__(self):\n"
+        "        self.used\n",
+        encoding="utf-8",
+    )
+    fields = _fields(probe)
+    assert [label for label, _ in fields] == ["probe.Kept.used", "probe.Kept.normalized_only"]
+    assert _unread(fields, _attribute_reads(probe)) == {"probe.Kept.normalized_only"}

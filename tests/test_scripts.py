@@ -1,7 +1,8 @@
 """The advertised experiments run end to end: the loopback demo in both
 flavors (the only script that drives ``HttpFetcher``, ``HttpTransport`` and
-the stub server together) and a small conformance campaign. Each runs as a
-subprocess in development mode with resource warnings as errors."""
+the stub server together) and a small seeded campaign through ``atsa fuzz``.
+Each runs as a subprocess in development mode with resource warnings as
+errors."""
 
 from __future__ import annotations
 
@@ -16,19 +17,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "script, args, verdict",
+    "command, verdict",
     [
-        ("demo_loopback.py", ["--flavor", "enclaved"], "chain check: intact"),
-        ("demo_loopback.py", ["--flavor", "open"], "chain check: intact"),
-        ("run_campaign.py", ["--seeds", "1", "--per-category", "2"], "overall: PASS"),
+        ([str(ROOT / "scripts" / "demo_loopback.py"), "--flavor", "enclaved"], "chain check: intact"),
+        ([str(ROOT / "scripts" / "demo_loopback.py"), "--flavor", "open"], "chain check: intact"),
+        (["-m", "atsa.cli", "fuzz", "--seed", "1", "--per-category", "2"], "result: PASS"),
     ],
     ids=["demo-enclaved", "demo-open", "campaign"],
 )
-def test_script_runs_clean(script, args, verdict):
+def test_script_runs_clean(command, verdict):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     completed = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", str(ROOT / "scripts" / script), *args],
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", *command],
         capture_output=True,
         text=True,
         env=env,
