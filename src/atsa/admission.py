@@ -19,13 +19,13 @@ several checks at once and callers key behavior off the reason:
 10. serving host bound, when hosts listed -> host_not_bound
 
 Checks 3-10 run on every call, against that call's clock, trust root,
-required level and URL. One memo, ``_DOCUMENTS``, holds what depends only on
-the bytes: for the ``DOCUMENT_CACHE_SIZE`` most recent documents of at most
-``MEMO_MAX_BODY_BYTES``, keyed by the SHA-256 of the fetched bytes, their
-``DocumentError`` text, or their ``AttestationDocument`` and its check 8 result
-per public key, which is fixed because its signature and canonical body are.
-Any changed byte is a new entry. The cached document never leaves
-``verify_server_clearance``: a ``Verdict`` holds only strings.
+required level and URL. One memo, ``_parsed`` (a ``functools.lru_cache``), holds
+what depends only on the bytes: for the ``DOCUMENT_CACHE_SIZE`` most recent
+documents of at most ``MEMO_MAX_BODY_BYTES``, keyed by the fetched bytes
+themselves, their ``DocumentError`` text, or their ``AttestationDocument`` and
+its check 8 result per public key, which is fixed because its signature and
+canonical body are. Any changed byte is a new entry. The cached document never
+leaves ``verify_server_clearance``: a ``Verdict`` holds only strings.
 
 ``AdmissionGate.connect`` wraps the verdict with flavor semantics (enclaved
 denies, open warns but never silently allows) and writes exactly one audit
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import atexit
 import functools
-import hashlib
 import os
 import re
 import select
@@ -49,7 +48,6 @@ import ssl
 import threading
 import time
 import urllib.parse
-from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -437,32 +435,21 @@ def fetch_attestation(server_url: str, fetcher: Fetcher) -> bytes:
     raise FetchError(f"no attestation document at well-known paths under {base}")
 
 
-# By the SHA-256 of the bytes, least recently used first: the DocumentError text,
-# or the document and its signature result per trust-root key (racing threads
-# store the same result). Bodies over MEMO_MAX_BODY_BYTES are parsed and verified
-# every time and never kept: a peer serving ever new bytes pins at most 256 small ones.
+# By the fetched bytes, least recently used first: the DocumentError text, or the
+# document and its signature result per trust-root key (racing threads store the
+# same result). Bodies over MEMO_MAX_BODY_BYTES go to ``_parsed.__wrapped__`` and
+# are never kept: a peer serving ever new bytes pins at most 256 small ones.
 DOCUMENT_CACHE_SIZE = 256
 MEMO_MAX_BODY_BYTES = 4 * 1024
-_DOCUMENTS: OrderedDict[bytes, tuple[AttestationDocument, dict[bytes, bool]] | str] = OrderedDict()
-_DOCUMENTS_LOCK = threading.Lock()
 
 
-def _parsed(raw: bytes, digest: bytes) -> tuple[AttestationDocument, dict[bytes, bool]] | str:
-    """``parse_document(raw)`` and its signature results, or its DocumentError text, remembered by ``digest``."""
-    with _DOCUMENTS_LOCK:
-        if (outcome := _DOCUMENTS.get(digest)) is not None:
-            _DOCUMENTS.move_to_end(digest)
-            return outcome
+@functools.lru_cache(maxsize=DOCUMENT_CACHE_SIZE)
+def _parsed(raw: bytes) -> tuple[AttestationDocument, dict[bytes, bool]] | str:
+    """``parse_document(raw)`` and its signature results, or its DocumentError text."""
     try:
-        outcome = parse_document(raw), {}
+        return parse_document(raw), {}
     except DocumentError as exc:
-        outcome = str(exc)
-    if len(raw) <= MEMO_MAX_BODY_BYTES:
-        with _DOCUMENTS_LOCK:
-            _DOCUMENTS[digest] = outcome
-            if len(_DOCUMENTS) > DOCUMENT_CACHE_SIZE:
-                _DOCUMENTS.popitem(last=False)
-    return outcome
+        return str(exc)
 
 
 def verify_server_clearance(
@@ -483,7 +470,7 @@ def verify_server_clearance(
     except FetchError as exc:
         return Verdict.deny(DenyReason.fetch_failed, str(exc))
 
-    outcome = _parsed(raw, hashlib.sha256(raw).digest())
+    outcome = (_parsed if len(raw) <= MEMO_MAX_BODY_BYTES else _parsed.__wrapped__)(raw)
     if isinstance(outcome, str):
         return Verdict.deny(DenyReason.manifest_invalid, outcome)
     document, verified = outcome

@@ -83,6 +83,10 @@ __all__ = [
 VECTOR_NOW = datetime(2026, 1, 1, tzinfo=timezone.utc)
 VECTOR_REQUIRED_LEVEL = "restricted-plus"
 _EXPIRED_AT = datetime(2025, 1, 1, tzinfo=timezone.utc)
+# The scheme every vector and campaign verifies under, and the ladder its
+# fully approved signers may assert.
+_SCHEME = get_builtin_scheme("default")
+_APPROVED_FULL = tuple(name.lower() for name in levels_up_to(_SCHEME, VECTOR_REQUIRED_LEVEL))
 
 
 @dataclass(frozen=True)
@@ -149,11 +153,8 @@ def build_vectors(signing_key: KeyPair | None = None) -> list[ConformanceVector]
     host-bound admit. Each uses the same signer, approved up through
     restricted-plus except where the vector says otherwise."""
     key = signing_key if signing_key is not None else generate_keypair("S")
-    scheme = get_builtin_scheme("default")
-    approved_full = tuple(name.lower() for name in levels_up_to(scheme, "restricted-plus"))
-
-    trusted = SignerRecord(key.key_id, key.public_key, approved_full)
-    expired = SignerRecord(key.key_id, key.public_key, approved_full, not_after=_EXPIRED_AT)
+    trusted = SignerRecord(key.key_id, key.public_key, _APPROVED_FULL)
+    expired = SignerRecord(key.key_id, key.public_key, _APPROVED_FULL, not_after=_EXPIRED_AT)
     low_approval = SignerRecord(key.key_id, key.public_key, ("public", "internal"))
 
     baseline = sign_document(_baseline_document(), key)
@@ -198,30 +199,21 @@ def build_vectors(signing_key: KeyPair | None = None) -> list[ConformanceVector]
     ]
 
 
-def run_vectors(
-    vectors: Sequence[ConformanceVector],
-    verifier: Callable[..., Verdict] | None = None,
-) -> VectorReport:
-    """Run each vector against ``verifier`` (production verifier by default;
-    injectable so a fault-seeded verifier demonstrably fails). A verifier is
-    called exactly like ``verify_server_clearance``."""
-    verify = verifier if verifier is not None else verify_server_clearance
-    scheme = get_builtin_scheme("default")
+def _verdict(document: bytes, server_url: str, required_level: str, trust_root: TrustRoot) -> Verdict:
+    """``document`` served at ``server_url``, verified at ``VECTOR_NOW`` under the default scheme."""
+    return verify_server_clearance(
+        server_url, required_level, now=VECTOR_NOW, scheme=_SCHEME, trust_root=trust_root,
+        fetcher=serving(document),
+    )
+
+
+def run_vectors(vectors: Sequence[ConformanceVector]) -> VectorReport:
+    """Run each vector against the production verifier; it passes when the
+    verdict's reason is exactly its ``expect_reason`` (None for an admit)."""
     outcomes = []
     for vec in vectors:
-        verdict = verify(
-            vec.server_url,
-            vec.required_level,
-            now=VECTOR_NOW,
-            scheme=scheme,
-            trust_root=TrustRoot(vec.signers),
-            fetcher=serving(vec.document_bytes),
-        )
-        if vec.expect_reason is None:
-            passed = verdict.allowed
-        else:
-            passed = (not verdict.allowed) and verdict.reason is vec.expect_reason
-        outcomes.append(VectorOutcome(vector=vec, verdict=verdict, passed=passed))
+        verdict = _verdict(vec.document_bytes, vec.server_url, vec.required_level, TrustRoot(vec.signers))
+        outcomes.append(VectorOutcome(vector=vec, verdict=verdict, passed=verdict.reason is vec.expect_reason))
     return VectorReport(outcomes=tuple(outcomes))
 
 
@@ -289,14 +281,12 @@ def campaign_setup(seed: int) -> CampaignSetup:
     high = keypair_from_seed("campaign-high-tier-signer", rng.randbytes(32))
     low = keypair_from_seed("campaign-community-signer", rng.randbytes(32))
     attacker = keypair_from_seed("attacker-self-signer", rng.randbytes(32))
-    scheme = get_builtin_scheme("default")
-    approved_full = tuple(name.lower() for name in levels_up_to(scheme, "restricted-plus"))
     signers = (
-        SignerRecord(high.key_id, high.public_key, approved_full),
+        SignerRecord(high.key_id, high.public_key, _APPROVED_FULL),
         SignerRecord(low.key_id, low.public_key, ("public", "internal")),
     )
     return CampaignSetup(
-        required_level="restricted-plus",
+        required_level=VECTOR_REQUIRED_LEVEL,
         signers=signers,
         high_key=high,
         low_key=low,
@@ -746,21 +736,11 @@ def run_campaign(
     audit_log = audit if audit is not None else AuditLog(clock=lambda: VECTOR_NOW)
     transport = _CountingTransport()
 
-    server_sad = sign_document(
-        AttestationDocument(
-            id="mcp.campaign.tools",
-            publisher="campaign-fixture",
-            version="1.0.0",
-            clearance="restricted-plus",
-            capabilities=("mcp-server",),
-        ),
-        setup.high_key,
-    )
+    server_sad = sign_document(_baseline_document(), setup.high_key)
     fetcher = serving(serialize_document(server_sad).encode("utf-8"))
     trust_root = TrustRoot(setup.signers)
     trust_root.lock_trust_root()
-    scheme = get_builtin_scheme("default")
-    gate = AdmissionGate(scheme, trust_root, fetcher, audit_log)
+    gate = AdmissionGate(_SCHEME, trust_root, fetcher, audit_log)
 
     registry = ServerRegistry()
     registry.register(
@@ -794,14 +774,8 @@ def run_campaign(
                     got = outcome.reason.value if outcome.reason else outcome.status.value
             else:
                 # A lone surrogate reaches the parser as its \uXXXX escape.
-                verdict = verify_server_clearance(
-                    _FORGED_SERVER,
-                    setup.required_level,
-                    now=VECTOR_NOW,
-                    scheme=scheme,
-                    trust_root=trust_root,
-                    fetcher=serving(case.input.encode("utf-8", errors="backslashreplace")),
-                )
+                document = case.input.encode("utf-8", errors="backslashreplace")
+                verdict = _verdict(document, _FORGED_SERVER, setup.required_level, trust_root)
                 got = "admitted" if verdict.allowed else verdict.reason.value
             # No status or reason is spelled "admitted", so it marks an admit.
             if got == "admitted":

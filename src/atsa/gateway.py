@@ -284,9 +284,9 @@ def load_registry_file(raw: bytes | str) -> list[RegistryEntry]:
         skip_preflight = item.get("skipClearancePreflight", False)
         if not isinstance(skip_preflight, bool):
             raise RegistryError("'skipClearancePreflight' must be a JSON boolean")
-        transport_spec = item.get("transport") or {}
+        transport_spec = {} if item.get("transport") is None else item["transport"]
         if not isinstance(transport_spec, dict):
-            raise RegistryError("'transport' must be a JSON object")
+            raise RegistryError("'transport' must be a JSON object, or null")
         url = _require_nonempty_string(transport_spec.get("url", endpoint), "transport.url")
         if (origin := _origin(url)) != (home := _origin(endpoint)):
             # The document is fetched from the endpoint's origin; a tools/call to

@@ -119,5 +119,5 @@ def checks(monkeypatch):
         return verify(document, public_key)
 
     monkeypatch.setattr(admission, "verify_signature", counting)
-    admission._DOCUMENTS.clear()
+    admission._parsed.cache_clear()
     return checked

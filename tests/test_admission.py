@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import random
 import sys
@@ -485,7 +486,7 @@ def parses(monkeypatch):
         return parse(raw)
 
     monkeypatch.setattr(admission, "parse_document", counting)
-    admission._DOCUMENTS.clear()
+    admission._parsed.cache_clear()
     return parsed
 
 
@@ -550,7 +551,7 @@ def test_threads_sharing_the_memo_get_each_key_its_own_verdict(signed_doc, schem
             for n in range(200)
         ]
 
-    admission._DOCUMENTS.clear()
+    admission._parsed.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -610,7 +611,15 @@ def test_a_document_over_the_memo_bound_is_parsed_and_verified_on_every_fetch(pa
     large = sign_document(replace(baseline_doc, publisher="p" * admission.MEMO_MAX_BODY_BYTES), signer)
     for _ in range(2):
         assert verify_server_clearance(**_request(large, scheme, trust_root)).allowed
-    assert len(parses) == len(checks) == 2 and not admission._DOCUMENTS
+    assert len(parses) == len(checks) == 2 and admission._parsed.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(("extra", "parsed"), [(0, 1), (1, 2)], ids=["at-the-bound", "one-byte-over"])
+def test_a_body_of_exactly_the_memo_bound_is_kept(parses, signed_doc, scheme, trust_root, extra, parsed):
+    body = _padded(signed_doc, admission.MEMO_MAX_BODY_BYTES + extra)
+    for _ in range(2):
+        assert verify_server_clearance(**_request(body, scheme, trust_root)).allowed
+    assert len(parses) == parsed
 
 
 def test_the_document_cache_drops_the_least_recently_used(parses, scheme, trust_root):
@@ -619,7 +628,7 @@ def test_the_document_cache_drops_the_least_recently_used(parses, scheme, trust_
         verify_server_clearance(**_request(body, scheme, trust_root))
     verify_server_clearance(**_request(bodies[0], scheme, trust_root))  # now the most recently used
     verify_server_clearance(**_request(bodies[-1], scheme, trust_root))
-    assert len(admission._DOCUMENTS) == admission.DOCUMENT_CACHE_SIZE
+    assert admission._parsed.cache_info().currsize == admission.DOCUMENT_CACHE_SIZE
     for body in (bodies[0], bodies[1]):
         verify_server_clearance(**_request(body, scheme, trust_root))
     assert parses == [*bodies, bodies[1]]
@@ -654,21 +663,31 @@ _ROOTS = [  # unlocked, so that each may differ from the last
 ]
 
 
+_CLOCKS = [_EXPIRY - timedelta(days=1), _EXPIRY + timedelta(days=1)]
+
+
 @given(
-    text=st.sampled_from(_POOL),
     trust_root=st.sampled_from(_ROOTS),
-    now=st.sampled_from([_EXPIRY - timedelta(days=1), _EXPIRY + timedelta(days=1)]),
+    now=st.sampled_from(_CLOCKS),
     required=st.sampled_from(["public", "restricted", "restricted-plus"]),
     url=st.sampled_from(["https://tools.example/mcp", "https://elsewhere.example/mcp"]),
 )
-def test_a_warm_cache_gives_the_verdict_of_a_cold_one(text, trust_root, now, required, url):
-    request = dict(
-        server_url=url, required_level=required, now=now, scheme=get_builtin_scheme("default"),
-        trust_root=trust_root, fetcher=serving(text.encode("utf-8", "backslashreplace")),
-    )
-    warm = verify_server_clearance(**request)
-    admission._DOCUMENTS.clear()
-    assert verify_server_clearance(**request) == warm
+def test_a_warm_cache_gives_the_verdict_of_a_cold_one(trust_root, now, required, url):
+    """For every pooled text: its verdict from an empty cache equals its verdict
+    once the cache was warmed under every trust root and clock."""
+    def verdict(text, root, clock):
+        return verify_server_clearance(
+            server_url=url, required_level=required, now=clock, scheme=get_builtin_scheme("default"),
+            trust_root=root, fetcher=serving(text.encode("utf-8", "backslashreplace")),
+        )
+
+    for text in _POOL:
+        admission._parsed.cache_clear()
+        cold = verdict(text, trust_root, now)
+        admission._parsed.cache_clear()
+        for root, clock in itertools.product(_ROOTS, _CLOCKS):
+            verdict(text, root, clock)
+        assert verdict(text, trust_root, now) == cold
 
 
 # A member named twice keeps its last value (see the sad module docstring).

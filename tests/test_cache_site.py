@@ -1,5 +1,5 @@
-"""``src/atsa`` keeps one memo of attestation work: ``admission._DOCUMENTS``,
-which holds, by the SHA-256 of the fetched bytes, each document's parse
+"""``src/atsa`` keeps one memo of attestation work: ``admission._parsed``, a
+``functools.lru_cache`` which holds, by the fetched bytes, each document's parse
 outcome and its signature result per public key, under one size bound and one
 body bound. A second memo would have its own key and bounds, and a warm cache
 could then answer otherwise than a cold one where no test clears it, so one
@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "atsa"
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
 
 MEMOS = {
-    "admission._DOCUMENTS": "the document memo",
+    "admission._parsed": "the document memo",
 }
 CACHED_ELSEWHERE_BY_DESIGN = {
     "admission._tls_context": "one TLS client context per CA bundle setting, not attestation work",

@@ -21,6 +21,7 @@ from atsa import (
     verify_server_clearance,
     verify_signature,
 )
+from atsa import conformance
 from atsa.conformance import (
     CorpusCase,
     FORGERY_CATEGORIES,
@@ -166,8 +167,9 @@ def _verifier_without(disabled_reason):
     return verifier
 
 
-def test_disabled_domination_clause_is_caught(vectors):
-    report = run_vectors(vectors, verifier=_verifier_without(DenyReason.below_required))
+def test_disabled_domination_clause_is_caught(vectors, monkeypatch):
+    monkeypatch.setattr(conformance, "verify_server_clearance", _verifier_without(DenyReason.below_required))
+    report = run_vectors(vectors)
     assert not report.passed
     failing = [o.vector.index for o in report.outcomes if not o.passed]
     assert failing == [9]
@@ -175,8 +177,9 @@ def test_disabled_domination_clause_is_caught(vectors):
     assert "vector 09" in line
 
 
-def test_disabled_capability_clause_is_caught(vectors):
-    report = run_vectors(vectors, verifier=_verifier_without(DenyReason.not_mcp_server))
+def test_disabled_capability_clause_is_caught(vectors, monkeypatch):
+    monkeypatch.setattr(conformance, "verify_server_clearance", _verifier_without(DenyReason.not_mcp_server))
+    report = run_vectors(vectors)
     assert not report.passed
     failing = [o.vector.index for o in report.outcomes if not o.passed]
     assert failing == [2]

@@ -463,6 +463,15 @@ def test_load_registry_file_rejects_malformed(broken):
         load_registry_file(broken)
 
 
+@pytest.mark.parametrize("transport", [[], 0, False, ""], ids=["empty-array", "zero", "false", "empty-string"])
+def test_load_registry_file_takes_only_an_absent_or_null_transport_as_none(transport):
+    entry = {"endpoint": SERVER_URL, "bridgeId": "b", "requiredClearance": "internal", "allowedTools": []}
+    (loaded,) = load_registry_file(json.dumps([{**entry, "transport": None}]))
+    assert loaded.transport.url == SERVER_URL
+    with pytest.raises(RegistryError, match="'transport' must be a JSON object"):
+        load_registry_file(json.dumps([{**entry, "transport": transport}]))
+
+
 def _registry_with_transport_url(url):
     entry = {"endpoint": SERVER_URL, "bridgeId": "b", "requiredClearance": "internal", "allowedTools": []}
     return json.dumps([{**entry, "transport": {"url": url}}])
