@@ -4,7 +4,13 @@
 Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
 PARENT_DIR and in CHANGE_DIR, one pair per seed (S, S + 1, ...). The side that
 runs first alternates from pair to pair, so a drift in host speed falls on
-both sides alike. Each run uses its own checkout's sources.
+both sides alike. Each run uses its own checkout's sources, and its own
+fresh, empty bytecode cache (``PYTHONPYCACHEPREFIX``), removed after it: no
+run reads a ``__pycache__`` that a checkout happens to hold, or one an
+earlier run wrote, so import time, part of ``setup_s``, is the same work on
+both sides. That work includes compiling every module the run imports, the
+standard library's too, so ``setup_s`` here reads higher than in a run of
+``perfbench/run.py`` with warm caches.
 
 The result is written as JSON under the workload's name in ``--out``; other
 workloads already in that file are kept. For each end-to-end metric of
@@ -19,10 +25,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -72,7 +80,9 @@ def summarize(pairs: Sequence[tuple[dict[str, Any], dict[str, Any]]], metrics: I
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict[str, Any]:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    completed = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        environment = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        completed = subprocess.run(command, cwd=checkout, capture_output=True, text=True, env=environment)
     if completed.returncode != 0:
         raise SystemExit(f"{' '.join(command)} failed in {checkout}:\n{completed.stderr}")
     return read_result(completed.stdout)

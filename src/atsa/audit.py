@@ -132,12 +132,13 @@ class JsonlAuditSink:
     """One JSON object per line, flushed and fsynced before append returns.
     A lone surrogate, which can only sit inside a JSON string, is written as
     its ``\\uXXXX`` escape. One writer per file, or two would extend one
-    head: the sink takes an exclusive ``flock`` as it is built, before the
-    head is read, and holds it until ``close``. A sink in another process
-    waits for it; a second sink in this process, which would wait forever,
-    raises AuditError. So does a file whose last byte, once the lock is
-    held, is not a newline: a crash cut its last line, and a record written
-    now would land on that line. The file is left as it is, and unlocked."""
+    head: the sink takes an exclusive ``flock`` as it is built, reads the
+    file's ``head`` (next seq, last hash) under it, and holds it until
+    ``close``. A sink in another process waits for it; a second sink in this
+    process, which would wait forever, raises AuditError. So does a torn
+    last line, where a record written now would land, a line that is not a
+    record, or a broken chain, which a record appended now would launder.
+    The file is left as it is, and unlocked."""
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = os.fspath(path)
@@ -158,6 +159,11 @@ class JsonlAuditSink:
                 # Numbered from 0, as the loader numbers it.
                 line = os.pread(descriptor, size, 0).count(b"\n")
                 raise AuditError(f"line {line}: torn final line (no newline): cut the file back to its last newline")
+            records = load_audit_jsonl(self.path)
+            first_bad = verify_chain(records)
+            if first_bad is not None:
+                raise AuditError(f"cannot resume a broken chain: violation at record {first_bad}")
+            self.head = (len(records), records[-1].hash) if records else (0, GENESIS_PREV_HASH)
         except BaseException:
             self.close()
             raise
@@ -191,12 +197,13 @@ def _format_timestamp(moment: datetime) -> str:
 
 
 class AuditLog:
-    """Appender holding the chain head. Records are kept in memory and
-    forwarded to an optional sink; a sink failure propagates to the caller.
-    The record may already be on disk then, so after a failed sink write the
-    log refuses every append until it is resumed from disk: a later record
-    would repeat the failed one's seq and break the chain for ``verify_chain``.
-    ``clock`` stamps every record."""
+    """Appender holding the chain head, from a ``JsonlAuditSink``'s ``head``
+    or else genesis. ``records`` are those this log appended; each goes to
+    an optional sink, and a sink failure propagates to the caller. The
+    record may already be on disk then, so after a failed sink write the
+    log refuses every append until it is resumed from disk (a new sink,
+    then ``AuditLog(sink)``): a later record would repeat the failed one's
+    seq and break the chain for ``verify_chain``. ``clock`` stamps every record."""
 
     def __init__(
         self,
@@ -205,23 +212,10 @@ class AuditLog:
     ) -> None:
         self._sink = sink
         self.clock = clock
+        self._head: tuple[int, bytes] = getattr(sink, "head", (0, GENESIS_PREV_HASH))
         self._records: list[AuditRecord] = []
         self._mutex = threading.Lock()
         self._sink_failed = False
-
-    @classmethod
-    def resume(cls, records: Sequence[AuditRecord], sink: AuditSink | None = None) -> "AuditLog":
-        """Continue an existing chain, e.g. one reloaded from a JSONL file.
-
-        The prior records must verify; appending to a broken chain would
-        launder the tampering.
-        """
-        first_bad = verify_chain(records)
-        if first_bad is not None:
-            raise AuditError(f"cannot resume a broken chain: violation at record {first_bad}")
-        log = cls(sink)
-        log._records = list(records)
-        return log
 
     @property
     def records(self) -> tuple[AuditRecord, ...]:
@@ -237,8 +231,7 @@ class AuditLog:
         with self._mutex:
             if self._sink_failed:
                 raise AuditError("a sink write failed; resume the log from disk before appending")
-            seq = len(self._records)
-            prev_hash = self._records[-1].hash if self._records else GENESIS_PREV_HASH
+            seq, prev_hash = self._head
             timestamp = _format_timestamp(self.clock())
             stored = dict(payload)
             record = AuditRecord(
@@ -254,6 +247,7 @@ class AuditLog:
                 self._sink.write(record)
                 self._sink_failed = False
             self._records.append(record)
+            self._head = (seq + 1, record.hash)
             return record
 
 

@@ -99,17 +99,16 @@ def _load_trust_root(path: str, lock: bool) -> TrustRoot:
 def _open_audit_log(audit_path: str | None) -> AuditLog:
     """An audit file is one chain; repeated runs continue it rather than
     starting a second genesis that a later audit-verify would flag. The sink
-    locks the file before its head is read, so no other writer extends the
-    same head; another run on the same file waits until this one exits. The
-    sink is closed when the command exits, whichever way it exits, and
-    writes only once the chain has verified."""
+    locks the file and reads its verified head under the lock, so another
+    run on the same file waits until this one exits. The sink is closed when
+    the command exits, whichever way it exits."""
     if not audit_path:
         return AuditLog()
     try:
         sink = click.get_current_context().with_resource(contextlib.closing(JsonlAuditSink(audit_path)))
-        return AuditLog.resume(load_audit_jsonl(audit_path), sink)
     except AuditError as exc:
         raise ConfigError(f"cannot append to audit log {audit_path}: {exc}") from exc
+    return AuditLog(sink)
 
 
 def _load_keypair(path: str) -> KeyPair:

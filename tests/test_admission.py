@@ -668,13 +668,17 @@ _CLOCKS = [_EXPIRY - timedelta(days=1), _EXPIRY + timedelta(days=1)]
 
 @given(
     trust_root=st.sampled_from(_ROOTS),
-    now=st.sampled_from(_CLOCKS),
+    now=st.sampled_from(_CLOCKS) | st.just(_EXPIRY) | st.datetimes(
+        min_value=(_EXPIRY - timedelta(days=2)).replace(tzinfo=None),
+        max_value=(_EXPIRY + timedelta(days=2)).replace(tzinfo=None),
+        timezones=st.just(timezone.utc),
+    ),
     required=st.sampled_from(["public", "restricted", "restricted-plus"]),
     url=st.sampled_from(["https://tools.example/mcp", "https://elsewhere.example/mcp"]),
 )
 def test_a_warm_cache_gives_the_verdict_of_a_cold_one(trust_root, now, required, url):
     """For every pooled text: its verdict from an empty cache equals its verdict
-    once the cache was warmed under every trust root and clock."""
+    once the cache was warmed under every trust root and clock, ``now`` included."""
     def verdict(text, root, clock):
         return verify_server_clearance(
             server_url=url, required_level=required, now=clock, scheme=get_builtin_scheme("default"),
@@ -685,7 +689,7 @@ def test_a_warm_cache_gives_the_verdict_of_a_cold_one(trust_root, now, required,
         admission._parsed.cache_clear()
         cold = verdict(text, trust_root, now)
         admission._parsed.cache_clear()
-        for root, clock in itertools.product(_ROOTS, _CLOCKS):
+        for root, clock in itertools.product(_ROOTS, [*_CLOCKS, now]):
             verdict(text, root, clock)
         assert verdict(text, trust_root, now) == cold
 

@@ -1,5 +1,6 @@
 """Hash-chained audit log: linkage, vocabulary, durability, tamper evidence,
-one writer per JSONL file, and the record encoder against two oracles."""
+one writer per JSONL file, the head a new sink reads after a failed append or
+from mutated bytes, and the record encoder against two oracles."""
 
 from __future__ import annotations
 
@@ -7,18 +8,21 @@ import contextlib
 import copy
 import errno
 import fcntl
+import functools
 import json
 import os
 import random
 import signal
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from atsa import (
@@ -34,6 +38,7 @@ from atsa import (
 )
 from atsa import audit, sad
 from atsa.audit import GENESIS_PREV_HASH, compute_record_hash, record_from_wire, record_to_wire
+from atsa.cli import main
 from conftest import examples
 from doubles import RecordingSink
 from reference_impl import reference_canonical, reference_chain_first_bad
@@ -159,7 +164,7 @@ def test_a_failed_fsync_refuses_later_appends_and_leaves_a_file_that_verifies(tm
     assert [record.seq for record in records] == [0, 1]
     assert verify_chain(records) is None
     sink = JsonlAuditSink(path)
-    AuditLog.resume(records, sink=sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     sink.close()
     assert verify_chain(load_audit_jsonl(path)) is None
 
@@ -205,12 +210,12 @@ def test_jsonl_sink_appends_to_existing_file(tmp_path):
 # with HOLD set it then keeps the sink open until it is killed.
 RESUME_AND_APPEND = """
 import os, sys, time
-from atsa.audit import EVENT_CONNECT_DENY, AuditLog, JsonlAuditSink, load_audit_jsonl
+from atsa.audit import EVENT_CONNECT_DENY, AuditLog, JsonlAuditSink
 path = sys.argv[1]
 print("ready", flush=True)
 sys.stdin.readline()
 sink = JsonlAuditSink(path)
-AuditLog.resume(load_audit_jsonl(path), sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
 if os.environ.get("HOLD"):
     print("appended", flush=True)
     time.sleep(60)
@@ -286,7 +291,7 @@ def test_a_killed_writers_file_can_be_resumed_at_once(tmp_path):
     assert holder.returncode == -signal.SIGKILL
     assert not _locked_by_another(path)  # the kernel dropped the lock with its holder
     sink = JsonlAuditSink(path)
-    AuditLog.resume(load_audit_jsonl(path), sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     sink.close()
     records = load_audit_jsonl(path)
     assert [record.seq for record in records] == [0, 1, 2]
@@ -307,7 +312,7 @@ def test_a_sink_on_a_torn_file_is_refused_and_leaves_the_file_untouched(tmp_path
     # Cut back to the last newline, the file takes a sink again.
     path.write_bytes(torn[: torn.rindex(b"\n") + 1])
     sink = JsonlAuditSink(path)
-    AuditLog.resume(load_audit_jsonl(path), sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     sink.close()
     assert [record.seq for record in load_audit_jsonl(path)] == [0, 1, 2]
 
@@ -409,25 +414,191 @@ def test_any_append_sequence_verifies(entries):
     assert reference_chain_first_bad([record_to_wire(r) for r in records]) is None
 
 
-def test_resume_continues_an_existing_chain():
-    first = _ticking_log()
-    _fill(first, count=5)
-    resumed = AuditLog.resume(list(first.records))
-    resumed.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
-    records = resumed.records
+def test_resume_continues_an_existing_chain(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    sink = JsonlAuditSink(path)
+    _fill(_ticking_log(sink=sink), count=5)
+    sink.close()
+    sink = JsonlAuditSink(path)
+    AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    sink.close()
+    records = load_audit_jsonl(path)
     assert len(records) == 6
     assert records[5].seq == 5
     assert records[5].prev_hash == records[4].hash
     assert verify_chain(records) is None
 
 
-def test_resume_refuses_a_broken_chain():
-    log = _ticking_log()
-    _fill(log, count=4)
-    records = list(log.records)
-    records[2] = replace(records[2], payload={"reason": "tampered"})
+def test_resume_refuses_a_broken_chain(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    sink = JsonlAuditSink(path)
+    _fill(_ticking_log(sink=sink), count=4)
+    sink.close()
+    lines = path.read_bytes().splitlines(keepends=True)
+    wire = json.loads(lines[2])
+    wire["payload"] = {"reason": "tampered"}
+    lines[2] = json.dumps(wire).encode() + b"\n"
+    tampered = b"".join(lines)
+    path.write_bytes(tampered)
     with pytest.raises(AuditError, match="record 2"):
-        AuditLog.resume(records)
+        JsonlAuditSink(path)
+    assert path.read_bytes() == tampered
+    assert not _locked_by_another(path)
+
+
+def test_a_log_on_a_new_sink_continues_the_files_chain(tmp_path):
+    # At genesis the new log would write seqs [0, 1, 2, 0], a forged tamper
+    # alarm at record 3.
+    path = tmp_path / "audit.jsonl"
+    sink = JsonlAuditSink(path)
+    _fill(_ticking_log(sink=sink), count=3)
+    sink.close()
+    sink = JsonlAuditSink(path)
+    assert sink.head == (3, load_audit_jsonl(path)[2].hash)
+    log = AuditLog(sink)
+    appended = log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    sink.close()
+    records = load_audit_jsonl(path)
+    assert [record.seq for record in records] == [0, 1, 2, 3]
+    assert verify_chain(records) is None
+    assert log.records == (appended,) == (records[3],)
+
+
+# A sink write that fails at one append: before any byte is written, after
+# half the line, or at fsync once the whole line is written.
+class _FailingHandle:
+    def __init__(self, handle, fault):
+        self._handle, self._fault = handle, fault
+
+    def write(self, text):
+        if self._fault == "partial":
+            self._handle.write(text[: len(text) // 2])
+            self._handle.flush()
+        if self._fault != "fsync":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._handle.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def _failing(sink, fault):
+    if fault == "fsync":
+        return mock.patch("atsa.audit.os.fsync", side_effect=OSError(errno.EIO, "I/O error"))
+    return mock.patch.object(sink, "_handle", _FailingHandle(sink._handle, fault))
+
+
+def _complete_lines(data):
+    """The wire records of ``data``'s lines as the loader reads them: split at
+    each newline, blank lines skipped."""
+    return [json.loads(line) for line in data.split(b"\n") if line.strip()]
+
+
+def _head_of(wires):
+    return (len(wires), bytes.fromhex(wires[-1]["hash"])) if wires else (0, GENESIS_PREV_HASH)
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(entries=st.lists(_events, min_size=1, max_size=8), data=st.data(),
+       fault=st.sampled_from(["write", "partial", "fsync"]))
+def test_a_failed_append_leaves_a_file_that_a_fresh_sink_continues_or_refuses(entries, data, fault):
+    at = data.draw(st.integers(0, len(entries) - 1), label="failing append")
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "audit.jsonl"
+        sink = JsonlAuditSink(path)
+        log = _ticking_log(sink=sink)
+        try:
+            for event, payload in entries[:at]:
+                log.append(event, payload)
+            with _failing(sink, fault), pytest.raises(OSError):
+                log.append(*entries[at])
+        finally:
+            sink.close()
+        written = path.read_bytes()
+        complete = written[: written.rfind(b"\n") + 1]
+        wires = _complete_lines(complete)
+        assert len(wires) == (at + 1 if fault == "fsync" else at)
+        assert reference_chain_first_bad(wires) is None
+        if fault == "partial":
+            with pytest.raises(AuditError, match=f"line {at}: torn final line"):
+                JsonlAuditSink(path)
+            assert path.read_bytes() == written
+            path.write_bytes(complete)
+        sink = JsonlAuditSink(path)
+        try:
+            assert sink.head == _head_of(wires)
+            appended = AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+        finally:
+            sink.close()
+        assert appended.seq == len(wires)
+        records = load_audit_jsonl(path)
+        assert len(records) == len(wires) + 1
+        assert verify_chain(records) is None
+
+
+@functools.cache
+def _valid_log() -> bytes:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "audit.jsonl"
+        sink = JsonlAuditSink(path)
+        _fill(_ticking_log(sink=sink), 5)
+        sink.close()
+        return path.read_bytes()
+
+
+def _mutated(data, draw):
+    """``data`` with one mutation drawn: a flipped bit, inserted or deleted
+    bytes, lines spliced, a byte that is not UTF-8, a float or a deeply nested
+    payload member, or a cut tail."""
+    kind = draw(st.sampled_from(["flip", "insert", "delete", "splice", "non-utf8", "float", "nesting", "cut"]))
+    at = draw(st.integers(0, len(data)))
+    if kind == "flip" and at < len(data):
+        return data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1:]
+    if kind == "insert":
+        return data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    if kind == "delete":
+        return data[:at] + data[at + draw(st.integers(1, 8)):]
+    if kind == "splice" and data:
+        lines = data.splitlines(keepends=True)
+        return b"".join(draw(st.lists(st.sampled_from(lines), max_size=len(lines) + 2)))
+    if kind == "non-utf8":
+        return data[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"])) + data[at:]
+    if kind in ("float", "nesting"):
+        depth = draw(st.sampled_from([3, 100_000]))  # 100,000 is past the recursion limit
+        member = b"1.5" if kind == "float" else b"[" * depth + b"]" * depth
+        line = draw(st.integers(0, max(data.count(b"\n") - 1, 0)))
+        lines = data.split(b"\n")
+        lines[line] = lines[line].replace(b'"payload":{', b'"payload":{"detail":' + member + b",", 1)
+        return b"\n".join(lines)
+    return data[:at]
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(data=st.data())
+def test_a_mutated_log_is_reported_or_refused_and_never_forges_a_head(data):
+    mutated = _valid_log()
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        mutated = _mutated(mutated, data.draw)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "audit.jsonl"
+        path.write_bytes(mutated)
+        with pytest.raises(SystemExit) as verdict:
+            main(["audit-verify", str(path)])
+        assert verdict.value.code in (0, 1)
+        event(f"audit-verify exit {verdict.value.code}")
+        if verdict.value.code == 0:
+            assert reference_chain_first_bad(_complete_lines(mutated)) is None
+        try:
+            sink = JsonlAuditSink(path)
+        except AuditError:
+            event("sink refused")
+            assert path.read_bytes() == mutated
+            assert not _locked_by_another(path)
+            return
+        sink.close()
+        wires = _complete_lines(mutated)
+        assert reference_chain_first_bad(wires) is None
+        assert sink.head == _head_of(wires)
 
 
 # The record encoder against sad.canonical_json_bytes and the reference

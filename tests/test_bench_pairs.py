@@ -1,10 +1,12 @@
 """``scripts/bench_pairs.py`` sums up alternating parent/change benchmark
-runs. Its reading of a run's output and its summary are checked here on
-canned result lines, without running a benchmark."""
+runs. Its reading of a run's output, its summary and the bytecode cache each
+run gets are checked here on canned result lines, without running a
+benchmark."""
 
 from __future__ import annotations
 
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,21 @@ def test_one_pair_has_its_own_values_as_quartiles(bench_pairs):
     summary = bench_pairs.summarize(pairs, METRICS)["allowed_p50_us"]
     assert summary["parent_q1_q3"] == [60, 60] and summary["worse_by"] == pytest.approx(0.1)
     assert summary["change_better_pairs"] == "0/1"
+
+
+def test_each_run_gets_its_own_empty_bytecode_cache(bench_pairs, monkeypatch, tmp_path):
+    seen = []
+
+    def run(command, **kwargs):
+        cache = Path(kwargs["env"]["PYTHONPYCACHEPREFIX"])
+        seen.append((cache, sorted(cache.iterdir())))
+        (cache / "perfbench").mkdir()  # what a run that writes bytecode leaves
+        return subprocess.CompletedProcess(command, 0, stdout=_output(60, 100), stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    for _ in range(2):
+        assert bench_pairs.run_once(tmp_path, "inproc-mix", 1, 1)["allowed_p50_us"] == 60
+    (first, first_listing), (second, second_listing) = seen
+    assert first != second
+    assert first_listing == second_listing == []
+    assert not first.exists() and not second.exists()
