@@ -25,7 +25,10 @@ documents of at most ``MEMO_MAX_BODY_BYTES``, keyed by the fetched bytes
 themselves, their ``DocumentError`` text, or their ``AttestationDocument`` and
 its check 8 result per public key, which is fixed because its signature and
 canonical body are. Any changed byte is a new entry. The cached document never
-leaves ``verify_server_clearance``: a ``Verdict`` holds only strings.
+leaves ``verify_server_clearance``: a ``Verdict`` holds only strings. Outside
+the memo, each clause costs about a lookup: ``split_url`` keeps the split of
+its 128 most recent URLs, and a ``SignerRecord`` keeps the ranks of its
+approved names in the last scheme it was asked about.
 
 ``AdmissionGate.connect`` wraps the verdict with flavor semantics (enclaved
 denies, open warns but never silently allows) and writes exactly one audit
@@ -48,10 +51,9 @@ import ssl
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .audit import (
     EVENT_CONNECT_ALLOW,
@@ -128,8 +130,7 @@ class ConnectStatus(str, Enum):
     warn = "warn"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of verification. Denials are values, not exceptions."""
 
     allowed: bool
@@ -140,15 +141,14 @@ class Verdict:
 
     @classmethod
     def allow(cls, clearance: str, signer_key_id: str | None) -> "Verdict":
-        return cls(allowed=True, clearance=clearance, signer_key_id=signer_key_id)
+        return cls(True, clearance, signer_key_id)
 
     @classmethod
     def deny(cls, reason: DenyReason, detail: str = "") -> "Verdict":
-        return cls(allowed=False, reason=reason, detail=detail)
+        return cls(False, None, None, reason, detail)
 
 
-@dataclass(frozen=True)
-class ConnectResult:
+class ConnectResult(NamedTuple):
     status: ConnectStatus
     verdict: Verdict
 
@@ -161,9 +161,11 @@ class FetchError(Exception):
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
+@functools.lru_cache
 def split_url(url: str) -> tuple[urllib.parse.SplitResult, str]:
     """The one URL reader: ``url`` split, and its lowercased host. A ValueError unless ``url``
-    is absolute http(s) with a host and no userinfo (RFC 9110, section 4.2.4)."""
+    is absolute http(s) with a host and no userinfo (RFC 9110, section 4.2.4). Kept for the
+    128 most recent URLs, as a gated call reads its server URL up to four times."""
     try:
         parts = urllib.parse.urlsplit(url)
         if parts.scheme in _DEFAULT_PORTS and "@" not in parts.netloc and (host := parts.hostname):

@@ -31,10 +31,10 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass
+import time
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
-from typing import Any, Callable, Mapping, Protocol, Sequence, TextIO
+from typing import Any, Callable, Mapping, NamedTuple, Protocol, Sequence, TextIO
 
 from . import sad
 from ._json import read_jsonl
@@ -79,8 +79,7 @@ class AuditError(ValueError):
     """Invalid event name, payload shape, or log wire format."""
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     seq: int
     timestamp: str
     event: str
@@ -164,6 +163,7 @@ class JsonlAuditSink:
             if first_bad is not None:
                 raise AuditError(f"cannot resume a broken chain: violation at record {first_bad}")
             self.head = (len(records), records[-1].hash) if records else (0, GENESIS_PREV_HASH)
+            self._has_log = False
         except BaseException:
             self.close()
             raise
@@ -203,19 +203,40 @@ class AuditLog:
     record may already be on disk then, so after a failed sink write the
     log refuses every append until it is resumed from disk (a new sink,
     then ``AuditLog(sink)``): a later record would repeat the failed one's
-    seq and break the chain for ``verify_chain``. ``clock`` stamps every record."""
+    seq and break the chain for ``verify_chain``. A ``JsonlAuditSink`` takes
+    one log: a second would start from the same head and repeat the first's
+    seqs, so it raises AuditError. ``clock`` stamps every record; the default
+    one is read as ``time.time_ns``, and its text up to the second is
+    formatted once a second."""
 
     def __init__(
         self,
         sink: AuditSink | None = None,
         clock: Callable[[], datetime] = _utcnow,
     ) -> None:
+        if isinstance(sink, JsonlAuditSink):
+            with _HELD_MUTEX:
+                if sink._has_log:
+                    raise AuditError("the sink already has a log; a second would repeat its seqs")
+                sink._has_log = True
         self._sink = sink
         self.clock = clock
         self._head: tuple[int, bytes] = getattr(sink, "head", (0, GENESIS_PREV_HASH))
         self._records: list[AuditRecord] = []
         self._mutex = threading.Lock()
         self._sink_failed = False
+        self._second: tuple[int | None, str] = (None, "")  # the last stamped second and its text
+
+    def _stamp(self, instant_ns: int) -> str:
+        """``_format_timestamp`` of the UTC instant ``instant_ns`` ns after the epoch,
+        floored to the microsecond as ``datetime.now`` floors it. Called under the mutex."""
+        second, micro = divmod(instant_ns // 1000, 1_000_000)
+        stamped, prefix = self._second
+        if second != stamped:
+            prefix = format_rfc3339(datetime.fromtimestamp(second, timezone.utc))[:-1]  # less its "Z"
+            self._second = (second, prefix)
+        # isoformat writes no fraction when the microsecond is 0.
+        return f"{prefix}.{micro:06d}Z" if micro else prefix + "Z"
 
     @property
     def records(self) -> tuple[AuditRecord, ...]:
@@ -232,15 +253,11 @@ class AuditLog:
             if self._sink_failed:
                 raise AuditError("a sink write failed; resume the log from disk before appending")
             seq, prev_hash = self._head
-            timestamp = _format_timestamp(self.clock())
+            clock = self.clock
+            timestamp = self._stamp(time.time_ns()) if clock is _utcnow else _format_timestamp(clock())
             stored = dict(payload)
             record = AuditRecord(
-                seq=seq,
-                timestamp=timestamp,
-                event=event,
-                payload=stored,
-                prev_hash=prev_hash,
-                hash=compute_record_hash(prev_hash, seq, timestamp, event, stored),
+                seq, timestamp, event, stored, prev_hash, compute_record_hash(prev_hash, seq, timestamp, event, stored)
             )
             if self._sink is not None:
                 self._sink_failed = True  # stays set if the write raises
@@ -302,10 +319,7 @@ def record_from_wire(data: Mapping[str, Any]) -> AuditRecord:
         raise AuditError("audit record 'payload' must be an object")
     if len(prev_hash) != 32 or len(digest) != 32:
         raise AuditError("audit record hashes must be 32 bytes of hex")
-    return AuditRecord(
-        seq=seq, timestamp=timestamp, event=event, payload=payload,
-        prev_hash=prev_hash, hash=digest,
-    )
+    return AuditRecord(seq, timestamp, event, payload, prev_hash, digest)
 
 
 def load_audit_jsonl(path: str | os.PathLike[str]) -> list[AuditRecord]:

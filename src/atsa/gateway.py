@@ -19,7 +19,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Callable, Mapping, NamedTuple, Protocol
 
 from ._json import read_json
 from .admission import AdmissionGate, ConnectStatus, DenyReason, FetchError, Flavor, exchange, origin_of, redacted, split_url
@@ -135,8 +135,7 @@ class DispatchStatus(str, Enum):
     transport_error = "transport_error"
 
 
-@dataclass(frozen=True)
-class DispatchResult:
+class DispatchResult(NamedTuple):
     status: DispatchStatus
     payload: Any = None
     reason: DenyReason | None = None
@@ -145,15 +144,15 @@ class DispatchResult:
 
     @classmethod
     def ok(cls, payload: Any) -> "DispatchResult":
-        return cls(status=DispatchStatus.ok, payload=payload)
+        return cls(DispatchStatus.ok, payload)
 
     @classmethod
     def denied(cls, reason: DenyReason, detail: str = "") -> "DispatchResult":
-        return cls(status=DispatchStatus.denied, reason=reason, detail=detail)
+        return cls(DispatchStatus.denied, None, reason, detail)
 
     @classmethod
     def transport_error(cls, error: Mapping[str, Any], detail: str = "") -> "DispatchResult":
-        return cls(status=DispatchStatus.transport_error, error=dict(error), detail=detail)
+        return cls(DispatchStatus.transport_error, None, None, detail, dict(error))
 
 
 class HttpTransport:

@@ -12,7 +12,7 @@ import base64
 import binascii
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable
 
@@ -80,6 +80,11 @@ class SignerRecord:
     public_key: bytes
     approved_clearance: tuple[str, ...]
     not_after: datetime | None = None
+    # The last scheme ``approves`` read and the ranks of the approved names in
+    # it. A replaced record starts empty, so no rank outlives its record.
+    _approved_ranks: tuple[ClassificationScheme | None, frozenset[int]] = field(
+        default=(None, frozenset()), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "approved_clearance", tuple(self.approved_clearance))
@@ -94,10 +99,11 @@ class SignerRecord:
         """Membership test: does ``clearance`` resolve to the same rank as any
         listed approved name? Alias and case differences are tolerated;
         unresolvable names never match."""
-        rank = scheme.resolve(clearance)
-        if rank is None:
-            return False
-        return any(scheme.resolve(name) == rank for name in self.approved_clearance)
+        last, ranks = self._approved_ranks
+        if last is not scheme:
+            ranks = frozenset(rank for name in self.approved_clearance if (rank := scheme.resolve(name)) is not None)
+            object.__setattr__(self, "_approved_ranks", (scheme, ranks))
+        return scheme.resolve(clearance) in ranks
 
 
 class TrustRoot:

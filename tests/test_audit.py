@@ -16,7 +16,7 @@ import signal
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -39,6 +39,7 @@ from atsa import (
 from atsa import audit, sad
 from atsa.audit import GENESIS_PREV_HASH, compute_record_hash, record_from_wire, record_to_wire
 from atsa.cli import main
+from atsa.trustroot import format_rfc3339, parse_rfc3339
 from conftest import examples
 from doubles import RecordingSink
 from reference_impl import reference_canonical, reference_chain_first_bad
@@ -94,6 +95,47 @@ def test_timestamps_use_zulu_suffix():
     log = AuditLog(clock=lambda: FIXED_NOW)
     log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     assert log.records[0].timestamp == "2026-01-01T00:00:00Z"
+
+
+# The clock's text at an instant ``instant_ns`` ns after the epoch: the time
+# ``datetime.now`` reads then, floored to the microsecond.
+def _clock_text(instant_ns):
+    return format_rfc3339(datetime.fromtimestamp(0, timezone.utc) + timedelta(microseconds=instant_ns // 1000))
+
+
+_FIRST_INSTANT_NS = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()) * 10**9
+_LAST_INSTANT_NS = (int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()) + 1) * 10**9 - 1
+_NEW_YEAR_NS = int(datetime(2026, 1, 1, tzinfo=timezone.utc).timestamp()) * 10**9
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(start=st.integers(_FIRST_INSTANT_NS + 10**11, _LAST_INSTANT_NS - 10**11), steps=st.lists(st.integers(-2 * 10**9, 2 * 10**9), max_size=8))
+@example(start=-1, steps=[1])  # the last ns before the epoch, then the epoch, whose microsecond is 0
+# The last microsecond of a second (its first and last ns), the next second at
+# microsecond 0, then at microsecond 1: the fraction is dropped, then written.
+@example(start=_NEW_YEAR_NS - 1000, steps=[999, 1, 1000])
+@example(start=_LAST_INSTANT_NS - 2 * 10**9, steps=[10**9, 1, 999_999_999])  # up to the last a datetime holds
+def test_the_per_second_stamp_is_the_clocks_text_byte_for_byte(start, steps):
+    log, instant = AuditLog(), start
+    for step in [0, *steps]:  # consecutive instants on one log, crossing seconds both ways
+        instant += step
+        assert log._stamp(instant) == _clock_text(instant)
+
+
+def test_only_the_default_clock_is_stamped_per_second(monkeypatch):
+    stamped = []
+    stamp = AuditLog._stamp
+    monkeypatch.setattr(AuditLog, "_stamp", lambda log, instant_ns: stamped.append(instant_ns) or stamp(log, instant_ns))
+    injected = AuditLog(clock=lambda: FIXED_NOW)
+    assert injected.append(EVENT_CONNECT_DENY, {"reason": "unsigned"}).timestamp == "2026-01-01T00:00:00Z"
+    injected.clock = lambda: FIXED_NOW + timedelta(microseconds=1)
+    assert injected.append(EVENT_CONNECT_DENY, {"reason": "unsigned"}).timestamp == "2026-01-01T00:00:00.000001Z"
+    assert stamped == []
+    before = time.time_ns()
+    record = AuditLog().append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    after = time.time_ns()
+    assert len(stamped) == 1
+    assert parse_rfc3339(_clock_text(before)) <= parse_rfc3339(record.timestamp) <= parse_rfc3339(_clock_text(after))
 
 
 def test_append_rejects_unknown_event():
@@ -464,6 +506,23 @@ def test_a_log_on_a_new_sink_continues_the_files_chain(tmp_path):
     assert log.records == (appended,) == (records[3],)
 
 
+def test_a_sink_takes_one_log(tmp_path):
+    # Two logs on one sink would each start from its head: seqs [0, 0].
+    path = tmp_path / "audit.jsonl"
+    sink = JsonlAuditSink(path)
+    try:
+        log = AuditLog(sink)
+        log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+        with pytest.raises(AuditError, match="the sink already has a log"):
+            AuditLog(sink)
+        log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    finally:
+        sink.close()
+    records = load_audit_jsonl(path)
+    assert [record.seq for record in records] == [0, 1]
+    assert verify_chain(records) is None
+
+
 # A sink write that fails at one append: before any byte is written, after
 # half the line, or at fsync once the whole line is written.
 class _FailingHandle:
@@ -663,5 +722,5 @@ def test_a_record_whose_payload_cannot_be_canonicalized_is_the_first_bad_index(m
     log = _ticking_log()
     _fill(log, 4)
     records = list(log.records)
-    records[2] = replace(records[2], payload={**records[2].payload, "detail": member})
+    records[2] = records[2]._replace(payload={**records[2].payload, "detail": member})
     assert verify_chain(records) == 2

@@ -1,11 +1,12 @@
 """Every name a module of ``src/atsa`` exports in ``__all__`` is used by
 shipped code: ``src``, ``scripts`` or the ``perfbench`` harness. A helper
 that only tests call belongs in the tests, so one cannot join the public
-surface unnoticed. Likewise every defaulted parameter and dataclass field of
+surface unnoticed. Likewise every defaulted parameter and record field of
 the package is set by some shipped call, and every public method or property
 of a public class is read by shipped code, so a setting or a member only tests
-use cannot join it either. Every public field of a public dataclass is read as
-an attribute by shipped code, so state that nothing reads cannot join it."""
+use cannot join it either. Every public field of a public record, a dataclass
+or a ``NamedTuple``, is read as an attribute by shipped code, so state that
+nothing reads cannot join it."""
 
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ def test_the_guard_reads_every_export_list():
 
 
 # Every defaulted parameter of a public function, method or constructor in the
-# package, and every dataclass field with a default, is set by some call in
+# package, and every record field with a default, is set by some call in
 # shipped code, by keyword or by position. These are the exceptions.
 UNSET_BY_DESIGN = {
     "cli.main(argv)": "the console entry point; tests drive it with an argument list",
@@ -95,6 +96,12 @@ def _decorators(node: ast.FunctionDef | ast.ClassDef) -> set[str]:
     return names
 
 
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a ``NamedTuple``, whose annotated fields are its constructor's."""
+    bases = {base.id if isinstance(base, ast.Name) else getattr(base, "attr", "") for base in node.bases}
+    return "dataclass" in _decorators(node) or "NamedTuple" in bases
+
+
 def _in_init(field: ast.AnnAssign) -> bool:
     """Whether a dataclass field is a constructor parameter: not ``init=False``."""
     value = field.value
@@ -116,7 +123,7 @@ def _settings(path: Path) -> list[tuple[str, str, int | None, str]]:
                 found.append((f"{module}.{node.name}({name})", node.name, position, name))
         if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
             continue
-        if "dataclass" in _decorators(node):
+        if _is_record(node):
             fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign) and _in_init(stmt)]
             for position, field in enumerate(fields):
                 if field.value is not None:
@@ -222,19 +229,19 @@ def test_the_member_guard_reads_methods_and_properties():
     assert not any("._" in label for label in labels)  # private and dunder members are not read
 
 
-# Every public field of a public dataclass in the package is read as an
-# attribute by shipped code, so state that no decision or output reads cannot
+# Every public field of a public record (dataclass or NamedTuple) in the package
+# is read as an attribute by shipped code, so state that no decision or output reads cannot
 # join it. A read in the declaring class's own ``__post_init__`` (which only
 # normalizes or checks the value) does not count. These are the exceptions.
 UNREAD_FIELDS_BY_DESIGN: dict[str, str] = {}
 
 
 def _fields(path: Path) -> list[tuple[str, str]]:
-    """(label, name) of every public field of one module's public dataclasses."""
+    """(label, name) of every public field of one module's public records."""
     return [
         (f"{path.stem}.{node.name}.{field.target.id}", field.target.id)
         for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and "dataclass" in _decorators(node)
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and _is_record(node)
         for field in node.body
         if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
         and not field.target.id.startswith("_")
@@ -287,12 +294,14 @@ def test_the_field_guard_reads_public_dataclass_fields(tmp_path):
         "gateway.RegistryEntry.skip_clearance_preflight",  # defaulted field
         "lattice.ClassificationLevel.aliases",  # read by another class's __post_init__
         "wellknown.StubServerConfig.tool_behaviors",  # plain @dataclass
+        "admission.Verdict.detail",  # NamedTuple
     } <= labels
     assert not any("._" in label for label in labels)  # private fields are not read
 
     probe = tmp_path / "probe.py"
     probe.write_text(
         "from dataclasses import dataclass\n"
+        "import typing\n"
         "@dataclass(frozen=True)\n"
         "class Kept:\n"
         "    used: int\n"
@@ -302,9 +311,16 @@ def test_the_field_guard_reads_public_dataclass_fields(tmp_path):
         "        object.__setattr__(self, 'normalized_only', tuple(self.normalized_only))\n"
         "class Other:\n"
         "    def __post_init__(self):\n"
-        "        self.used\n",
+        "        self.used\n"
+        "class Pair(typing.NamedTuple):\n"
+        "    read: int\n"
+        "    unread: int = 0\n"
+        "def first(pair):\n"
+        "    return pair.read\n",
         encoding="utf-8",
     )
     fields = _fields(probe)
-    assert [label for label, _ in fields] == ["probe.Kept.used", "probe.Kept.normalized_only"]
-    assert _unread(fields, _attribute_reads(probe)) == {"probe.Kept.normalized_only"}
+    assert [label for label, _ in fields] == [
+        "probe.Kept.used", "probe.Kept.normalized_only", "probe.Pair.read", "probe.Pair.unread",
+    ]
+    assert _unread(fields, _attribute_reads(probe)) == {"probe.Kept.normalized_only", "probe.Pair.unread"}

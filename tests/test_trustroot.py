@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import base64
 import json
+import sys
+import threading
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -15,6 +18,7 @@ from atsa import (
     TrustRootLockedError,
     generate_keypair,
     get_builtin_scheme,
+    load_scheme,
     load_trust_root_file,
     trust_root_to_wire,
 )
@@ -92,6 +96,57 @@ def test_approves_ignores_unresolvable_approval_entries():
     rec = _record(approved=("not-a-level", "public"))
     assert rec.approves(scheme, "PUBLIC")
     assert not rec.approves(scheme, "internal")
+
+
+# A ladder with the builtin default scheme's name on which each shared name
+# resolves to another rank: SECRET is 3 in the builtin and 0 here.
+_INVERTED = load_scheme(json.dumps({"name": "default", "levels": [
+    {"rank": 0, "canonicalName": "SECRET"},
+    {"rank": 1, "canonicalName": "CONFIDENTIAL", "aliases": ["CUI"]},
+    {"rank": 2, "canonicalName": "INTERNAL"},
+    {"rank": 3, "canonicalName": "PUBLIC", "aliases": ["RESTRICTED"]},
+]}))
+
+
+def test_a_warm_record_approves_as_a_fresh_one_under_either_scheme():
+    builtin = get_builtin_scheme("default")
+    approved = ("SECRET", "internal", "not-a-level")
+    record = _record(approved=approved)
+    names = ["no-such-level", *(name for scheme in (builtin, _INVERTED)
+                                for level in scheme.levels for name in (level.canonical_name, *level.aliases))]
+    for scheme in (builtin, _INVERTED, _INVERTED, builtin, _INVERTED, builtin, builtin):
+        for name in names:
+            assert record.approves(scheme, name) == _record(approved=approved).approves(scheme, name), (scheme, name)
+    assert record == replace(record)  # what approves keeps takes no part in equality
+    narrowed = replace(record, approved_clearance=("public",))
+    for scheme in (builtin, _INVERTED):
+        for name in names:
+            assert narrowed.approves(scheme, name) == _record(approved=("public",)).approves(scheme, name)
+
+
+def test_threads_sharing_a_record_across_schemes_get_each_schemes_answer():
+    # One slot holds the scheme and its ranks together, so no thread reads
+    # one scheme's ranks under the other. RESTRICTED is approved only in the builtin.
+    builtin, record = get_builtin_scheme("default"), _record(approved=("SECRET", "internal"))
+    wrong = []
+
+    def ask(schemes):
+        for scheme in schemes * 2000:
+            if record.approves(scheme, "RESTRICTED") != (scheme is builtin):
+                wrong.append(scheme is builtin)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=([builtin, _INVERTED][::step],)) for step in (1, -1) * 4]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_signer_record_requires_32_byte_key():
