@@ -48,6 +48,7 @@ from .sad import (
     DocumentError,
     KeyPair,
     generate_keypair,
+    keypair_from_seed,
     parse_document,
     serialize_document,
     sign_document,
@@ -116,11 +117,10 @@ def _load_keypair(path: str) -> KeyPair:
         data = read_json(Path(path).read_bytes(), ConfigError, f"invalid key file {path}")
         if not isinstance(data["keyId"], str) or not data["keyId"]:
             raise ConfigError(f"invalid key file {path}: 'keyId' must be a non-empty string")
-        return KeyPair(
-            key_id=data["keyId"],
-            public_key=base64.b64decode(data["publicKey"], validate=True),
-            private_key=base64.b64decode(data["privateKey"], validate=True),
-        )
+        pair = keypair_from_seed(data["keyId"], base64.b64decode(data["privateKey"], validate=True))
+        if base64.b64decode(data["publicKey"], validate=True) != pair.public_key:
+            raise ConfigError(f"invalid key file {path}: 'publicKey' is not the public key of 'privateKey'")
+        return pair
     except OSError as exc:
         raise ConfigError(f"cannot read key file {path}: {exc}") from exc
     except (KeyError, ValueError, TypeError) as exc:

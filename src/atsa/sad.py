@@ -31,9 +31,11 @@ signature covers only the kept values, so an appended duplicate that changes
 a signed value is denied, at the signature clause or an earlier one, and one
 that repeats the value changes nothing.
 
-Nothing here is cached: each call parses, canonicalizes or verifies afresh.
-``admission`` keeps the one memo: by the SHA-256 of the fetched bytes, the
-parse outcome and the signature result per public key.
+Each call parses, canonicalizes or verifies afresh. The one thing kept is a
+signing key's ``Ed25519PrivateKey``, in its ``KeyPair``'s private ``_signer``
+slot, so that each signature does not derive the public key again.
+``admission`` keeps the one memo: by the fetched bytes themselves, the parse
+outcome and the signature result per public key.
 """
 
 from __future__ import annotations
@@ -125,11 +127,17 @@ class AttestationDocument:
 @dataclass(frozen=True)
 class KeyPair:
     """Ed25519 keypair. ``private_key`` is the 32-byte seed; it is absent on
-    verify-only keys."""
+    verify-only keys.
+
+    The private ``_signer`` slot holds the seed's ``Ed25519PrivateKey``:
+    ``keypair_from_seed`` fills it, and ``sign_document`` fills it on first use
+    for a pair built by hand, after checking that ``public_key`` is the seed's.
+    A ``dataclasses.replace``d pair starts with it empty."""
 
     key_id: str
     public_key: bytes
     private_key: bytes | None = None
+    _signer: Ed25519PrivateKey | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.key_id:
@@ -146,12 +154,14 @@ def generate_keypair(key_id: str) -> KeyPair:
 
 def keypair_from_seed(key_id: str, seed: bytes) -> KeyPair:
     """Deterministic keypair from a 32-byte seed. Used by seeded corpora."""
-    private = Ed25519PrivateKey.from_private_bytes(seed)
-    return KeyPair(
-        key_id=key_id,
-        public_key=private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw),
-        private_key=seed,
-    )
+    signer = Ed25519PrivateKey.from_private_bytes(seed)
+    pair = KeyPair(key_id, _public_bytes(signer), seed)
+    object.__setattr__(pair, "_signer", signer)
+    return pair
+
+
+def _public_bytes(signer: Ed25519PrivateKey) -> bytes:
+    return signer.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
 
 
 def canonical_json_bytes(value: Any) -> bytes:
@@ -241,21 +251,31 @@ def _registered_fields(doc: AttestationDocument) -> dict[str, Any]:
 def canonical_body(doc: AttestationDocument) -> bytes:
     """Signing-input bytes for ``doc``. Identical for a document with and
     without its signature attached."""
+    return _signing_input(doc, doc.signer_key_id)
+
+
+def _signing_input(doc: AttestationDocument, signer_key_id: str | None) -> bytes:
+    """The canonical body of ``doc`` with ``signer_key_id`` as its signer."""
     body = _registered_fields(doc)
     body.pop("signature", None)
-    body["signerKeyId"] = doc.signer_key_id
+    body["signerKeyId"] = signer_key_id
     return canonical_json_bytes(body)
 
 
 def sign_document(doc: AttestationDocument, key: KeyPair) -> AttestationDocument:
     """Return ``doc`` with ``signer_key_id`` set to the key's id and a fresh
-    detached Ed25519 signature over the canonical body."""
-    if key.private_key is None:
-        raise ValueError(f"key {key.key_id!r} has no private part")
-    unsigned = replace(doc, signer_key_id=key.key_id, signature=None)
-    signer = Ed25519PrivateKey.from_private_bytes(key.private_key)
-    signature = signer.sign(canonical_body(unsigned))
-    return replace(unsigned, signature=base64.b64encode(signature).decode("ascii"))
+    detached Ed25519 signature over the canonical body. Raises ValueError for
+    a key with no private part, or one whose public key is not its seed's."""
+    signer = key._signer
+    if signer is None:
+        if key.private_key is None:
+            raise ValueError(f"key {key.key_id!r} has no private part")
+        signer = Ed25519PrivateKey.from_private_bytes(key.private_key)
+        if _public_bytes(signer) != key.public_key:
+            raise ValueError(f"key {key.key_id!r}: public key is not the private key's")
+        object.__setattr__(key, "_signer", signer)
+    signature = base64.b64encode(signer.sign(_signing_input(doc, key.key_id))).decode("ascii")
+    return replace(doc, signer_key_id=key.key_id, signature=signature)
 
 
 def verify_signature(doc: AttestationDocument, public_key: bytes) -> bool:

@@ -146,6 +146,18 @@ def test_sign_refuses_a_key_file_whose_key_id_is_not_a_non_empty_string(runner, 
     assert Path(workspace["unsigned"]).read_bytes() == before
 
 
+def test_sign_refuses_a_key_file_whose_public_key_is_not_its_private_keys(runner, workspace, tmp_path, capsys):
+    key_path, other_path = tmp_path / "k.key", tmp_path / "other.key"
+    for path in (key_path, other_path):
+        assert runner.invoke(cli, ["keygen", "--out", str(path), "--key-id", "k"]).exit_code == EXIT_OK
+    key = json.loads(key_path.read_text())
+    key_path.write_text(json.dumps({**key, "publicKey": json.loads(other_path.read_text())["publicKey"]}))
+    before = Path(workspace["unsigned"]).read_bytes()
+    assert _main_exit_code(["sign", workspace["unsigned"], "--key", str(key_path)]) == EXIT_CONFIG
+    assert f"invalid key file {key_path}: 'publicKey' is not the public key of 'privateKey'" in capsys.readouterr().err
+    assert Path(workspace["unsigned"]).read_bytes() == before
+
+
 def test_sign_rejects_malformed_document(runner, tmp_path):
     key_path = tmp_path / "k.key"
     runner.invoke(cli, ["keygen", "--out", str(key_path)])

@@ -14,6 +14,7 @@ from atsa import (
     build_vectors,
     dump_corpus_jsonl,
     generate_corpus,
+    keypair_from_seed,
     load_corpus_jsonl,
     parse_document,
     run_campaign,
@@ -21,7 +22,7 @@ from atsa import (
     verify_server_clearance,
     verify_signature,
 )
-from atsa import conformance
+from atsa import conformance, sad
 from atsa.conformance import (
     CorpusCase,
     FORGERY_CATEGORIES,
@@ -324,3 +325,45 @@ def test_campaign_audit_chain_verifies():
     run_campaign(cases, seed=13, allowlist=ALLOWLIST, audit=audit)
     assert len(audit.records) > 0
     assert verify_chain(audit.records) is None
+
+
+class _CountingPrivateKey:
+    """Stands in for ``atsa.sad.Ed25519PrivateKey``, counting the keys derived."""
+
+    derived = 0
+
+    @classmethod
+    def from_private_bytes(cls, seed):
+        cls.derived += 1
+        return _REAL_PRIVATE_KEY.from_private_bytes(seed)
+
+
+_REAL_PRIVATE_KEY = sad.Ed25519PrivateKey
+
+
+@pytest.fixture
+def derived_keys(monkeypatch):
+    """How many signing keys were derived since the fixture was set up."""
+    monkeypatch.setattr(_CountingPrivateKey, "derived", 0)
+    monkeypatch.setattr(sad, "Ed25519PrivateKey", _CountingPrivateKey)
+    return lambda: _CountingPrivateKey.derived
+
+
+@pytest.mark.parametrize("per_category", [1, 4])
+def test_a_corpus_derives_each_campaign_key_once(derived_keys, per_category):
+    generate_corpus(3, ALLOWLIST, per_category=per_category)
+    assert derived_keys() == 3
+
+
+def test_a_campaign_derives_each_of_its_keys_once(derived_keys):
+    cases = generate_corpus(3, ALLOWLIST, per_category=2)
+    before = derived_keys()
+    run_campaign(cases, seed=3, allowlist=ALLOWLIST)
+    assert derived_keys() - before == 3
+
+
+def test_the_vectors_derive_no_key_of_a_seeded_pair(derived_keys):
+    key = keypair_from_seed("S", bytes(range(32)))
+    before = derived_keys()
+    build_vectors(key)
+    assert derived_keys() == before == 1

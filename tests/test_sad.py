@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from atsa import (
     AttestationDocument,
     DocumentError,
+    KeyPair,
     UnsupportedVersionError,
     canonical_body,
     canonical_json_bytes,
@@ -285,6 +288,60 @@ def test_sign_verify_property(doc, seed):
     assert verify_signature(signed, key.public_key)
     tampered = replace(signed, clearance=signed.clearance + "x")
     assert not verify_signature(tampered, key.public_key)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(
+    doc=_docs,
+    seed=st.binary(min_size=32, max_size=32),
+    other_seed=st.binary(min_size=32, max_size=32),
+)
+def test_a_warm_fresh_or_hand_built_pair_signs_as_its_seed(doc, seed, other_seed):
+    # The pair's signing-key slot never changes a signature: a pair that has
+    # signed before, a fresh one and one built by hand sign byte for byte alike.
+    warm = keypair_from_seed("k", seed)
+    sign_document(replace(doc, id=doc.id + "-warm-up"), warm)
+    fresh = keypair_from_seed("k", seed)
+    hand_built = KeyPair("k", fresh.public_key, seed)
+    texts = [serialize_document(sign_document(doc, pair)) for pair in (warm, fresh, hand_built)]
+    assert texts[0] == texts[1] == texts[2]
+    assert verify_signature(parse_document(texts[0].encode("utf-8")), fresh.public_key)
+    # A replaced pair starts with an empty slot, so it signs as its new seed.
+    other = keypair_from_seed("k", other_seed)
+    replaced = replace(warm, public_key=other.public_key, private_key=other_seed)
+    assert sign_document(doc, replaced) == sign_document(doc, other)
+    assert verify_signature(sign_document(doc, replaced), other.public_key)
+
+
+def test_a_hand_built_pair_whose_public_key_is_not_its_seeds_does_not_sign(baseline_doc):
+    own, other = keypair_from_seed("k", bytes(32)), keypair_from_seed("k", bytes(range(32)))
+    mismatched = KeyPair("k", other.public_key, own.private_key)
+    for _ in range(2):  # the refused key is not kept
+        with pytest.raises(ValueError, match="public key is not the private key's"):
+            sign_document(baseline_doc, mismatched)
+
+
+def test_threads_sharing_cold_hand_built_pairs_sign_alike(baseline_doc):
+    fresh = [keypair_from_seed("k", index.to_bytes(2, "big") * 16) for index in range(200)]
+    expected = [serialize_document(sign_document(baseline_doc, pair)) for pair in fresh]
+    pairs = [KeyPair(pair.key_id, pair.public_key, pair.private_key) for pair in fresh]
+    results = []
+
+    def sign_each():
+        results.append([serialize_document(sign_document(baseline_doc, pair)) for pair in pairs])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sign_each) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 8
 
 
 _strings = st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=8)
