@@ -128,7 +128,14 @@ class AuditSink(Protocol):
 
 
 class JsonlAuditSink:
-    """One JSON object per line, flushed and fsynced before append returns.
+    """One JSON object per line, written and flushed to the OS, in chain
+    order, before append returns. It is fsynced when an action depends on
+    it: an ``mcp.connect.allow`` record is fsynced before append returns,
+    and that also makes every earlier record durable. So is the record that
+    brings the unsynced count to ``_MAX_UNSYNCED``, and ``close`` fsyncs the
+    rest. So a crash of the machine can lose at most the denials and warns
+    written since the last fsync, never an allow; a torn tail is recovered
+    by cutting the file back to its last newline, as the README says.
     A lone surrogate, which can only sit inside a JSON string, is written as
     its ``\\uXXXX`` escape. One writer per file, or two would extend one
     head: the sink takes an exclusive ``flock`` as it is built, reads the
@@ -137,7 +144,8 @@ class JsonlAuditSink:
     process, which would wait forever, raises AuditError. So does a torn
     last line, where a record written now would land, a line that is not a
     record, or a broken chain, which a record appended now would launder.
-    The file is left as it is, and unlocked."""
+    The file is left as it is, and unlocked. ``close`` unlocks the file even
+    when its fsync fails, and then raises."""
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = os.fspath(path)
@@ -146,6 +154,7 @@ class JsonlAuditSink:
         descriptor = self._handle.fileno()
         status = os.fstat(descriptor)
         self._file = (status.st_dev, status.st_ino)
+        self._unsynced = 0  # records written since the last fsync
         with _HELD_MUTEX:
             if self._file in _HELD:
                 self._handle.close()
@@ -170,15 +179,32 @@ class JsonlAuditSink:
 
     def write(self, record: AuditRecord) -> None:
         line = json.dumps(record_to_wire(record), ensure_ascii=False, separators=(",", ":"))
+        self._unsynced += 1  # counted first: a failed write may still leave bytes
         self._handle.write(line + "\n")
         self._handle.flush()
+        if record.event == EVENT_CONNECT_ALLOW or self._unsynced >= _MAX_UNSYNCED:
+            self._fsync()
+
+    def _fsync(self) -> None:
         os.fsync(self._handle.fileno())
+        self._unsynced = 0
 
     def close(self) -> None:
-        if not self._handle.closed:
+        if self._handle.closed:
+            return
+        try:
+            if self._unsynced:
+                self._fsync()
+        finally:
             self._handle.close()
             with _HELD_MUTEX:
                 _HELD.discard(self._file)
+
+
+# A JsonlAuditSink append that brings its unsynced records to this many
+# fsyncs, so a crash of the machine loses fewer. The bound is a count, not a
+# time: a check made at append time cannot bound an idle tail.
+_MAX_UNSYNCED = 64
 
 
 # The (device, inode) of each file a JsonlAuditSink in this process holds.

@@ -273,6 +273,16 @@ def test_reason_signer_expired(baseline_doc, scheme, signer):
     assert verify_server_clearance(**_request(doc, scheme, root)).reason == DenyReason.signer_expired
 
 
+@pytest.mark.parametrize(
+    "now, reason",
+    [(NOT_AFTER, None), (NOT_AFTER + timedelta(microseconds=1), DenyReason.signer_expired)],
+    ids=["at-notAfter", "1us-after"],
+)
+def test_a_signer_is_valid_through_its_not_after_inclusive(signed_doc, scheme, trust_root, now, reason):
+    # RFC 5280 §4.1.2.5: the validity period includes its notAfter.
+    assert verify_server_clearance(**_request(signed_doc, scheme, trust_root, now=now)).reason is reason
+
+
 def test_no_expiry_means_never_expires(baseline_doc, scheme, signer):
     root = TrustRoot()
     root.set_trust_root(

@@ -26,13 +26,20 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from atsa import (
+    AdmissionGate,
     AuditError,
     AuditLog,
+    DispatchStatus,
     EVENT_CONNECT_ALLOW,
     EVENT_CONNECT_DENY,
     EVENT_CONNECT_WARN,
     EVENT_TOOL_DENY,
+    Flavor,
+    Gateway,
     JsonlAuditSink,
+    RegistryEntry,
+    ServerRegistry,
+    ToolCall,
     load_audit_jsonl,
     verify_chain,
 )
@@ -40,8 +47,8 @@ from atsa import audit, sad
 from atsa.audit import GENESIS_PREV_HASH, compute_record_hash, record_from_wire, record_to_wire
 from atsa.cli import main
 from atsa.trustroot import format_rfc3339, parse_rfc3339
-from conftest import examples
-from doubles import RecordingSink
+from conftest import SERVER_URL, examples
+from doubles import CountingTransport, RecordingSink
 from reference_impl import reference_canonical, reference_chain_first_bad
 
 FIXED_NOW = datetime(2026, 1, 1, tzinfo=timezone.utc)
@@ -184,6 +191,7 @@ def test_sink_failure_aborts_append():
 def test_a_failed_fsync_refuses_later_appends_and_leaves_a_file_that_verifies(tmp_path, monkeypatch):
     # The line reaches the file before fsync fails, so the next append must
     # not reuse its seq; the log stays refused until it resumes from disk.
+    # A denial is not fsynced, so the fault is met at the allow after it.
     path = tmp_path / "audit.jsonl"
     sink = JsonlAuditSink(path)
     fsync = os.fsync
@@ -197,7 +205,7 @@ def test_a_failed_fsync_refuses_later_appends_and_leaves_a_file_that_verifies(tm
         log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
         monkeypatch.setattr("atsa.audit.os.fsync", fsync_failing_once)
         with pytest.raises(OSError):
-            log.append(EVENT_CONNECT_DENY, {"reason": "bad_signature"})
+            log.append(EVENT_CONNECT_ALLOW, {"level": "internal", "signerKeyId": "k"})
         with pytest.raises(AuditError, match="resume the log from disk"):
             log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     finally:
@@ -209,6 +217,47 @@ def test_a_failed_fsync_refuses_later_appends_and_leaves_a_file_that_verifies(tm
     AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     sink.close()
     assert verify_chain(load_audit_jsonl(path)) is None
+
+
+def test_an_allow_whose_fsync_fails_raises_before_dispatch_and_poisons_the_log(tmp_path, scheme, trust_root, fetcher):
+    # The denials before it are flushed, not fsynced, so the allow's fsync is
+    # the first; when it fails, the call raises before the transport is used.
+    path = tmp_path / "audit.jsonl"
+    sink = JsonlAuditSink(path)
+    transport = CountingTransport()
+    registry = ServerRegistry()
+    registry.register(RegistryEntry(SERVER_URL, "bridge-1", "restricted-plus", frozenset({"list_labels"}), transport))
+    log = _ticking_log(sink=sink)
+    gateway = Gateway(registry, AdmissionGate(scheme, trust_root, fetcher, log), log, Flavor.enclaved)
+    try:
+        with mock.patch("atsa.audit.os.fsync", side_effect=OSError(errno.EIO, "I/O error")) as fsync:
+            assert gateway.invoke(SERVER_URL, ToolCall("delete_all")).status is DispatchStatus.denied
+            assert gateway.invoke("https://other.example/mcp", ToolCall("list_labels")).status is DispatchStatus.denied
+            assert fsync.call_count == 0
+            with pytest.raises(OSError):
+                gateway.invoke(SERVER_URL, ToolCall("list_labels"))
+        with pytest.raises(AuditError, match="resume the log from disk"):
+            gateway.invoke(SERVER_URL, ToolCall("list_labels"))
+        assert transport.calls == 0
+    finally:
+        sink.close()
+    records = load_audit_jsonl(path)
+    assert [record.event for record in records] == [EVENT_TOOL_DENY, EVENT_CONNECT_DENY, EVENT_CONNECT_ALLOW]
+    assert verify_chain(records) is None
+
+
+def test_a_close_whose_fsync_fails_raises_and_leaves_the_file_free(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    sink = JsonlAuditSink(path)
+    AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    with mock.patch("atsa.audit.os.fsync", side_effect=OSError(errno.EIO, "I/O error")):
+        with pytest.raises(OSError):
+            sink.close()
+    assert not _locked_by_another(path)
+    sink = JsonlAuditSink(path)  # not "in use by another sink in this process"
+    AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    sink.close()
+    assert [record.seq for record in load_audit_jsonl(path)] == [0, 1]
 
 
 def test_recording_sink_sees_every_record():
@@ -239,8 +288,8 @@ def test_jsonl_sink_appends_to_existing_file(tmp_path):
     sink = JsonlAuditSink(path)
     log1 = AuditLog(sink=sink, clock=lambda: FIXED_NOW)
     log1.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
-    # a later process continues the same file; chain restarts are not implied,
-    # so feed the prior tail back in as the resume point
+    # each record is in the file when append returns, a denial too, though
+    # a denial is flushed and not yet fsynced
     assert len(path.read_text().splitlines()) == 1
     log1.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     assert len(path.read_text().splitlines()) == 2
@@ -265,13 +314,17 @@ sink.close()
 """
 
 
-def _writer(path, **env) -> subprocess.Popen:
+def _child(script, *args, **env) -> subprocess.Popen:
     environment = {**os.environ, **env}
     environment["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
-        [sys.executable, "-c", RESUME_AND_APPEND, str(path)],
+        [sys.executable, "-c", script, *map(str, args)],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=environment,
     )
+
+
+def _writer(path, **env) -> subprocess.Popen:
+    return _child(RESUME_AND_APPEND, path, **env)
 
 
 def _genesis_file(path) -> None:
@@ -340,6 +393,51 @@ def test_a_killed_writers_file_can_be_resumed_at_once(tmp_path):
     assert verify_chain(records) is None
 
 
+# Appends a random mix of denials and allows to the log named by argv[1],
+# drawn from the seed argv[2], until it is killed; it prints each allow's seq
+# once its append has returned.
+APPEND_UNTIL_KILLED = """
+import random, sys
+from atsa.audit import EVENT_CONNECT_ALLOW, EVENT_CONNECT_DENY, AuditLog, JsonlAuditSink
+rng = random.Random(sys.argv[2])
+log = AuditLog(JsonlAuditSink(sys.argv[1]))
+while True:
+    if rng.random() < 0.25:
+        print(log.append(EVENT_CONNECT_ALLOW, {"level": "internal", "signerKeyId": "k"}).seq, flush=True)
+    else:
+        log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+"""
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_allow_a_killed_writer_reported_is_in_its_file(tmp_path, seed):
+    """SIGKILL a writer at a random moment: every allow whose append had
+    returned is in the file, and the file verifies, or holds a torn tail that
+    verifies once cut back to its last newline. SIGKILL covers process death
+    only, where the kernel keeps every byte written; a crash of the machine
+    keeps only what was fsynced, which the fsync ordering property covers."""
+    rng = random.Random(seed)
+    path = tmp_path / "audit.jsonl"
+    with _child(APPEND_UNTIL_KILLED, path, seed) as writer:
+        try:
+            reported = [writer.stdout.readline() for _ in range(rng.randrange(1, 60))]
+            time.sleep(rng.uniform(0, 0.01))
+        finally:
+            writer.kill()
+        reported += writer.stdout.readlines()  # written before it died
+        assert writer.wait(timeout=60) == -signal.SIGKILL, writer.stderr.read()
+    data = path.read_bytes()
+    complete = data[: data.rfind(b"\n") + 1]
+    if complete != data:
+        with pytest.raises(AuditError, match="torn final line"):
+            JsonlAuditSink(path)
+        path.write_bytes(complete)
+    records = load_audit_jsonl(path)
+    assert verify_chain(records) is None
+    allows = {record.seq for record in records if record.event == EVENT_CONNECT_ALLOW}
+    assert reported and {int(line) for line in reported} <= allows
+
+
 def test_a_sink_on_a_torn_file_is_refused_and_leaves_the_file_untouched(tmp_path):
     path = tmp_path / "audit.jsonl"
     sink = JsonlAuditSink(path)
@@ -397,6 +495,28 @@ def test_tamper_payload_flip_detected_at_index():
         assert reference_chain_first_bad(bad) == k
 
 
+def test_a_record_rehashed_after_its_payload_changed_breaks_the_link_to_the_next(tmp_path, capsys):
+    # The changed record's own hash is right, so only the next record's
+    # prevHash shows the edit.
+    wire = _wire_log()
+    path = tmp_path / "audit.jsonl"
+    for k in range(len(wire) - 1):
+        bad = copy.deepcopy(wire)
+        record = record_from_wire(bad[k])
+        payload = {**record.payload, sorted(record.payload)[0]: "tampered"}
+        bad[k]["payload"] = payload
+        bad[k]["hash"] = compute_record_hash(record.prev_hash, record.seq, record.timestamp, record.event, payload).hex()
+        assert verify_chain(_reload(bad)) == k + 1
+        assert reference_chain_first_bad(bad) == k + 1
+        path.write_text("".join(json.dumps(w) + "\n" for w in bad))
+        with pytest.raises(SystemExit) as verdict:
+            main(["audit-verify", "--json", str(path)])
+        assert verdict.value.code == 1
+        assert json.loads(capsys.readouterr().out)["firstBadIndex"] == k + 1
+        with pytest.raises(AuditError, match=f"violation at record {k + 1}$"):
+            JsonlAuditSink(path)
+
+
 def test_tamper_deletion_detected_at_index():
     wire = _wire_log()
     for k in range(len(wire) - 1):
@@ -432,9 +552,10 @@ def test_verify_chain_matches_oracle_on_intact_logs():
         assert reference_chain_first_bad(wire) is None
 
 
+_ALLOW = (EVENT_CONNECT_ALLOW, {"level": "public", "signerKeyId": "k"})
 _events = st.sampled_from(
     [
-        (EVENT_CONNECT_ALLOW, {"level": "public", "signerKeyId": "k"}),
+        _ALLOW,
         (EVENT_CONNECT_DENY, {"reason": "unsigned"}),
         (EVENT_CONNECT_WARN, {"reason": "host_not_bound"}),
         (
@@ -524,7 +645,8 @@ def test_a_sink_takes_one_log(tmp_path):
 
 
 # A sink write that fails at one append: before any byte is written, after
-# half the line, or at fsync once the whole line is written.
+# half the line, or at fsync once the whole line is written. Only an append
+# that fsyncs can fail at fsync: an allow, or the one that reaches the bound.
 class _FailingHandle:
     def __init__(self, handle, fault):
         self._handle, self._fault = handle, fault
@@ -562,15 +684,23 @@ def _head_of(wires):
        fault=st.sampled_from(["write", "partial", "fsync"]))
 def test_a_failed_append_leaves_a_file_that_a_fresh_sink_continues_or_refuses(entries, data, fault):
     at = data.draw(st.integers(0, len(entries) - 1), label="failing append")
+    bound = audit._MAX_UNSYNCED
+    if fault == "fsync":
+        if data.draw(st.sampled_from(["allow", "bound"]), label="fsyncing append") == "allow":
+            entries = [*entries[:at], _ALLOW, *entries[at + 1:]]
+        else:  # the failing append is the one that leaves `bound` records unsynced
+            allows = [i for i, (event, _) in enumerate(entries[:at]) if event == EVENT_CONNECT_ALLOW]
+            bound = at - (allows[-1] + 1 if allows else 0) + 1
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "audit.jsonl"
         sink = JsonlAuditSink(path)
         log = _ticking_log(sink=sink)
         try:
-            for event, payload in entries[:at]:
-                log.append(event, payload)
-            with _failing(sink, fault), pytest.raises(OSError):
-                log.append(*entries[at])
+            with mock.patch.object(audit, "_MAX_UNSYNCED", bound):
+                for event, payload in entries[:at]:
+                    log.append(event, payload)
+                with _failing(sink, fault), pytest.raises(OSError):
+                    log.append(*entries[at])
         finally:
             sink.close()
         written = path.read_bytes()
@@ -593,6 +723,36 @@ def test_a_failed_append_leaves_a_file_that_a_fresh_sink_continues_or_refuses(en
         records = load_audit_jsonl(path)
         assert len(records) == len(wires) + 1
         assert verify_chain(records) is None
+
+
+# Durability as fsync sees it: the file's size at an fsync is what that fsync
+# made durable. A crash of the machine keeps every line before the largest
+# such size, the synced size, and may lose any line after it.
+@settings(max_examples=examples(60), deadline=None)
+@given(entries=st.lists(_events, max_size=24), bound=st.integers(1, 8) | st.just(audit._MAX_UNSYNCED))
+@example(entries=[(EVENT_CONNECT_DENY, {"reason": "unsigned"})] * (2 * audit._MAX_UNSYNCED + 1) + [_ALLOW],
+         bound=audit._MAX_UNSYNCED)
+def test_an_allow_is_synced_when_its_append_returns_and_at_most_the_bound_is_ever_unsynced(entries, bound):
+    synced = [0]
+
+    def recording_fsync(descriptor):
+        synced.append(os.fstat(descriptor).st_size)
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "audit.jsonl"
+        with mock.patch("atsa.audit.os.fsync", recording_fsync), mock.patch.object(audit, "_MAX_UNSYNCED", bound):
+            sink = JsonlAuditSink(path)
+            try:
+                log = _ticking_log(sink=sink)
+                for event, payload in entries:
+                    log.append(event, payload)
+                    data = path.read_bytes()
+                    if event == EVENT_CONNECT_ALLOW:
+                        assert max(synced) >= len(data)
+                    assert data[max(synced):].count(b"\n") <= bound
+            finally:
+                sink.close()
+            assert max(synced) == path.stat().st_size
 
 
 @functools.cache
