@@ -534,7 +534,8 @@ class AdmissionGate:
     """Binds a scheme, trust root, fetcher, and audit log into the
     connection-time gate. One audit record per decision, written before the
     result is returned; if the append fails the connection attempt fails.
-    Each decision is checked at the instant the audit log's clock reads."""
+    Each decision reads the audit log's clock once: its checks run at that
+    instant, and its record is stamped with it."""
 
     def __init__(
         self, scheme: ClassificationScheme, trust_root: TrustRoot, fetcher: Fetcher, audit: AuditLog
@@ -555,21 +556,22 @@ class AdmissionGate:
             self.audit.append(EVENT_CONNECT_ALLOW, skipped)
             return ConnectResult(ConnectStatus.ok, Verdict.allow(required_level, None))
 
+        now = self.audit.clock()
         verdict = verify_server_clearance(
-            server_url, required_level, now=self.audit.clock(), scheme=self.scheme,
+            server_url, required_level, now=now, scheme=self.scheme,
             trust_root=self.trust_root, fetcher=self.fetcher,
         )
 
         if verdict.allowed:
             allowed = {"level": verdict.clearance, "signerKeyId": verdict.signer_key_id}
-            self.audit.append(EVENT_CONNECT_ALLOW, allowed)
+            self.audit.append(EVENT_CONNECT_ALLOW, allowed, at=now)
             return ConnectResult(ConnectStatus.ok, verdict)
 
         reason = verdict.reason.value
         if flavor is Flavor.enclaved:
-            self.audit.append(EVENT_CONNECT_DENY, {"reason": reason, "detail": verdict.detail})
+            self.audit.append(EVENT_CONNECT_DENY, {"reason": reason, "detail": verdict.detail}, at=now)
             return ConnectResult(ConnectStatus.denied, verdict)
 
         # Open flavor: surface the failure, never rewrite it into a success.
-        self.audit.append(EVENT_CONNECT_WARN, {"reason": reason, "detail": verdict.detail})
+        self.audit.append(EVENT_CONNECT_WARN, {"reason": reason, "detail": verdict.detail}, at=now)
         return ConnectResult(ConnectStatus.warn, verdict)

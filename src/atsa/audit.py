@@ -27,11 +27,11 @@ to ``sad.canonical_json_bytes`` unchanged, and raises what it raises.
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import json
 import os
 import threading
-import time
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from typing import Any, Callable, Mapping, NamedTuple, Protocol, Sequence, TextIO
@@ -145,7 +145,7 @@ class JsonlAuditSink:
     last line, where a record written now would land, a line that is not a
     record, or a broken chain, which a record appended now would launder.
     The file is left as it is, and unlocked. ``close`` unlocks the file even
-    when its fsync fails, and then raises."""
+    when its fsync or its flush fails, and then raises."""
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = os.fspath(path)
@@ -196,9 +196,9 @@ class JsonlAuditSink:
             if self._unsynced:
                 self._fsync()
         finally:
-            self._handle.close()
-            with _HELD_MUTEX:
+            with _HELD_MUTEX:  # first, as closing raises if it cannot flush a line a failed flush left
                 _HELD.discard(self._file)
+            self._handle.close()
 
 
 # A JsonlAuditSink append that brings its unsynced records to this many
@@ -212,14 +212,7 @@ _HELD: set[tuple[int, int]] = set()
 _HELD_MUTEX = threading.Lock()
 
 
-def _utcnow() -> datetime:
-    return datetime.now(timezone.utc)
-
-
-def _format_timestamp(moment: datetime) -> str:
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    return format_rfc3339(moment.astimezone(timezone.utc))
+_utcnow = functools.partial(datetime.now, timezone.utc)
 
 
 class AuditLog:
@@ -231,9 +224,10 @@ class AuditLog:
     then ``AuditLog(sink)``): a later record would repeat the failed one's
     seq and break the chain for ``verify_chain``. A ``JsonlAuditSink`` takes
     one log: a second would start from the same head and repeat the first's
-    seqs, so it raises AuditError. ``clock`` stamps every record; the default
-    one is read as ``time.time_ns``, and its text up to the second is
-    formatted once a second."""
+    seqs, so it raises AuditError. A record is stamped with ``at``, the
+    instant the gate read from ``clock`` outside the mutex and checked at, or
+    else with a read of ``clock`` under the mutex; so timestamps may run out
+    of seq order, and the log is ordered by seq, not by timestamp."""
 
     def __init__(
         self,
@@ -251,24 +245,26 @@ class AuditLog:
         self._records: list[AuditRecord] = []
         self._mutex = threading.Lock()
         self._sink_failed = False
-        self._second: tuple[int | None, str] = (None, "")  # the last stamped second and its text
+        # The first and last instant of the last stamped second and its text: at first an empty interval.
+        self._second = (datetime.max.replace(tzinfo=timezone.utc), datetime.min.replace(tzinfo=timezone.utc), "")
 
-    def _stamp(self, instant_ns: int) -> str:
-        """``_format_timestamp`` of the UTC instant ``instant_ns`` ns after the epoch,
-        floored to the microsecond as ``datetime.now`` floors it. Called under the mutex."""
-        second, micro = divmod(instant_ns // 1000, 1_000_000)
-        stamped, prefix = self._second
-        if second != stamped:
-            prefix = format_rfc3339(datetime.fromtimestamp(second, timezone.utc))[:-1]  # less its "Z"
-            self._second = (second, prefix)
+    def _stamp(self, moment: datetime) -> str:
+        """``format_rfc3339`` of ``moment`` in UTC, a naive one read as UTC. Called under the mutex."""
+        if moment.tzinfo is not timezone.utc:
+            moment = moment.replace(tzinfo=timezone.utc) if moment.tzinfo is None else moment.astimezone(timezone.utc)
+        first, last, prefix = self._second
+        if not first <= moment <= last:  # UTC datetimes compare exactly, to the microsecond
+            first = moment.replace(microsecond=0)
+            prefix = format_rfc3339(first)[:-1]  # less its "Z"
+            self._second = (first, first.replace(microsecond=999_999), prefix)
         # isoformat writes no fraction when the microsecond is 0.
-        return f"{prefix}.{micro:06d}Z" if micro else prefix + "Z"
+        return f"{prefix}.{moment.microsecond:06d}Z" if moment.microsecond else prefix + "Z"
 
     @property
     def records(self) -> tuple[AuditRecord, ...]:
         return tuple(self._records)
 
-    def append(self, event: str, payload: Mapping[str, Any]) -> AuditRecord:
+    def append(self, event: str, payload: Mapping[str, Any], *, at: datetime | None = None) -> AuditRecord:
         required = EVENT_PAYLOAD_FIELDS.get(event)
         if required is None:
             raise AuditError(f"unknown audit event {event!r}")
@@ -279,8 +275,7 @@ class AuditLog:
             if self._sink_failed:
                 raise AuditError("a sink write failed; resume the log from disk before appending")
             seq, prev_hash = self._head
-            clock = self.clock
-            timestamp = self._stamp(time.time_ns()) if clock is _utcnow else _format_timestamp(clock())
+            timestamp = self._stamp(self.clock() if at is None else at)
             stored = dict(payload)
             record = AuditRecord(
                 seq, timestamp, event, stored, prev_hash, compute_record_hash(prev_hash, seq, timestamp, event, stored)

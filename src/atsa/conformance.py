@@ -28,6 +28,7 @@ request, so "zero tool-call writes" is observed rather than assumed.
 from __future__ import annotations
 
 import base64
+import functools
 import itertools
 import json
 import random
@@ -276,6 +277,7 @@ class CampaignSetup:
     attacker_key: KeyPair
 
 
+@functools.lru_cache(maxsize=1)  # the seed fixes all it returns; a corpus and its campaign share it
 def campaign_setup(seed: int) -> CampaignSetup:
     rng = random.Random(f"atsa-campaign-setup-{seed}")
     high = keypair_from_seed("campaign-high-tier-signer", rng.randbytes(32))

@@ -13,7 +13,7 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atsa import (
@@ -46,7 +46,8 @@ from atsa import (
 from atsa import admission
 from atsa.admission import MAX_DOCUMENT_BYTES, exchange, origin_of, redacted, split_url
 from atsa.conformance import _FORGERIES, VECTOR_NOW, campaign_setup
-from conftest import FIXED_NOW, NOT_AFTER, ORIGIN, SERVER_URL, fetcher_for
+from atsa.trustroot import format_rfc3339
+from conftest import FIXED_NOW, NOT_AFTER, ORIGIN, SERVER_URL, examples, fetcher_for
 from doubles import StaticFetcher
 
 
@@ -824,3 +825,58 @@ def test_connect_consults_fetcher_every_time(scheme, trust_root, fetcher):
     for _ in range(3):
         gate.connect(SERVER_URL, "restricted-plus", Flavor.enclaved)
     assert len(fetcher.requests) == 3
+
+
+def _stepping_clock(start, steps):
+    """A clock that reads ``start``, then moves on by the next of ``steps``
+    (cycling) at each later read, and the list of what it read."""
+    reads = []
+
+    def clock():
+        reads.append(reads[-1] + steps[(len(reads) - 1) % len(steps)] if reads else start)
+        return reads[-1]
+
+    return clock, reads
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(
+    text=st.sampled_from(_POOL),
+    trust_root=st.sampled_from(_ROOTS),
+    flavor=st.sampled_from(Flavor),
+    required=st.sampled_from(["public", "restricted", "restricted-plus"]),
+    start=st.datetimes(  # around the notAfter of the high signer in three of the roots
+        (_EXPIRY - timedelta(seconds=3)).replace(tzinfo=None),
+        (_EXPIRY + timedelta(seconds=1)).replace(tzinfo=None),
+        timezones=st.just(timezone.utc),
+    ),
+    steps=st.lists(st.timedeltas(timedelta(0), timedelta(seconds=2)), min_size=1, max_size=3),
+)
+def test_a_checked_decision_reads_the_clock_once_and_is_stamped_at_that_instant(
+    text, trust_root, flavor, required, start, steps
+):
+    clock, reads = _stepping_clock(start, steps)
+    scheme, fetcher = get_builtin_scheme("default"), serving(text.encode("utf-8", "backslashreplace"))
+    gate = AdmissionGate(scheme, trust_root, fetcher, AuditLog(clock=clock))
+    gate.connect("https://tools.example/mcp", required, flavor)
+    assert reads == [start]
+    (record,) = gate.audit.records
+    assert record.timestamp == format_rfc3339(start)
+    expected = verify_server_clearance(
+        server_url="https://tools.example/mcp", required_level=required, now=start, scheme=scheme,
+        trust_root=trust_root, fetcher=fetcher,
+    )
+    if expected.allowed:
+        assert record.event == EVENT_CONNECT_ALLOW
+        assert record.payload == {"level": expected.clearance, "signerKeyId": expected.signer_key_id}
+    else:
+        assert record.event == (EVENT_CONNECT_DENY if flavor is Flavor.enclaved else EVENT_CONNECT_WARN)
+        assert record.payload["reason"] == expected.reason.value
+
+
+def test_a_signer_checked_at_its_not_after_is_admitted_and_stamped_then(scheme, trust_root, fetcher):
+    clock, _ = _stepping_clock(NOT_AFTER, [timedelta(microseconds=1)])
+    gate = _gate(scheme, trust_root, fetcher, AuditLog(clock=clock))
+    assert gate.connect(SERVER_URL, "restricted-plus", Flavor.enclaved).status is ConnectStatus.ok
+    (record,) = gate.audit.records
+    assert (record.event, record.timestamp) == (EVENT_CONNECT_ALLOW, format_rfc3339(NOT_AFTER))

@@ -46,7 +46,7 @@ from atsa import (
 from atsa import audit, sad
 from atsa.audit import GENESIS_PREV_HASH, compute_record_hash, record_from_wire, record_to_wire
 from atsa.cli import main
-from atsa.trustroot import format_rfc3339, parse_rfc3339
+from atsa.trustroot import format_rfc3339
 from conftest import SERVER_URL, examples
 from doubles import CountingTransport, RecordingSink
 from reference_impl import reference_canonical, reference_chain_first_bad
@@ -104,45 +104,54 @@ def test_timestamps_use_zulu_suffix():
     assert log.records[0].timestamp == "2026-01-01T00:00:00Z"
 
 
-# The clock's text at an instant ``instant_ns`` ns after the epoch: the time
-# ``datetime.now`` reads then, floored to the microsecond.
-def _clock_text(instant_ns):
-    return format_rfc3339(datetime.fromtimestamp(0, timezone.utc) + timedelta(microseconds=instant_ns // 1000))
+def test_a_naive_moment_is_read_as_utc_in_any_local_zone(monkeypatch):
+    monkeypatch.setenv("TZ", "IST-5:30")  # a POSIX zone string, which needs no zone database
+    time.tzset()
+    try:
+        log = AuditLog(clock=lambda: datetime(2026, 1, 1, 0, 0, 0, 1))
+        assert log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"}).timestamp == "2026-01-01T00:00:00.000001Z"
+    finally:
+        monkeypatch.undo()
+        time.tzset()
 
 
-_FIRST_INSTANT_NS = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()) * 10**9
-_LAST_INSTANT_NS = (int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()) + 1) * 10**9 - 1
-_NEW_YEAR_NS = int(datetime(2026, 1, 1, tzinfo=timezone.utc).timestamp()) * 10**9
+def _utc_text(moment):
+    """The oracle: ``format_rfc3339`` of ``moment`` in UTC, a naive one read as UTC."""
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=timezone.utc)
+    return format_rfc3339(moment.astimezone(timezone.utc))
+
+
+_UTC = timezone.utc
+_EPOCH = datetime(1970, 1, 1, tzinfo=_UTC)
+_NEW_YEAR = datetime(2026, 1, 1, tzinfo=_UTC)
+_LAST = datetime.max.replace(tzinfo=_UTC)  # the last instant a datetime holds
+_MICROSECOND = timedelta(microseconds=1)
+# A moment is shown naive (read as UTC), in UTC, or at a fixed offset of under a day.
+_zones = st.none() | st.just(_UTC) | st.builds(
+    timezone, st.timedeltas(timedelta(hours=-23, minutes=-59), timedelta(hours=23, minutes=59))
+)
 
 
 @settings(max_examples=examples(100), deadline=None)
-@given(start=st.integers(_FIRST_INSTANT_NS + 10**11, _LAST_INSTANT_NS - 10**11), steps=st.lists(st.integers(-2 * 10**9, 2 * 10**9), max_size=8))
-@example(start=-1, steps=[1])  # the last ns before the epoch, then the epoch, whose microsecond is 0
-# The last microsecond of a second (its first and last ns), the next second at
-# microsecond 0, then at microsecond 1: the fraction is dropped, then written.
-@example(start=_NEW_YEAR_NS - 1000, steps=[999, 1, 1000])
-@example(start=_LAST_INSTANT_NS - 2 * 10**9, steps=[10**9, 1, 999_999_999])  # up to the last a datetime holds
-def test_the_per_second_stamp_is_the_clocks_text_byte_for_byte(start, steps):
+@given(
+    start=st.datetimes(datetime(1, 1, 3), datetime(9999, 12, 29), timezones=st.just(_UTC)),
+    steps=st.lists(st.tuples(st.timedeltas(-timedelta(seconds=2), timedelta(seconds=2)), _zones), max_size=8),
+    zone=_zones,
+)
+@example(start=_EPOCH - _MICROSECOND, steps=[(_MICROSECOND, _UTC)], zone=_UTC)  # the epoch's microsecond is 0
+# The last microsecond of a second, the next second at microsecond 0, then at
+# microsecond 1: the fraction is dropped, then written.
+@example(start=_NEW_YEAR - _MICROSECOND, steps=[(_MICROSECOND, None), (_MICROSECOND, _UTC)], zone=_UTC)
+# Up to the last a datetime holds, through 23:59:58.999999, whose float timestamp reads a second late.
+@example(start=_LAST - timedelta(seconds=2), steps=[(timedelta(seconds=1), None), (_MICROSECOND, _UTC),
+                                                     (timedelta(microseconds=999_999), None)], zone=_UTC)
+def test_the_per_second_stamp_is_the_clocks_text_byte_for_byte(start, steps, zone):
     log, instant = AuditLog(), start
-    for step in [0, *steps]:  # consecutive instants on one log, crossing seconds both ways
+    for step, shown in [(timedelta(0), zone), *steps]:  # consecutive instants on one log, crossing seconds both ways
         instant += step
-        assert log._stamp(instant) == _clock_text(instant)
-
-
-def test_only_the_default_clock_is_stamped_per_second(monkeypatch):
-    stamped = []
-    stamp = AuditLog._stamp
-    monkeypatch.setattr(AuditLog, "_stamp", lambda log, instant_ns: stamped.append(instant_ns) or stamp(log, instant_ns))
-    injected = AuditLog(clock=lambda: FIXED_NOW)
-    assert injected.append(EVENT_CONNECT_DENY, {"reason": "unsigned"}).timestamp == "2026-01-01T00:00:00Z"
-    injected.clock = lambda: FIXED_NOW + timedelta(microseconds=1)
-    assert injected.append(EVENT_CONNECT_DENY, {"reason": "unsigned"}).timestamp == "2026-01-01T00:00:00.000001Z"
-    assert stamped == []
-    before = time.time_ns()
-    record = AuditLog().append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
-    after = time.time_ns()
-    assert len(stamped) == 1
-    assert parse_rfc3339(_clock_text(before)) <= parse_rfc3339(record.timestamp) <= parse_rfc3339(_clock_text(after))
+        moment = instant.replace(tzinfo=None) if shown is None else instant.astimezone(shown)
+        assert log._stamp(moment) == _utc_text(moment)
 
 
 def test_append_rejects_unknown_event():
@@ -246,6 +255,27 @@ def test_an_allow_whose_fsync_fails_raises_before_dispatch_and_poisons_the_log(t
     assert verify_chain(records) is None
 
 
+def test_an_allow_whose_flush_fails_raises_before_dispatch_and_poisons_the_log(tmp_path, scheme, trust_root, fetcher):
+    path = tmp_path / "audit.jsonl"
+    sink = JsonlAuditSink(path)
+    transport = CountingTransport()
+    registry = ServerRegistry()
+    registry.register(RegistryEntry(SERVER_URL, "bridge-1", "restricted-plus", frozenset({"list_labels"}), transport))
+    log = _ticking_log(sink=sink)
+    gateway = Gateway(registry, AdmissionGate(scheme, trust_root, fetcher, log), log, Flavor.enclaved)
+    try:
+        with _failing(sink, "flush"), pytest.raises(OSError):
+            gateway.invoke(SERVER_URL, ToolCall("list_labels"))
+        with pytest.raises(AuditError, match="resume the log from disk"):
+            gateway.invoke(SERVER_URL, ToolCall("list_labels"))
+        assert transport.calls == 0
+    finally:
+        sink.close()
+    records = load_audit_jsonl(path)
+    assert [record.event for record in records] in ([], [EVENT_CONNECT_ALLOW])
+    assert verify_chain(records) is None
+
+
 def test_a_close_whose_fsync_fails_raises_and_leaves_the_file_free(tmp_path):
     path = tmp_path / "audit.jsonl"
     sink = JsonlAuditSink(path)
@@ -258,6 +288,29 @@ def test_a_close_whose_fsync_fails_raises_and_leaves_the_file_free(tmp_path):
     AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
     sink.close()
     assert [record.seq for record in load_audit_jsonl(path)] == [0, 1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_sink_on_a_full_disk_fails_to_close_and_leaves_the_file_free(tmp_path):
+    # A failed flush leaves its line in the handle's buffer, and the flush
+    # that closing makes fails too; the file must still be free to resume.
+    path = tmp_path / "audit.jsonl"
+    sink = JsonlAuditSink(path)
+    log = AuditLog(sink)
+    log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    full = os.open("/dev/full", os.O_WRONLY)
+    os.dup2(full, sink._handle.fileno())  # every later write of the sink fails with ENOSPC
+    os.close(full)
+    with pytest.raises(OSError):
+        log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    with pytest.raises(OSError):
+        sink.close()
+    sink = JsonlAuditSink(path)  # not "in use by another sink in this process"
+    try:
+        assert AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"}).seq == 1
+    finally:
+        sink.close()
+    assert verify_chain(load_audit_jsonl(path)) is None
 
 
 def test_recording_sink_sees_every_record():
@@ -517,6 +570,35 @@ def test_a_record_rehashed_after_its_payload_changed_breaks_the_link_to_the_next
             JsonlAuditSink(path)
 
 
+def _relinked(records):
+    """``records`` re-linked from genesis, each re-hashed, keeping its own seq."""
+    relinked, prev_hash = [], GENESIS_PREV_HASH
+    for record in records:
+        digest = compute_record_hash(prev_hash, record.seq, record.timestamp, record.event, record.payload)
+        relinked.append(record._replace(prev_hash=prev_hash, hash=digest))
+        prev_hash = digest
+    return relinked
+
+
+def test_a_log_rechained_from_genesis_past_a_dropped_record_breaks_at_its_first_seq(tmp_path, capsys):
+    # Every link and hash is right, so only the seq shows the cut; a sink on
+    # the file would otherwise append a second seq 3.
+    log = _ticking_log()
+    _fill(log, 4)
+    bad = [record_to_wire(record) for record in _relinked(log.records[1:])]
+    assert [wire["seq"] for wire in bad] == [1, 2, 3]
+    assert verify_chain(_reload(bad)) == 0
+    assert reference_chain_first_bad(bad) == 0
+    path = tmp_path / "audit.jsonl"
+    path.write_text("".join(json.dumps(w) + "\n" for w in bad))
+    with pytest.raises(SystemExit) as verdict:
+        main(["audit-verify", "--json", str(path)])
+    assert verdict.value.code == 1
+    assert json.loads(capsys.readouterr().out)["firstBadIndex"] == 0
+    with pytest.raises(AuditError, match="violation at record 0$"):
+        JsonlAuditSink(path)
+
+
 def test_tamper_deletion_detected_at_index():
     wire = _wire_log()
     for k in range(len(wire) - 1):
@@ -645,8 +727,10 @@ def test_a_sink_takes_one_log(tmp_path):
 
 
 # A sink write that fails at one append: before any byte is written, after
-# half the line, or at fsync once the whole line is written. Only an append
-# that fsyncs can fail at fsync: an allow, or the one that reaches the bound.
+# half the line, at the flush of the whole line, or at fsync once the whole
+# line is written. A failed flush leaves the line in the handle's buffer, and
+# closing the sink writes it out. Only an append that fsyncs can fail at
+# fsync: an allow, or the one that reaches the bound.
 class _FailingHandle:
     def __init__(self, handle, fault):
         self._handle, self._fault = handle, fault
@@ -655,9 +739,14 @@ class _FailingHandle:
         if self._fault == "partial":
             self._handle.write(text[: len(text) // 2])
             self._handle.flush()
-        if self._fault != "fsync":
+        if self._fault in ("write", "partial"):
             raise OSError(errno.ENOSPC, "No space left on device")
         return self._handle.write(text)
+
+    def flush(self):
+        if self._fault == "flush":
+            raise OSError(errno.EIO, "I/O error")
+        return self._handle.flush()
 
     def __getattr__(self, name):
         return getattr(self._handle, name)
@@ -681,7 +770,7 @@ def _head_of(wires):
 
 @settings(max_examples=examples(60), deadline=None)
 @given(entries=st.lists(_events, min_size=1, max_size=8), data=st.data(),
-       fault=st.sampled_from(["write", "partial", "fsync"]))
+       fault=st.sampled_from(["write", "partial", "flush", "fsync"]))
 def test_a_failed_append_leaves_a_file_that_a_fresh_sink_continues_or_refuses(entries, data, fault):
     at = data.draw(st.integers(0, len(entries) - 1), label="failing append")
     bound = audit._MAX_UNSYNCED
@@ -701,12 +790,15 @@ def test_a_failed_append_leaves_a_file_that_a_fresh_sink_continues_or_refuses(en
                     log.append(event, payload)
                 with _failing(sink, fault), pytest.raises(OSError):
                     log.append(*entries[at])
+            with pytest.raises(AuditError, match="resume the log from disk"):
+                log.append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
         finally:
             sink.close()
         written = path.read_bytes()
         complete = written[: written.rfind(b"\n") + 1]
         wires = _complete_lines(complete)
-        assert len(wires) == (at + 1 if fault == "fsync" else at)
+        # A record may exist for the action its own failed append aborted.
+        assert len(wires) in {"write": {at}, "partial": {at}, "flush": {at, at + 1}, "fsync": {at + 1}}[fault]
         assert reference_chain_first_bad(wires) is None
         if fault == "partial":
             with pytest.raises(AuditError, match=f"line {at}: torn final line"):
@@ -768,9 +860,36 @@ def _valid_log() -> bytes:
 def _mutated(data, draw):
     """``data`` with one mutation drawn: a flipped bit, inserted or deleted
     bytes, lines spliced, a byte that is not UTF-8, a float or a deeply nested
-    payload member, or a cut tail."""
-    kind = draw(st.sampled_from(["flip", "insert", "delete", "splice", "non-utf8", "float", "nesting", "cut"]))
+    payload member, a record re-hashed after its payload changed, the records
+    after a cut head re-linked from genesis, or a cut tail. A re-hash or a
+    re-link needs complete lines that are records; without them ``data`` is
+    left as it is."""
+    kind = draw(st.sampled_from(
+        ["flip", "insert", "delete", "splice", "non-utf8", "float", "nesting", "rehash", "rechain", "cut"]
+    ))
     at = draw(st.integers(0, len(data)))
+    if kind in ("rehash", "rechain"):
+        complete = data[: data.rfind(b"\n") + 1]
+        try:
+            records = [record_from_wire(wire) for wire in _complete_lines(complete)]
+        except (ValueError, RecursionError):  # AuditError, JSON and UTF-8 errors are ValueErrors
+            return data
+        if not records:
+            return data
+        # The record re-hashed, or the number of head records cut (one at least, all but one at most).
+        k = draw(st.integers(0, len(records) - 1) if kind == "rehash" else st.integers(1, max(len(records) - 1, 1)))
+        try:  # content that cannot be canonicalized has no hash to recompute
+            if kind == "rehash":
+                record = records[k]
+                payload = {**record.payload, "detail": "tampered"}
+                digest = compute_record_hash(record.prev_hash, record.seq, record.timestamp, record.event, payload)
+                records[k] = record._replace(payload=payload, hash=digest)
+            else:
+                records = _relinked(records[k:])
+        except (TypeError, RecursionError):
+            return data
+        lines = b"".join(json.dumps(record_to_wire(record)).encode() + b"\n" for record in records)
+        return lines + data[len(complete):]
     if kind == "flip" and at < len(data):
         return data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1:]
     if kind == "insert":

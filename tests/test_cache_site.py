@@ -19,6 +19,7 @@ MEMOS = {
 CACHED_ELSEWHERE_BY_DESIGN = {
     "admission._tls_context": "one TLS client context per CA bundle setting, not attestation work",
     "admission.split_url": "a pure function of one URL string, not attestation work",
+    "conformance.campaign_setup": "the keys and trust root one fuzz seed fixes, not attestation work",
 }
 
 

@@ -343,7 +343,9 @@ _REAL_PRIVATE_KEY = sad.Ed25519PrivateKey
 
 @pytest.fixture
 def derived_keys(monkeypatch):
-    """How many signing keys were derived since the fixture was set up."""
+    """How many signing keys were derived since the fixture was set up, with
+    no campaign set up yet."""
+    conformance.campaign_setup.cache_clear()
     monkeypatch.setattr(_CountingPrivateKey, "derived", 0)
     monkeypatch.setattr(sad, "Ed25519PrivateKey", _CountingPrivateKey)
     return lambda: _CountingPrivateKey.derived
@@ -357,6 +359,10 @@ def test_a_corpus_derives_each_campaign_key_once(derived_keys, per_category):
 
 def test_a_campaign_derives_each_of_its_keys_once(derived_keys):
     cases = generate_corpus(3, ALLOWLIST, per_category=2)
+    before = derived_keys()
+    run_campaign(cases, seed=3, allowlist=ALLOWLIST)
+    assert derived_keys() - before == 0  # set up by the corpus of its seed
+    generate_corpus(4, ALLOWLIST, per_category=1)
     before = derived_keys()
     run_campaign(cases, seed=3, allowlist=ALLOWLIST)
     assert derived_keys() - before == 3
