@@ -17,11 +17,11 @@ def read_json(text: bytes | str, error: type[Exception], prefix: str) -> Any:
         raise error(f"{prefix}: {exc}") from exc
 
 
-def read_jsonl(path: str | os.PathLike[str], error: type[Exception]) -> Iterator[tuple[int, Any]]:
-    """``(line number, value)`` for each line of the file at ``path`` that is not blank,
-    counting from 0. A line that is not one JSON text, a bad byte included, raises ``error``,
-    which tells a torn last line, one that a crash cut before its newline, from a bad one."""
-    with open(path, "rb") as handle:
+def read_jsonl(source: str | os.PathLike[str] | int, error: type[Exception]) -> Iterator[tuple[int, Any]]:
+    """``(line number, value)`` for each line that is not blank of ``source``, a path or an open descriptor
+    (read from its offset, left open), counting from 0. A line that is not one JSON text, a bad byte included,
+    raises ``error``, which tells a torn last line, one that a crash cut before its newline, from a bad one."""
+    with open(source, "rb", closefd=not isinstance(source, int)) as handle:
         for number, line in enumerate(handle):
             if line.strip():
                 fault = "not valid JSON" if line.endswith(b"\n") else "torn final line (no newline)"

@@ -60,6 +60,7 @@ from .audit import (
     EVENT_CONNECT_DENY,
     EVENT_CONNECT_WARN,
     AuditLog,
+    bounded,
 )
 from .lattice import ClassificationScheme, LevelNotFoundError
 from .sad import MCP_SERVER_CAPABILITY, AttestationDocument, DocumentError, parse_document, verify_signature
@@ -567,11 +568,12 @@ class AdmissionGate:
             self.audit.append(EVENT_CONNECT_ALLOW, allowed, at=now)
             return ConnectResult(ConnectStatus.ok, verdict)
 
-        reason = verdict.reason.value
+        # The detail may echo the peer's document, so the record holds it bounded.
+        denial = {"reason": verdict.reason.value, "detail": bounded(verdict.detail)}
         if flavor is Flavor.enclaved:
-            self.audit.append(EVENT_CONNECT_DENY, {"reason": reason, "detail": verdict.detail}, at=now)
+            self.audit.append(EVENT_CONNECT_DENY, denial, at=now)
             return ConnectResult(ConnectStatus.denied, verdict)
 
         # Open flavor: surface the failure, never rewrite it into a success.
-        self.audit.append(EVENT_CONNECT_WARN, {"reason": reason, "detail": verdict.detail}, at=now)
+        self.audit.append(EVENT_CONNECT_WARN, denial, at=now)
         return ConnectResult(ConnectStatus.warn, verdict)

@@ -9,10 +9,11 @@ nothing in this module swallows sink errors. A sink is any object with
 
 A record's content is hashed as its canonical JSON (``sad.canonical_json_bytes``),
 and ``append`` and ``verify_chain`` both reach it through one record encoder,
-``canonical_json_bytes`` here. Content whose ``seq`` is an ``int`` (not a
-``bool``), whose ``timestamp`` and ``event`` are ``str`` and whose ``payload``
-is a ``dict`` of ``str`` keys to ``str`` or ``None`` values, as in every
-record the admission gate and the gateway append, fills a fixed template::
+``canonical_json_bytes`` here, which takes the record's four fields. Content
+whose ``seq`` is an ``int`` (not a ``bool``), whose ``timestamp`` and ``event``
+are ``str`` and whose ``payload`` is a ``dict`` of ``str`` keys to ``str`` or
+``None`` values, as in every record the admission gate and the gateway append,
+fills a fixed template::
 
     {"event":E,"payload":{K:V,...},"seq":N,"timestamp":T}
 
@@ -21,7 +22,7 @@ with the payload keys in code-point order and every string escaped by
 The text is encoded to UTF-8 with ``backslashreplace``, so a lone surrogate is
 written as ``\\udxxx``, as the canonical encoder writes it. Any other content
 (an int, bool or nested payload value, a non-string key, a ``bool`` seq) goes
-to ``sad.canonical_json_bytes`` unchanged, and raises what it raises.
+to ``sad.canonical_json_bytes`` as a dict, and raises what it raises.
 """
 
 from __future__ import annotations
@@ -74,6 +75,23 @@ EVENT_PAYLOAD_FIELDS: dict[str, tuple[str, ...]] = {
 
 GENESIS_PREV_HASH = bytes(32)
 
+# Outside text, an agent's tool name or a detail that echoes a peer's document,
+# is written whole up to this many bytes as the log writes them.
+MAX_TEXT_BYTES = 256
+
+
+def bounded(text: str) -> str:
+    """``text`` as a record holds outside text: whole if its UTF-8 bytes, a lone
+    surrogate counted as the six of its ``\\udxxx`` escape, are at most
+    ``MAX_TEXT_BYTES``; else a prefix of those bytes and ``…(N bytes, sha256 <hex>)``
+    of all N, at most ``MAX_TEXT_BYTES`` together. Matching uses the whole text."""
+    data = text.encode("utf-8", "backslashreplace")
+    if len(data) <= MAX_TEXT_BYTES:
+        return text
+    suffix = f"…({len(data)} bytes, sha256 {hashlib.sha256(data).hexdigest()})"
+    # "ignore" drops only a character that the cut splits.
+    return data[: MAX_TEXT_BYTES - len(suffix.encode())].decode("utf-8", "ignore") + suffix
+
 
 class AuditError(ValueError):
     """Invalid event name, payload shape, or log wire format."""
@@ -93,25 +111,21 @@ def compute_record_hash(
 ) -> bytes:
     """SHA-256 over the previous hash concatenated with the canonical JSON of
     the record content (hash fields excluded)."""
-    content = canonical_json_bytes({"seq": seq, "timestamp": timestamp, "event": event, "payload": payload})
-    return hashlib.sha256(prev_hash + content).digest()
+    return hashlib.sha256(prev_hash + canonical_json_bytes(seq, timestamp, event, payload)).digest()
 
 
-_CONTENT_KEYS = frozenset(("event", "payload", "seq", "timestamp"))
-
-
-def canonical_json_bytes(value: Any) -> bytes:
-    """The bytes of ``sad.canonical_json_bytes(value)``. Record content of the
-    flat shape fills the template of the module docstring; any other value is
-    handed to ``sad.canonical_json_bytes``."""
-    if type(value) is not dict or value.keys() != _CONTENT_KEYS:
-        return sad.canonical_json_bytes(value)
-    seq, timestamp, event, payload = value["seq"], value["timestamp"], value["event"], value["payload"]
-    if type(seq) is not int or type(timestamp) is not str or type(event) is not str or type(payload) is not dict:
-        return sad.canonical_json_bytes(value)
-    for key, member in payload.items():
-        if type(key) is not str or (member is not None and type(member) is not str):
-            return sad.canonical_json_bytes(value)
+def canonical_json_bytes(seq: int, timestamp: str, event: str, payload: Mapping[str, Any]) -> bytes:
+    """``sad.canonical_json_bytes`` of the record content with these four fields.
+    Flat content fills the template of the module docstring; only other content
+    is built into a dict, for ``sad.canonical_json_bytes``."""
+    flat = type(seq) is int and type(timestamp) is str and type(event) is str and type(payload) is dict
+    if flat:
+        for key, member in payload.items():
+            if type(key) is not str or (member is not None and type(member) is not str):
+                flat = False
+                break
+    if not flat:
+        return sad.canonical_json_bytes({"seq": seq, "timestamp": timestamp, "event": event, "payload": payload})
     members = []
     for key in sorted(payload):
         member = payload[key]
@@ -139,12 +153,12 @@ class JsonlAuditSink:
     A lone surrogate, which can only sit inside a JSON string, is written as
     its ``\\uXXXX`` escape. One writer per file, or two would extend one
     head: the sink takes an exclusive ``flock`` as it is built, reads the
-    file's ``head`` (next seq, last hash) under it, and holds it until
-    ``close``. A sink in another process waits for it; a second sink in this
-    process, which would wait forever, raises AuditError. So does a torn
-    last line, where a record written now would land, a line that is not a
-    record, or a broken chain, which a record appended now would launder.
-    The file is left as it is, and unlocked. ``close`` unlocks the file even
+    ``head`` (next seq, last hash) under it from the file it locked, even if
+    its path was renamed meanwhile, and holds it until ``close``. A sink in
+    another process waits for it; a second one in this process, which would
+    wait forever, raises AuditError. So does a torn last line, where a record
+    written now would land, a line that is not a record, or a broken chain,
+    which a record appended now would launder. The file is left as it is, and unlocked. ``close`` unlocks the file even
     when its fsync or its flush fails, and then raises."""
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
@@ -167,7 +181,8 @@ class JsonlAuditSink:
                 # Numbered from 0, as the loader numbers it.
                 line = os.pread(descriptor, size, 0).count(b"\n")
                 raise AuditError(f"line {line}: torn final line (no newline): cut the file back to its last newline")
-            records = load_audit_jsonl(self.path)
+            os.lseek(descriptor, 0, os.SEEK_SET)  # "a+" starts at the end; appends ignore the offset
+            records = load_audit_jsonl(descriptor)  # the locked file, whatever its path names now
             first_bad = verify_chain(records)
             if first_bad is not None:
                 raise AuditError(f"cannot resume a broken chain: violation at record {first_bad}")
@@ -343,6 +358,6 @@ def record_from_wire(data: Mapping[str, Any]) -> AuditRecord:
     return AuditRecord(seq, timestamp, event, payload, prev_hash, digest)
 
 
-def load_audit_jsonl(path: str | os.PathLike[str]) -> list[AuditRecord]:
-    """Records of a JSONL log. A line that is not a JSON record raises AuditError."""
-    return [record_from_wire(data) for _, data in read_jsonl(path, AuditError)]
+def load_audit_jsonl(source: str | os.PathLike[str] | int) -> list[AuditRecord]:
+    """Records of a JSONL log (``read_jsonl``'s ``source``). A line that is not a JSON record raises AuditError."""
+    return [record_from_wire(data) for _, data in read_jsonl(source, AuditError)]

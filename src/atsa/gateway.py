@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Protocol
 
 from ._json import read_json
 from .admission import AdmissionGate, ConnectStatus, DenyReason, FetchError, Flavor, exchange, origin_of, redacted, split_url
-from .audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, AuditLog
+from .audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, AuditLog, bounded
 
 __all__ = [
     "DispatchResult",
@@ -230,12 +230,12 @@ class Gateway:
             # named; the refusal is audited like any other connect denial.
             detail = f"no registered bridge for {redacted(endpoint)!r}"
             self.audit.append(
-                EVENT_CONNECT_DENY, {"reason": DenyReason.no_registered_bridge.value, "detail": detail}
+                EVENT_CONNECT_DENY, {"reason": DenyReason.no_registered_bridge.value, "detail": bounded(detail)}
             )
             return DispatchResult.denied(DenyReason.no_registered_bridge, detail)
 
         if call.tool_name not in entry.allowed_tools:
-            tool = {"server": endpoint, "bridge": entry.bridge_id, "toolName": call.tool_name}
+            tool = {"server": endpoint, "bridge": entry.bridge_id, "toolName": bounded(call.tool_name)}
             self.audit.append(EVENT_TOOL_DENY, {**tool, "reason": TOOL_DENY_DETAIL})
             detail = f"tool {call.tool_name!r} is {TOOL_DENY_DETAIL}"
             return DispatchResult.denied(DenyReason.tool_not_admitted, detail)

@@ -19,11 +19,11 @@ Canonical form rules:
   object keys keep code-point order, so such a key sorts before U+E000.
 
 The encoder is one pass: a pre-pass, then one ``json`` call whose text is
-encoded to UTF-8 with surrogates escaped. The pre-pass rejects floats,
-non-string keys and other types, turns tuples and mappings into lists and
-dicts, and sorts every array by the escaped UTF-8 bytes of its members'
-serialization, innermost arrays first. The ``json`` call sorts object keys
-by code point, which is their UTF-8 byte order for Unicode scalar values.
+encoded to UTF-8 with surrogates escaped. The pre-pass matches types exactly:
+it rejects floats, non-string keys, subclasses, non-``dict`` mappings and any
+other type, turns tuples into lists, and sorts every array by the escaped UTF-8
+bytes of its members' serialization, innermost arrays first; ``json`` sorts
+object keys by code point, their UTF-8 byte order for Unicode scalar values.
 
 Duplicate member names. An object that names a member twice, which I-JSON
 (RFC 7493, section 2.3) forbids, keeps the last one, as ``json`` does. The
@@ -169,10 +169,10 @@ def canonical_json_bytes(value: Any) -> bytes:
 
     Object keys and array members are ordered bytewise over their UTF-8
     serialization, output carries no whitespace, and strings use only the
-    escapes JSON mandates. Only ``None``, ``bool``, ``int``, ``str``, lists,
-    tuples and string-keyed mappings are encodable; anything else raises
-    TypeError. Lone surrogates are written as ``\\uXXXX`` escapes (see the
-    module docstring).
+    escapes JSON mandates. Only these exact types are encodable: ``None``,
+    ``bool``, ``int``, ``str``, ``list``, ``tuple`` and ``dict`` with ``str``
+    keys; anything else, a subclass or another mapping too, raises TypeError.
+    Lone surrogates are written as ``\\uXXXX`` escapes (see the module docstring).
     """
     return _escaped_bytes(_prepare(value))
 
@@ -187,9 +187,9 @@ _ENCODER = json.JSONEncoder(
 
 
 def _prepare(value: Any) -> Any:
-    """Copy of ``value`` that the encoder serializes canonically: tuples and
-    mappings become lists and dicts, and array members are sorted by their
-    own serialization. Raises TypeError for anything not encodable."""
+    """Copy of ``value`` that the encoder serializes canonically: tuples become
+    lists, and array members are sorted by their own serialization. Types are
+    matched exactly: anything else, a subclass included, raises TypeError."""
     kind = type(value)
     if kind is str or kind is int or kind is bool or value is None:
         return value
@@ -197,18 +197,12 @@ def _prepare(value: Any) -> Any:
         return _prepare_object(value)
     if kind is list or kind is tuple:
         return _prepare_array(value)
-    if isinstance(value, (str, int)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return _prepare_array(value)
-    if isinstance(value, Mapping):
-        return _prepare_object(value)
     raise TypeError(f"not canonicalizable: {kind.__name__}")
 
 
-def _prepare_object(value: Mapping[Any, Any]) -> dict[str, Any]:
+def _prepare_object(value: dict[Any, Any]) -> dict[str, Any]:
     for key in value:
-        if not isinstance(key, str):
+        if type(key) is not str:
             raise TypeError(f"object keys must be strings, got {type(key).__name__}")
     return {key: _prepare(member) for key, member in value.items()}
 

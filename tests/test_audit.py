@@ -709,6 +709,35 @@ def test_a_log_on_a_new_sink_continues_the_files_chain(tmp_path):
     assert log.records == (appended,) == (records[3],)
 
 
+def test_a_sink_continues_the_file_it_locked_when_its_path_is_rotated_meanwhile(tmp_path, monkeypatch):
+    # Read by path, the head would be the new file's (5, ...) and the append
+    # would land in the rotated file as seq 5: a tamper alarm at its record 2.
+    path, rotated = tmp_path / "audit.jsonl", tmp_path / "audit.jsonl.1"
+    sink = JsonlAuditSink(path)
+    _fill(_ticking_log(sink=sink), count=2)
+    sink.close()
+    head = load_audit_jsonl(path)[-1].hash
+    real_flock = fcntl.flock
+
+    def rotate_then_flock(handle, operation):
+        if not rotated.exists():
+            path.rename(rotated)
+            sink = JsonlAuditSink(path)
+            _fill(_ticking_log(sink=sink), count=5)
+            sink.close()
+        real_flock(handle, operation)
+
+    monkeypatch.setattr(audit.fcntl, "flock", rotate_then_flock)
+    sink = JsonlAuditSink(path)
+    assert sink.head == (2, head)
+    AuditLog(sink).append(EVENT_CONNECT_DENY, {"reason": "unsigned"})
+    sink.close()
+    records = load_audit_jsonl(rotated)
+    assert [record.seq for record in records] == [0, 1, 2]
+    assert verify_chain(records) is None
+    assert len(load_audit_jsonl(path)) == 5
+
+
 def test_a_sink_takes_one_log(tmp_path):
     # Two logs on one sink would each start from its head: seqs [0, 0].
     path = tmp_path / "audit.jsonl"
@@ -971,7 +1000,7 @@ _other_contents = st.fixed_dictionaries(
 @example(content={"seq": 7, "timestamp": "\ud800", "event": "\x00",
                   "payload": {key: key for key in _TRICKY} | {"": None}})
 def test_record_encoder_matches_canonical_json_and_the_oracle(content):
-    encoded = audit.canonical_json_bytes(content)
+    encoded = audit.canonical_json_bytes(**content)
     assert encoded == sad.canonical_json_bytes(content)
     assert encoded == reference_canonical(content)
 
@@ -986,7 +1015,7 @@ def test_record_encoder_refuses_a_non_string_payload_key_as_canonical_json_does(
     with pytest.raises(TypeError, match="object keys must be strings"):
         sad.canonical_json_bytes(content)
     with pytest.raises(TypeError, match="object keys must be strings"):
-        audit.canonical_json_bytes(content)
+        audit.canonical_json_bytes(**content)
 
 
 def _nested_past_the_recursion_limit():

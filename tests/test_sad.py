@@ -6,6 +6,7 @@ import json
 import random
 import sys
 import threading
+import types
 from dataclasses import replace
 
 import pytest
@@ -127,6 +128,33 @@ def test_canonical_json_rejects_unencodable():
         canonical_json_bytes({"k": object()})
     with pytest.raises(TypeError):
         canonical_json_bytes({1: "non-string key"})
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [_Str("s"), _Int(1), _List(["s"]), _Dict(k="s"), types.MappingProxyType({"k": "s"}), {_Str("k"): "s"},
+     {"k": [_Int(1)]}],
+    ids=["str", "int", "list", "dict", "mapping-proxy", "str-key", "nested-int"],
+)
+def test_canonical_json_takes_exact_types_only_and_refuses_a_subclass_or_another_mapping(value):
+    with pytest.raises(TypeError):
+        canonical_json_bytes(value)
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,12 @@ with exactly one audit record, a JSONL log of it reloads and verifies, and
 verification returns a ``Verdict`` and ``atsa sign`` keeps such a document,
 and a corpus of such cases survives a JSONL dump and load and replays to a
 report, from the library and from ``atsa fuzz``.
-A last test holds, in both flavors, that an endpoint without a registered
+A test holds, in both flavors, that an endpoint without a registered
 bridge is refused without fetching anything from it.
+
+Outside text of any length, a tool name, an endpoint or a document's
+members, enters the audit log bounded: every record's JSONL line stays
+under 2 KiB, and a bounded text keeps its size and SHA-256.
 
 Every loader of JSON from outside the program refuses text that is not
 UTF-8 or that nests past the recursion limit with its own error.
@@ -16,14 +20,17 @@ UTF-8 or that nests past the recursion limit with its own error.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import operator
 import os
+import re
 import tempfile
 from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atsa import (
@@ -66,10 +73,11 @@ from atsa import (
     verify_chain,
     verify_server_clearance,
 )
-from atsa.audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY
+from atsa.admission import MAX_DOCUMENT_BYTES, redacted
+from atsa.audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, MAX_TEXT_BYTES, bounded
 from atsa.cli import EXIT_OK, EXIT_VERDICT, cli, main
 from atsa.conformance import KIND_ASSERTION, KIND_TOOL, CampaignReport
-from conftest import FIXED_NOW, SERVER_URL, fetcher_for
+from conftest import FIXED_NOW, SERVER_URL, examples, fetcher_for
 from doubles import CountingTransport, StaticFetcher
 from reference_impl import reference_canonical
 
@@ -305,3 +313,127 @@ def test_fuzz_replays_and_writes_a_corpus_with_a_lone_surrogate(tmp_path):
 def test_every_json_loader_refuses_text_it_cannot_read_with_its_own_error(load, error, text):
     with pytest.raises(error, match="not valid JSON"):
         load(text)
+
+
+# Outside text enters the log bounded: whole up to MAX_TEXT_BYTES, as the log
+# writes it, else a prefix and the size and SHA-256 of the whole text.
+LINE_BOUND = 2 * 1024
+_BOUNDED = re.compile(r"(.*)…\((\d+) bytes, sha256 ([0-9a-f]{64})\)", re.DOTALL)
+
+
+def _as_logged(text: str) -> bytes:
+    return text.encode("utf-8", "backslashreplace")
+
+
+def _assert_bounded_form_of(logged: str, text: str) -> None:
+    whole = _as_logged(text)
+    assert len(_as_logged(logged)) <= MAX_TEXT_BYTES
+    if len(whole) <= MAX_TEXT_BYTES:
+        assert logged == text
+        return
+    prefix, size, digest = _BOUNDED.fullmatch(logged).groups()
+    assert (int(size), digest) == (len(whole), hashlib.sha256(whole).hexdigest())
+    assert whole.startswith(_as_logged(prefix))
+
+
+def _logged_lines(gateway: Gateway, calls: list[tuple[str, ToolCall]]) -> list[bytes]:
+    """The JSONL lines a durable log gets for ``calls``, in order."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "audit.jsonl")
+        sink = JsonlAuditSink(path)
+        gateway.audit = gateway.gate.audit = AuditLog(sink, clock=lambda: FIXED_NOW)
+        try:
+            for endpoint, call in calls:
+                gateway.invoke(endpoint, call)
+        finally:
+            sink.close()
+        with open(path, "rb") as handle:
+            return handle.read().splitlines()
+
+
+# A short string repeated: outside text of up to tens of kilobytes.
+_long_strings = st.builds(operator.mul, _json_strings, st.integers(0, 2_000))
+_outside_documents = st.builds(
+    AttestationDocument,
+    id=_long_strings,
+    publisher=_long_strings,
+    version=_long_strings,
+    clearance=st.sampled_from(("public", "restricted-plus", "sci")) | _long_strings,
+    capabilities=st.lists(st.just("mcp-server") | _long_strings, max_size=3).map(tuple),
+    net_allowed_hosts=st.none() | st.lists(st.just("tools.example") | _long_strings, max_size=2).map(tuple),
+    verification=st.none() | _long_strings,
+)
+_ROGUE_SIGNER = "k" * 60_000  # a peer's 60,000-character signerKeyId, in every denial's detail
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(
+    name=_long_strings,
+    endpoint=_long_strings | st.builds("https://{}@{}/mcp".format, _long_strings, _long_strings),
+    document=_outside_documents,
+    signer=st.just(KEY.key_id) | _long_strings,
+    flavor=st.sampled_from(list(Flavor)),
+)
+@example(
+    name="t" * 8 * 1024 * 1024, endpoint="https://u:p@" + "h" * 60_000 + "/mcp",
+    document=AttestationDocument("id", "p", "1", "restricted-plus", ("mcp-server",)),
+    signer=_ROGUE_SIGNER, flavor=Flavor.open,
+)
+@example(  # the longest lines: each control character is written as six bytes
+    name="\x01" * MAX_TEXT_BYTES, endpoint="\x01" * 10_000,
+    document=AttestationDocument("id", "p", "1", "\x01" * 10_000, ("mcp-server",)),
+    signer=KEY.key_id, flavor=Flavor.enclaved,
+)
+def test_every_record_is_bounded_for_any_tool_name_endpoint_and_document(name, endpoint, document, signer, flavor):
+    assume(name not in ALLOWED and endpoint != SERVER_URL)
+    raw = _wire(replace(sign_document(document, KEY), signer_key_id=signer))
+    gateway, _, _ = _gateway(AuditLog())
+    gateway.flavor = flavor
+    gateway.gate.fetcher = lambda url: (200, raw) if len(raw) <= MAX_DOCUMENT_BYTES else (500, b"")
+    calls = [(SERVER_URL, ToolCall(name)), (endpoint, ToolCall("list_labels")), (SERVER_URL, ToolCall("list_labels"))]
+    lines = _logged_lines(gateway, calls)
+    assert len(lines) == 3
+    assert max(map(len, lines)) < LINE_BOUND
+    tool_deny, unregistered, connect = (json.loads(line)["payload"] for line in lines)
+    _assert_bounded_form_of(tool_deny["toolName"], name)
+    _assert_bounded_form_of(unregistered["detail"], f"no registered bridge for {redacted(endpoint)!r}")
+    if "detail" in connect:
+        verdict = verify_server_clearance(
+            SERVER_URL, "restricted-plus", now=FIXED_NOW, scheme=SCHEME, trust_root=TrustRoot(SIGNERS),
+            fetcher=gateway.gate.fetcher,
+        )
+        _assert_bounded_form_of(connect["detail"], verdict.detail)
+
+
+def test_an_8_mib_tool_name_is_denied_with_a_bounded_record():
+    name = "x" * (8 * 1024 * 1024)
+    gateway, transport, _ = _gateway(AuditLog())
+    (line,) = _logged_lines(gateway, [(SERVER_URL, ToolCall(name))])
+    assert len(line) < LINE_BOUND
+    logged = json.loads(line)["payload"]["toolName"]
+    assert logged.endswith(f"…({len(name)} bytes, sha256 {hashlib.sha256(name.encode()).hexdigest()})")
+    assert transport.calls == 0
+
+
+@pytest.mark.parametrize("userinfo", ["user:secret", "secret:" + "p" * 400], ids=["short", "past-the-prefix"])
+def test_an_endpoints_userinfo_reaches_neither_the_prefix_nor_the_digest(userinfo):
+    endpoint = f"https://{userinfo}@{'h' * 400}.example/mcp"
+    gateway, _, _ = _gateway(AuditLog())
+    (line,) = _logged_lines(gateway, [(endpoint, ToolCall("list_labels"))])
+    assert b"secret" not in line
+    detail = f"no registered bridge for 'https://***@{'h' * 400}.example/mcp'"
+    assert json.loads(line)["payload"]["detail"].endswith(f"sha256 {hashlib.sha256(detail.encode()).hexdigest()})")
+
+
+@pytest.mark.parametrize(
+    "text, whole",
+    [("a" * MAX_TEXT_BYTES, True), ("a" * (MAX_TEXT_BYTES + 1), False),
+     ("é" * (MAX_TEXT_BYTES // 2), True), ("é" * (MAX_TEXT_BYTES // 2) + "a", False),
+     ("\ud800" * (MAX_TEXT_BYTES // 6), True), ("\ud800" * (MAX_TEXT_BYTES // 6 + 1), False),
+     ("\U0001f642" * MAX_TEXT_BYTES, False)],
+    ids=["at-bound", "past-bound", "two-byte-at-bound", "two-byte-past-bound", "surrogates-at-bound",
+         "surrogates-past-bound", "astral"],
+)
+def test_text_is_kept_whole_up_to_the_bound_in_the_bytes_the_log_writes(text, whole):
+    assert (bounded(text) == text) is whole
+    _assert_bounded_form_of(bounded(text), text)
