@@ -309,11 +309,9 @@ def verify_chain(records: Sequence[AuditRecord]) -> int | None:
     first record whose sequencing, linkage, or content hash is wrong. Content
     that cannot be canonicalized (a float, or nesting past the recursion
     limit) has no valid hash, so its record is the bad index."""
+    prev_hash = GENESIS_PREV_HASH
     for index, record in enumerate(records):
-        expected_prev = records[index - 1].hash if index else GENESIS_PREV_HASH
-        if record.seq != index:
-            return index
-        if record.prev_hash != expected_prev:
+        if record.seq != index or record.prev_hash != prev_hash:
             return index
         try:
             recomputed = compute_record_hash(
@@ -323,6 +321,7 @@ def verify_chain(records: Sequence[AuditRecord]) -> int | None:
             return index
         if recomputed != record.hash:
             return index
+        prev_hash = record.hash
     return None
 
 

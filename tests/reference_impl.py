@@ -2,8 +2,9 @@
 
 Nothing here imports the package or the json encoder it uses: the canonical
 encoder below walks parsed values with a hand-rolled string escaper, and the
-chain checker recomputes hashes straight from hashlib. Tests compare package
-output against these byte for byte.
+chain checker recomputes hashes straight from hashlib. The JSON readers are
+``json.loads`` of each text or line, with the package's messages. Tests
+compare package output against these byte for byte.
 """
 
 from __future__ import annotations
@@ -110,6 +111,29 @@ def reference_chain_first_bad(records: list[dict]) -> int | None:
             return index
         previous = own_hash
     return None
+
+
+def reference_read_json(text: bytes | str, error: type[Exception], prefix: str) -> Any:
+    """``json.loads`` of one text, bytes read as UTF-8; a failure raises ``error(f"{prefix}: {reason}")``."""
+    try:
+        return json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{prefix}: {exc}") from exc
+
+
+def reference_read_jsonl(data: bytes, error: type[Exception]) -> list[tuple[int, Any]]:
+    """``(line number, value)`` for each line of ``data`` that ASCII whitespace does not
+    fill, each line read whole by ``json.loads``; the first that fails raises ``error``
+    with its number and whether it ends in a newline."""
+    lines = data.split(b"\n")
+    values = []
+    for number, line in enumerate(lines):
+        ended = number < len(lines) - 1
+        if line.strip():
+            fault = "not valid JSON" if ended else "torn final line (no newline)"
+            text = line + b"\n" if ended else line
+            values.append((number, reference_read_json(text, error, f"line {number}: {fault}")))
+    return values
 
 
 _TRICKY_CHARS = (

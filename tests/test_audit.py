@@ -1,9 +1,11 @@
 """Hash-chained audit log: linkage, vocabulary, durability, tamper evidence,
 one writer per JSONL file, the head a new sink reads after a failed append or
-from mutated bytes, and the record encoder against two oracles."""
+from mutated bytes, the record encoder against two oracles, a record member of
+the wrong type refused, and decisions made on many threads at once."""
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import errno
@@ -16,7 +18,9 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -29,6 +33,8 @@ from atsa import (
     AdmissionGate,
     AuditError,
     AuditLog,
+    DenyReason,
+    DispatchResult,
     DispatchStatus,
     EVENT_CONNECT_ALLOW,
     EVENT_CONNECT_DENY,
@@ -46,8 +52,9 @@ from atsa import (
 from atsa import audit, sad
 from atsa.audit import GENESIS_PREV_HASH, compute_record_hash, record_from_wire, record_to_wire
 from atsa.cli import main
+from atsa.gateway import TOOL_DENY_DETAIL
 from atsa.trustroot import format_rfc3339
-from conftest import SERVER_URL, examples
+from conftest import SERVER_URL, examples, fetcher_for
 from doubles import CountingTransport, RecordingSink
 from reference_impl import reference_canonical, reference_chain_first_bad
 
@@ -520,6 +527,33 @@ def test_load_audit_jsonl_rejects_garbage(tmp_path):
         load_audit_jsonl(bad)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("seq", "0", "audit record 'seq' must be an integer"),
+     ("event", 5, "audit record 'timestamp' and 'event' must be strings"),
+     ("payload", [], "audit record 'payload' must be an object"),
+     ("hash", "ab" * 31, "audit record hashes must be 32 bytes of hex")],
+    ids=["string-seq", "non-string-event", "list-payload", "31-byte-hash"],
+)
+def test_a_record_member_of_the_wrong_type_is_refused_by_the_loader_the_cli_and_a_sink(
+    tmp_path, capsys, field, value, message
+):
+    (wire,) = _wire_log(count=1)
+    path = tmp_path / "audit.jsonl"
+    path.write_text(json.dumps({**wire, field: value}) + "\n")
+    with pytest.raises(AuditError) as refusal:
+        load_audit_jsonl(path)
+    assert str(refusal.value) == message
+    with pytest.raises(SystemExit) as verdict:
+        main(["audit-verify", "--json", str(path)])
+    assert verdict.value.code == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "error": message}
+    with pytest.raises(AuditError) as refusal:
+        JsonlAuditSink(path)
+    assert str(refusal.value) == message
+    assert not _locked_by_another(path)
+
+
 def test_record_wire_round_trip():
     log = _ticking_log()
     _fill(log, 4)
@@ -753,6 +787,78 @@ def test_a_sink_takes_one_log(tmp_path):
     records = load_audit_jsonl(path)
     assert [record.seq for record in records] == [0, 1]
     assert verify_chain(records) is None
+
+
+def test_concurrent_decisions_keep_every_audit_contract(tmp_path, capsys, scheme, trust_root, signed_doc):
+    # Each thread calls tools of its own: an allowed one, an unlisted one and
+    # one at an unregistered endpoint in turn, so every denial's record names
+    # its call. With the shortest switch interval, threads interleave inside
+    # the gate, the log and the sink.
+    threads, calls = 8, 24
+    allowed = frozenset(f"t{thread}-ok-{call}" for thread in range(threads) for call in range(0, calls, 3))
+    path = tmp_path / "audit.jsonl"
+    sink = JsonlAuditSink(path)
+    audit = AuditLog(sink, clock=lambda: FIXED_NOW)
+    transport = CountingTransport()
+    registry = ServerRegistry()
+    registry.register(RegistryEntry(SERVER_URL, "bridge-1", "restricted-plus", allowed, transport))
+    registry.freeze()
+    gate = AdmissionGate(scheme, trust_root, fetcher_for(signed_doc), audit)
+    gateway = Gateway(registry, gate, audit, Flavor.enclaved)
+    start = threading.Barrier(threads)
+
+    def invoke_each(thread):
+        start.wait()
+        results = []
+        for call in range(calls):
+            endpoint, name = (
+                (SERVER_URL, f"t{thread}-ok-{call}"),
+                (SERVER_URL, f"t{thread}-unlisted-{call}"),
+                (f"https://t{thread}-{call}.example/mcp", "list_labels"),
+            )[call % 3]
+            results.append((endpoint, name, gateway.invoke(endpoint, ToolCall(name))))
+        return results
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = [result for future in [pool.submit(invoke_each, n) for n in range(threads)]
+                       for result in future.result(timeout=60)]
+    finally:
+        sys.setswitchinterval(interval)
+        sink.close()
+
+    records = load_audit_jsonl(path)
+    assert [record.seq for record in records] == list(range(threads * calls))
+    assert verify_chain(records) is None
+    assert tuple(records) == audit.records
+    with pytest.raises(SystemExit) as verdict:
+        main(["audit-verify", "--json", str(path)])
+    assert verdict.value.code == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "records": threads * calls}
+
+    allow = {"level": signed_doc.clearance, "signerKeyId": signed_doc.signer_key_id}
+    expected = []
+    for endpoint, name, result in results:
+        if name in allowed:
+            assert result == DispatchResult.ok({"tool": name, "echo": {}})
+            expected.append((EVENT_CONNECT_ALLOW, allow))
+        elif endpoint == SERVER_URL:
+            assert result.reason is DenyReason.tool_not_admitted
+            tool = {"server": SERVER_URL, "bridge": "bridge-1", "toolName": name, "reason": TOOL_DENY_DETAIL}
+            expected.append((EVENT_TOOL_DENY, tool))
+        else:
+            assert result.reason is DenyReason.no_registered_bridge
+            expected.append((EVENT_CONNECT_DENY, {"reason": result.reason.value, "detail": result.detail}))
+
+    def counted(pairs):
+        return collections.Counter((event, json.dumps(payload, sort_keys=True)) for event, payload in pairs)
+
+    assert counted(expected) == counted((record.event, record.payload) for record in records)
+    allows = [record for record in records if record.event == EVENT_CONNECT_ALLOW]
+    assert len(transport.requests) == len(allows) == len(allowed)
+    assert sorted(request["params"]["name"] for request, _ in transport.requests) == sorted(allowed)
 
 
 # A sink write that fails at one append: before any byte is written, after

@@ -26,7 +26,8 @@ here: fresh connections share one TLS context, and a leaf for another host or
 an expired one is refused before any POST. Pooling holds over TLS as over
 plain http: a connection the peer closed while idle is replaced, a bearer
 token goes only to its own origin, and a reply over the cap closes its
-connection.
+connection. A body read to the peer's close is refused past the cap, and a
+TCP connect that spends the budget ends the exchange before a TLS handshake.
 """
 
 from __future__ import annotations
@@ -176,6 +177,41 @@ def test_a_trickled_tools_call_reply_is_one_post_and_a_transport_error(monkeypat
     assert result.status == DispatchStatus.transport_error
     assert [record.event for record in audit.records] == [EVENT_CONNECT_ALLOW]
     assert elapsed < 1.5
+
+
+def test_a_tcp_connect_that_spends_the_deadline_ends_the_exchange_before_its_tls_handshake(monkeypatch):
+    monkeypatch.setattr(admission, "PEER_TIMEOUT_S", 0.05)
+    opened = []
+    create_connection = socket.create_connection
+
+    def slow_connect(address, timeout):
+        opened.append(create_connection(address, timeout))
+        time.sleep(0.1)  # the connect took the whole budget
+        return opened[-1]
+
+    class NoHandshake:
+        def wrap_socket(self, sock, server_hostname):
+            raise AssertionError("a TLS handshake began with the deadline spent")
+
+    monkeypatch.setattr(admission.socket, "create_connection", slow_connect)
+    monkeypatch.setattr(admission, "_tls_context", lambda cert_file, cert_dir: NoHandshake())
+    with RawPeer() as peer:
+        url = peer.url.replace("http://", "https://", 1) + WELL_KNOWN_PATHS[0]
+        with pytest.raises(FetchError, match=r"failed: timed out$"):
+            exchange(url, {}, limit=MAX_DOCUMENT_BYTES)
+    (sock,) = opened
+    assert sock.fileno() == -1  # closed at once, not left to the collector
+
+
+def test_a_body_read_to_close_is_refused_past_the_limit():
+    # Neither Content-Length nor chunked: the body runs until the peer closes,
+    # over several reads.
+    head, limit = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n", 100_000
+    with RawPeer(head + b"x" * limit) as peer:
+        assert exchange(peer.url + "/mcp", {}, limit=limit) == (200, b"x" * limit)
+        peer.reply = head + b"x" * (limit + 1)
+        with pytest.raises(FetchError, match=f"failed: the body is over {limit} bytes$"):
+            exchange(peer.url + "/mcp", {}, limit=limit)
 
 
 @pytest.mark.parametrize("scheme_name", ["file", "ftp", "data"])

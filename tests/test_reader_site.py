@@ -16,7 +16,8 @@ JSON_DECODERS = {"load", "loads", "JSONDecoder"}
 URL_SPLITTERS = {"urlsplit", "urlparse"}
 
 READERS = {
-    "_json.read_json: loads": "the JSON reader",
+    "_json: JSONDecoder": "the decoder read_json scans with, built once with json.loads' defaults",
+    "_json._decode: loads": "the JSON reader",
     "admission.split_url: urlsplit": "the URL reader",
 }
 READ_ELSEWHERE_BY_DESIGN = {

@@ -15,17 +15,22 @@ members, enters the audit log bounded: every record's JSONL line stays
 under 2 KiB, and a bounded text keeps its size and SHA-256.
 
 Every loader of JSON from outside the program refuses text that is not
-UTF-8 or that nests past the recursion limit with its own error.
+UTF-8 or that nests past the recursion limit with its own error. The two
+JSON readers give ``json.loads``' values and errors for any text, a log's
+lines included, and read a line that is one value in one scan, testing it
+for nothing else.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import operator
 import os
 import re
 import tempfile
+import types
 from dataclasses import replace
 
 import pytest
@@ -73,13 +78,14 @@ from atsa import (
     verify_chain,
     verify_server_clearance,
 )
+from atsa import _json
 from atsa.admission import MAX_DOCUMENT_BYTES, redacted
 from atsa.audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, MAX_TEXT_BYTES, bounded
 from atsa.cli import EXIT_OK, EXIT_VERDICT, cli, main
 from atsa.conformance import KIND_ASSERTION, KIND_TOOL, CampaignReport
 from conftest import FIXED_NOW, SERVER_URL, examples, fetcher_for
 from doubles import CountingTransport, StaticFetcher
-from reference_impl import reference_canonical
+from reference_impl import reference_canonical, reference_read_json, reference_read_jsonl
 
 ALLOWED = frozenset({"list_labels", "create_draft"})
 SCHEME = get_builtin_scheme("default")
@@ -313,6 +319,91 @@ def test_fuzz_replays_and_writes_a_corpus_with_a_lone_surrogate(tmp_path):
 def test_every_json_loader_refuses_text_it_cannot_read_with_its_own_error(load, error, text):
     with pytest.raises(error, match="not valid JSON"):
         load(text)
+
+
+# Lines a log or a file may hold: JSON values, compact or not, ASCII or not
+# (a lone surrogate then encodes to bytes that are not UTF-8), and text that is
+# no value, with JSON whitespace, other whitespace and a BOM around them.
+_spaces = st.lists(
+    st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\r\n", b"\x0b", b"\x0c", b"\x1c", "\u00a0".encode(), b"\xef\xbb\xbf"]),
+    max_size=2,
+).map(b"".join)
+_value_texts = st.builds(
+    lambda value, ascii, compact: json.dumps(
+        value, ensure_ascii=ascii, separators=(",", ":") if compact else None
+    ).encode("utf-8", "surrogatepass"),
+    _json_values, st.booleans(), st.booleans(),
+)
+_non_value_texts = st.sampled_from([
+    b"", b"x", b"{", b'{"a":', b"[1,]", b'{"a":1} x', b'{"a":1}{"b":2}', b"01", b'"\xff"', b"\xc3",
+    b"[" * 3_000 + b"]" * 3_000, b"1" * 5_000, b"NaN", b"-Infinity",
+])
+_lines = st.builds(operator.add, st.builds(operator.add, _spaces, _value_texts | _non_value_texts), _spaces)
+
+
+class _Unread(ValueError):
+    """The error the readers under test are given."""
+
+
+def _outcome(read):
+    """What ``read()`` gives: its value, or the class and message of what it raised."""
+    try:
+        return "value", repr(read())
+    except Exception as exc:  # the class is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(lines=st.lists(_lines, max_size=6), ended=st.booleans())
+@example(lines=[b'{"a":1} x', b'{"a":1}x'], ended=True)  # a scan that stops short of the end
+@example(lines=[b'{"a":1}\x0b', b'{"a":1}\xc2\xa0', b'{"a":1}\r'], ended=True)  # whitespace past the value
+@example(lines=[b"[" * 3_000 + b"]" * 3_000], ended=False)  # deep nesting on a torn line
+def test_the_json_readers_read_each_text_as_json_loads_does(lines, ended):
+    data = b"\n".join(lines) + (b"\n" if ended else b"")
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "log.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        got = _outcome(lambda: list(_json.read_jsonl(path, _Unread)))
+    assert got == _outcome(lambda: reference_read_jsonl(data, _Unread))
+    for text in (data, *lines):
+        for form in (text, text.decode("utf-8", "surrogateescape")):
+            got = _outcome(lambda: _json.read_json(form, _Unread, "text"))
+            assert got == _outcome(lambda: reference_read_json(form, _Unread, "text"))
+
+
+def test_a_line_that_is_one_value_is_read_in_one_scan_and_tested_for_nothing_else(monkeypatch):
+    tests, scans, loaded = [], [], []
+
+    class Line(bytes):
+        """A line that notes each test of it for blankness or for its final newline."""
+
+        def strip(self, *chars):
+            tests.append(("strip", bytes(self)))
+            return bytes.strip(self, *chars)
+
+        def endswith(self, *suffix):
+            tests.append(("endswith", bytes(self)))
+            return bytes.endswith(self, *suffix)
+
+    decoder, loads = _json._DECODER, json.loads
+    scan = types.SimpleNamespace(raw_decode=lambda text: (scans.append(text), decoder.raw_decode(text))[1])
+    monkeypatch.setattr(_json, "_DECODER", scan)
+    monkeypatch.setattr(json, "loads", lambda text: (loaded.append(text), loads(text))[1])
+
+    def read(*lines):
+        opened = contextlib.nullcontext(map(Line, lines))
+        monkeypatch.setattr(_json, "open", lambda source, mode, closefd: opened, raising=False)
+        return list(_json.read_jsonl("log.jsonl", _Unread))
+
+    # A value before its one final newline, or alone on a torn last line.
+    assert read(b'{"a":1}\n', b"[1,2]\n", b'"s"') == [(0, {"a": 1}), (1, [1, 2]), (2, "s")]
+    assert _json.read_json(b"7", _Unread, "text") == 7
+    assert (scans, loaded, tests) == (['{"a":1}\n', "[1,2]\n", '"s"', "7"], [], [])
+    # Only a line that fails the scan is tested for blankness, and only one that fails is given its prefix.
+    with pytest.raises(_Unread, match=r"^line 3: not valid JSON: Extra data: line 1 column 9 \(char 8\)$"):
+        read(b"7\n", b" \n", b"\n", b'{"a":1} x\n')
+    assert tests == [("strip", b" \n"), ("strip", b"\n"), ("strip", b'{"a":1} x\n'), ("endswith", b'{"a":1} x\n')]
 
 
 # Outside text enters the log bounded: whole up to MAX_TEXT_BYTES, as the log
