@@ -1,0 +1,253 @@
+#!/usr/bin/env python3
+"""Mutation gate: every kept mutant of the source is killed by the tests named for it.
+
+A catalogue entry is a name, a file, an exact text that occurs in that file exactly
+once, the text that replaces it, and the pytest node ids that must fail once it is
+replaced. First the node ids of every entry run on an unedited copy of the tree and
+must pass, so a kill is never a test that fails anyway. Then, for each entry, the
+tree is copied to a fresh temporary directory (without ``.git``, caches or a
+Hypothesis database), the edit is applied there, and ``pytest -x -q`` runs the
+entry's node ids against that copy's ``src``.
+
+The exit code is 1 if an entry is stale (its text occurs in its file other than
+exactly once), the unedited run fails, or a mutant survives (its tests pass, or
+pytest cannot run them); otherwise 0. It takes no options:
+
+    python scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Seconds one pytest run may take; a mutant that hangs its tests is killed.
+RUN_TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the root of the tree
+    old: str
+    new: str
+    kills: tuple[str, ...]
+
+
+FLAVOR_RULE = "tests/test_flavor_rule.py::test_the_flavor_picks_only_the_record_of_a_failure"
+BOUND_CASES = "tests/test_untrusted_input.py::test_text_is_kept_whole_up_to_the_bound_in_the_bytes_the_log_writes"
+BOUNDED_RECORDS = "tests/test_untrusted_input.py::test_every_record_is_bounded_for_any_tool_name_endpoint_and_document"
+CONCURRENT = "tests/test_audit.py::test_concurrent_decisions_keep_every_audit_contract"
+WRONG_TYPE = "tests/test_audit.py::test_a_record_member_of_the_wrong_type_is_refused_by_the_loader_the_cli_and_a_sink"
+TLS_DEADLINE = (
+    "tests/test_outbound_http.py::"
+    "test_a_tcp_connect_that_spends_the_deadline_ends_the_exchange_before_its_tls_handshake"
+)
+JSON_READERS = "tests/test_untrusted_input.py::test_the_json_readers_read_each_text_as_json_loads_does"
+ONE_SCAN = "tests/test_untrusted_input.py::test_a_line_that_is_one_value_is_read_in_one_scan_and_tested_for_nothing_else"
+LINE_LOOP = "        for number, line in enumerate(handle):\n            try:\n"
+
+MUTANTS = (
+    # The flavor picks only the record: each entry point holds the rule.
+    Mutant(
+        "failure-events-swapped", "src/atsa/admission.py",
+        "event = EVENT_CONNECT_DENY if flavor is Flavor.enclaved else EVENT_CONNECT_WARN",
+        "event = EVENT_CONNECT_WARN if flavor is Flavor.enclaved else EVENT_CONNECT_DENY",
+        (FLAVOR_RULE,),
+    ),
+    Mutant("invoke-dispatches-a-failed-gate", "src/atsa/gateway.py", "if not verdict.allowed:", "if False:", (FLAVOR_RULE,)),
+    Mutant(
+        "verify-status-words-swapped", "src/atsa/cli.py",
+        'EVENT_CONNECT_DENY: "denied", EVENT_CONNECT_WARN: "warn"',
+        'EVENT_CONNECT_DENY: "warn", EVENT_CONNECT_WARN: "denied"',
+        (FLAVOR_RULE,),
+    ),
+    # Outside text is bounded in the bytes the log writes, and read back as the record holds it.
+    Mutant(
+        "bounded-counts-utf8-not-escapes", "src/atsa/audit.py",
+        "    fits = len(text) * 6 <= MAX_TEXT_BYTES or (len(text) <= MAX_TEXT_BYTES and _logged_size(text) <= MAX_TEXT_BYTES)",
+        '    fits = len(text.encode("utf-8", "backslashreplace")) <= MAX_TEXT_BYTES',
+        (BOUND_CASES,),
+    ),
+    Mutant(
+        "bounded-off-by-one", "src/atsa/audit.py",
+        "and _logged_size(text) <= MAX_TEXT_BYTES)", "and _logged_size(text) < MAX_TEXT_BYTES)", (BOUND_CASES,),
+    ),
+    Mutant(
+        "bounded-cut-counts-utf8-not-escapes", "src/atsa/audit.py",
+        "key=lambda size: _logged_size(prefix[:size])", "key=lambda size: len(prefix[:size].encode())", (BOUND_CASES,),
+    ),
+    Mutant(
+        "bounded-keeps-text-joined-on-read", "src/atsa/audit.py",
+        "if fits and (text.isascii() or not _JOINED_ON_READ.search(text)):", "if fits:", (BOUNDED_RECORDS,),
+    ),
+    Mutant(
+        "bounded-cut-keeps-surrogates", "src/atsa/audit.py",
+        'prefix = data[:room].decode("utf-8", "ignore")', "prefix = text[:room]", (BOUNDED_RECORDS,),
+    ),
+    Mutant(
+        "bounded-digest-of-the-prefix", "src/atsa/audit.py",
+        "hashlib.sha256(data).hexdigest()", "hashlib.sha256(data[:MAX_TEXT_BYTES]).hexdigest()", (BOUND_CASES,),
+    ),
+    Mutant("bounded-prefix-past-its-room", "src/atsa/audit.py", "prefix[: end - 1]", "prefix[:end]", (BOUND_CASES,)),
+    # Appends are one at a time, and an allow is durable before its action.
+    Mutant(
+        "append-without-its-mutex", "src/atsa/audit.py",
+        "        with self._mutex:\n            if self._sink_failed:",
+        "        if True:\n            if self._sink_failed:",
+        (CONCURRENT,),
+    ),
+    Mutant(
+        "sink-write-after-the-head-advances", "src/atsa/audit.py",
+        "            if self._sink is not None:\n"
+        "                self._sink_failed = True  # stays set if the write raises\n"
+        "                self._sink.write(record)\n"
+        "                self._sink_failed = False\n"
+        "            self._records.append(record)\n"
+        "            self._head = (seq + 1, record.hash)\n",
+        "            self._records.append(record)\n"
+        "            self._head = (seq + 1, record.hash)\n"
+        "        if self._sink is not None:\n"
+        "            self._sink_failed = True\n"
+        "            self._sink.write(record)\n"
+        "            self._sink_failed = False\n",
+        (CONCURRENT,),
+    ),
+    Mutant(
+        "allow-not-fsynced", "src/atsa/audit.py",
+        "if record.event == EVENT_CONNECT_ALLOW or self._unsynced >= _MAX_UNSYNCED:",
+        "if self._unsynced >= _MAX_UNSYNCED:",
+        (CONCURRENT,),
+    ),
+    Mutant(
+        "sink-reads-by-path", "src/atsa/audit.py",
+        "records = load_audit_jsonl(descriptor)", "records = load_audit_jsonl(self._handle.name)",
+        ("tests/test_audit.py::test_a_sink_continues_the_file_it_locked_when_its_path_is_rotated_meanwhile",),
+    ),
+    # record_from_wire refuses each member of the wrong type.
+    Mutant(
+        "wire-seq-unchecked", "src/atsa/audit.py",
+        "    if isinstance(seq, bool) or not isinstance(seq, int):", "    if False:", (WRONG_TYPE + "[string-seq]",),
+    ),
+    Mutant(
+        "wire-event-unchecked", "src/atsa/audit.py",
+        "    if not isinstance(timestamp, str) or not isinstance(event, str):", "    if False:",
+        (WRONG_TYPE + "[non-string-event]",),
+    ),
+    Mutant(
+        "wire-payload-unchecked", "src/atsa/audit.py",
+        "    if not isinstance(payload, dict):", "    if False:", (WRONG_TYPE + "[list-payload]",),
+    ),
+    Mutant(
+        "wire-hash-length-unchecked", "src/atsa/audit.py",
+        "    if len(prev_hash) != 32 or len(digest) != 32:", "    if False:", (WRONG_TYPE + "[31-byte-hash]",),
+    ),
+    # Canonical JSON takes exact types only.
+    Mutant(
+        "prepare-accepts-subclasses", "src/atsa/sad.py",
+        "    if kind is str or kind is int or kind is bool or value is None:",
+        "    if isinstance(value, (str, int)) or value is None:",
+        ("tests/test_sad.py::test_canonical_json_takes_exact_types_only_and_refuses_a_subclass_or_another_mapping",),
+    ),
+    # A peer's reply is read within its limit and its deadline.
+    Mutant(
+        "read-to-close-without-its-limit", "src/atsa/admission.py",
+        "            if len(body := self.take(limit + 1)) > limit:\n"
+        '                raise ValueError(f"the body is over {limit} bytes")\n',
+        "            body = self.take(limit + 1)\n",
+        ("tests/test_outbound_http.py::test_a_body_read_to_close_is_refused_past_the_limit",),
+    ),
+    Mutant(
+        "tls-handshake-without-the-deadline", "src/atsa/admission.py",
+        "    try:\n        sock.settimeout(_left(deadline))\n    except TimeoutError:\n        sock.close()\n        raise\n",
+        "",
+        (TLS_DEADLINE,),
+    ),
+    Mutant(
+        "tls-deadline-keeps-the-socket-open", "src/atsa/admission.py",
+        "    except TimeoutError:\n        sock.close()\n        raise\n", "    except TimeoutError:\n        raise\n",
+        (TLS_DEADLINE,),
+    ),
+    # A JSON text is read as json.loads reads it, a log line in one scan.
+    Mutant(
+        "json-end-unchecked", "src/atsa/_json.py",
+        '        if end == len(text) or (end == len(text) - 1 and text[end] == "\\n"):', "        if True:",
+        (JSON_READERS,),
+    ),
+    Mutant(
+        "json-any-trailing-whitespace", "src/atsa/_json.py",
+        '(end == len(text) - 1 and text[end] == "\\n")', "text[end:].isspace()", (JSON_READERS,),
+    ),
+    Mutant(
+        "jsonl-blank-test-before-the-scan", "src/atsa/_json.py",
+        LINE_LOOP, LINE_LOOP.replace("try:", "if not line.strip():\n                continue\n            try:"),
+        (ONE_SCAN,),
+    ),
+    Mutant(
+        "jsonl-fault-built-for-every-line", "src/atsa/_json.py",
+        LINE_LOOP,
+        LINE_LOOP.replace(
+            "try:", 'fault = "not valid JSON" if line.endswith(b"\\n") else "torn final line (no newline)"\n            try:'
+        ),
+        (ONE_SCAN,),
+    ),
+)
+
+
+def stale(root: Path) -> list[str]:
+    """The names of the entries whose old text occurs in their file under ``root`` other than exactly once."""
+    return [mutant.name for mutant in MUTANTS if (root / mutant.path).read_text(encoding="utf-8").count(mutant.old) != 1]
+
+
+def _pytest(tree: Path, node_ids: Sequence[str]) -> int | None:
+    """pytest's exit code for ``node_ids`` run on ``tree``'s sources; None if the run timed out."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *node_ids]
+    try:
+        return subprocess.run(
+            command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=RUN_TIMEOUT_S
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def _run_on_copy(mutant: Mutant | None, node_ids: Sequence[str]) -> int | None:
+    """``_pytest`` on a fresh copy of the tree, with ``mutant`` applied if one is given."""
+    with tempfile.TemporaryDirectory(prefix="atsa-mutant-") as scratch:
+        tree = Path(scratch) / "tree"
+        ignored = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", ".benchmarks", "__pycache__", ".work")
+        shutil.copytree(ROOT, tree, ignore=ignored)
+        if mutant is not None:
+            target = tree / mutant.path
+            target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
+        return _pytest(tree, node_ids)
+
+
+def main() -> int:
+    if names := stale(ROOT):
+        print(f"stale: {', '.join(names)}")
+        return 1
+    every = list(dict.fromkeys(node for mutant in MUTANTS for node in mutant.kills))
+    if (code := _run_on_copy(None, every)) != 0:
+        print(f"the unedited tree fails its own kill tests (pytest exit {code})")
+        return 1
+    survivors = []
+    for mutant in MUTANTS:
+        code = _run_on_copy(mutant, mutant.kills)
+        # 1: a test failed. A timeout is a kill too; 0 or any other code is not.
+        verdict = "killed" if code == 1 else "killed (timed out)" if code is None else f"SURVIVED (pytest exit {code})"
+        print(f"{verdict}: {mutant.name}", flush=True)
+        if code not in (1, None):
+            survivors.append(mutant.name)
+    print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,9 +30,11 @@ the memo, each clause costs about a lookup: ``split_url`` keeps the split of
 its 128 most recent URLs, and a ``SignerRecord`` keeps the ranks of its
 approved names in the last scheme it was asked about.
 
-``AdmissionGate.connect`` wraps the verdict with flavor semantics (enclaved
-denies, open warns but never silently allows) and writes exactly one audit
-record per decision. An audit append failure aborts the connection.
+``AdmissionGate.connect`` returns the verdict and writes exactly one audit
+record per decision. The flavor picks only the record of a failure:
+``mcp.connect.deny`` when enclaved, ``mcp.connect.warn`` when open. A call may
+go ahead only on ``Verdict.allowed``, in either flavor. An audit append failure
+aborts the connection.
 
 ``exchange`` is the one place a peer is contacted. It opens the socket itself and
 speaks HTTP/1.1 on one connection per origin per thread, so an allowed dispatch's
@@ -70,8 +72,6 @@ __all__ = [
     "MAX_DOCUMENT_BYTES",
     "WELL_KNOWN_PATHS",
     "AdmissionGate",
-    "ConnectResult",
-    "ConnectStatus",
     "DenyReason",
     "FetchError",
     "Fetcher",
@@ -125,12 +125,6 @@ class Flavor(str, Enum):
     enclaved = "enclaved"
 
 
-class ConnectStatus(str, Enum):
-    ok = "ok"
-    denied = "denied"
-    warn = "warn"
-
-
 class Verdict(NamedTuple):
     """Outcome of verification. Denials are values, not exceptions."""
 
@@ -147,11 +141,6 @@ class Verdict(NamedTuple):
     @classmethod
     def deny(cls, reason: DenyReason, detail: str = "") -> "Verdict":
         return cls(False, None, None, reason, detail)
-
-
-class ConnectResult(NamedTuple):
-    status: ConnectStatus
-    verdict: Verdict
 
 
 class FetchError(Exception):
@@ -547,33 +536,27 @@ class AdmissionGate:
         self.audit = audit
 
     def connect(
-        self, server_url: str, required_level: str, flavor: Flavor = Flavor.open, *,
-        skip_clearance_preflight: bool = False,
-    ) -> ConnectResult:
+        self, server_url: str, required_level: str, flavor: Flavor, *, skip_clearance_preflight: bool = False
+    ) -> Verdict:
         if skip_clearance_preflight:
             # Explicit per-server opt-out: no fetch, but the allow is still
             # recorded so no admitted connection is unlogged.
             skipped = {"level": required_level, "signerKeyId": None, "preflight": "skipped"}
             self.audit.append(EVENT_CONNECT_ALLOW, skipped)
-            return ConnectResult(ConnectStatus.ok, Verdict.allow(required_level, None))
+            return Verdict.allow(required_level, None)
 
         now = self.audit.clock()
         verdict = verify_server_clearance(
             server_url, required_level, now=now, scheme=self.scheme,
             trust_root=self.trust_root, fetcher=self.fetcher,
         )
-
         if verdict.allowed:
             allowed = {"level": verdict.clearance, "signerKeyId": verdict.signer_key_id}
             self.audit.append(EVENT_CONNECT_ALLOW, allowed, at=now)
-            return ConnectResult(ConnectStatus.ok, verdict)
-
-        # The detail may echo the peer's document, so the record holds it bounded.
-        denial = {"reason": verdict.reason.value, "detail": bounded(verdict.detail)}
-        if flavor is Flavor.enclaved:
-            self.audit.append(EVENT_CONNECT_DENY, denial, at=now)
-            return ConnectResult(ConnectStatus.denied, verdict)
-
-        # Open flavor: surface the failure, never rewrite it into a success.
-        self.audit.append(EVENT_CONNECT_WARN, denial, at=now)
-        return ConnectResult(ConnectStatus.warn, verdict)
+        else:
+            # The flavor picks only the record: an open gate warns, but never rewrites a failure
+            # into a success. The detail may echo the peer's document, so it is held bounded.
+            event = EVENT_CONNECT_DENY if flavor is Flavor.enclaved else EVENT_CONNECT_WARN
+            denial = {"reason": verdict.reason.value, "detail": bounded(verdict.detail)}
+            self.audit.append(event, denial, at=now)
+        return verdict

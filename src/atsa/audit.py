@@ -27,11 +27,13 @@ to ``sad.canonical_json_bytes`` as a dict, and raises what it raises.
 
 from __future__ import annotations
 
+import bisect
 import fcntl
 import functools
 import hashlib
 import json
 import os
+import re
 import threading
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
@@ -80,17 +82,35 @@ GENESIS_PREV_HASH = bytes(32)
 MAX_TEXT_BYTES = 256
 
 
+# A high surrogate right before a low one: a JSON reader joins the two into one character.
+_JOINED_ON_READ = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+def _logged_size(text: str) -> int:
+    """The bytes ``text`` takes inside a JSON string of a log line: escaped by
+    ``encode_basestring``, a lone surrogate written as its six-byte ``\\udxxx``."""
+    return len(encode_basestring(text).encode("utf-8", "backslashreplace")) - 2
+
+
 def bounded(text: str) -> str:
-    """``text`` as a record holds outside text: whole if its UTF-8 bytes, a lone
-    surrogate counted as the six of its ``\\udxxx`` escape, are at most
-    ``MAX_TEXT_BYTES``; else a prefix of those bytes and ``…(N bytes, sha256 <hex>)``
-    of all N, at most ``MAX_TEXT_BYTES`` together. Matching uses the whole text."""
-    data = text.encode("utf-8", "backslashreplace")
-    if len(data) <= MAX_TEXT_BYTES:
+    """``text`` as a record holds outside text: whole if it takes at most
+    ``MAX_TEXT_BYTES`` bytes as the log writes it, a quote, backslash or control
+    character counted as its escape and a lone surrogate as ``\\udxxx``, and if
+    a JSON reader reads it back as itself; else the longest prefix of its UTF-8
+    bytes that fits with ``…(N bytes, sha256 <hex>)`` of all N, where a lone
+    surrogate is the text ``\\udxxx``. Matching uses the whole text."""
+    # Each character takes one to six bytes as the log writes it.
+    fits = len(text) * 6 <= MAX_TEXT_BYTES or (len(text) <= MAX_TEXT_BYTES and _logged_size(text) <= MAX_TEXT_BYTES)
+    if fits and (text.isascii() or not _JOINED_ON_READ.search(text)):
         return text
+    data = text.encode("utf-8", "backslashreplace")
     suffix = f"…({len(data)} bytes, sha256 {hashlib.sha256(data).hexdigest()})"
-    # "ignore" drops only a character that the cut splits.
-    return data[: MAX_TEXT_BYTES - len(suffix.encode())].decode("utf-8", "ignore") + suffix
+    room = MAX_TEXT_BYTES - len(suffix.encode())  # the suffix has nothing to escape
+    # "ignore" drops only a character that the cut splits. The prefix holds no
+    # surrogate, so no reader joins two of them; its escapes may take more room.
+    prefix = data[:room].decode("utf-8", "ignore")
+    end = bisect.bisect_right(range(len(prefix) + 1), room, key=lambda size: _logged_size(prefix[:size]))
+    return prefix[: end - 1] + suffix
 
 
 class AuditError(ValueError):
@@ -162,9 +182,8 @@ class JsonlAuditSink:
     when its fsync or its flush fails, and then raises."""
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
-        self.path = os.fspath(path)
         # Opened for reading too, so the last byte can be read under the lock.
-        self._handle: TextIO = open(self.path, "a+", encoding="utf-8", errors="backslashreplace")
+        self._handle: TextIO = open(path, "a+", encoding="utf-8", errors="backslashreplace")
         descriptor = self._handle.fileno()
         status = os.fstat(descriptor)
         self._file = (status.st_dev, status.st_ino)

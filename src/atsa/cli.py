@@ -24,8 +24,8 @@ from pathlib import Path
 import click
 
 from ._json import read_json
-from .admission import AdmissionGate, ConnectStatus, Flavor, HttpFetcher, serving
-from .audit import AuditLog, JsonlAuditSink, load_audit_jsonl, verify_chain, AuditError
+from .admission import AdmissionGate, Flavor, HttpFetcher, serving
+from .audit import EVENT_CONNECT_ALLOW, EVENT_CONNECT_DENY, EVENT_CONNECT_WARN, AuditLog, JsonlAuditSink, load_audit_jsonl, verify_chain, AuditError
 from .conformance import (
     build_vectors,
     dump_corpus_jsonl,
@@ -60,6 +60,9 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
+
+# ``verify --json``'s status word for the record the gate appended.
+_STATUS_OF_EVENT = {EVENT_CONNECT_ALLOW: "ok", EVENT_CONNECT_DENY: "denied", EVENT_CONNECT_WARN: "warn"}
 
 DEFAULT_FUZZ_ALLOWLIST = "list_labels,create_draft"
 
@@ -230,22 +233,23 @@ def verify(
 
     gate = AdmissionGate(scheme, trust_root, fetcher, audit)
     try:
-        result = gate.connect(server_url, required_level, Flavor(flavor))
+        verdict = gate.connect(server_url, required_level, Flavor(flavor))
     except LevelNotFoundError as exc:
         raise ConfigError(f"required level {required_level!r} does not resolve in scheme {scheme.name!r}") from exc
-    verdict = result.verdict
 
     if as_json:
+        # The gate's one record says what the flavor made of the verdict.
+        status = _STATUS_OF_EVENT[audit.records[-1].event]
         click.echo(
             json.dumps(
                 {
-                    "status": result.status.value,
+                    "status": status,
                     "allowed": verdict.allowed,
                     "clearance": verdict.clearance,
                     "signerKeyId": verdict.signer_key_id,
                     "reason": verdict.reason.value if verdict.reason else None,
                     "detail": verdict.detail,
-                    "flavorNote": "open flavor: warn-only" if result.status is ConnectStatus.warn else None,
+                    "flavorNote": "open flavor: warn-only" if status == "warn" else None,
                 },
                 indent=2,
             )

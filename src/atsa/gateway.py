@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Any, Callable, Mapping, NamedTuple, Protocol
 
 from ._json import read_json
-from .admission import AdmissionGate, ConnectStatus, DenyReason, FetchError, Flavor, exchange, origin_of, redacted, split_url
+from .admission import AdmissionGate, DenyReason, FetchError, Flavor, exchange, origin_of, redacted, split_url
 from .audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, AuditLog, bounded
 
 __all__ = [
@@ -240,12 +240,12 @@ class Gateway:
             detail = f"tool {call.tool_name!r} is {TOOL_DENY_DETAIL}"
             return DispatchResult.denied(DenyReason.tool_not_admitted, detail)
 
-        connection = self.gate.connect(
+        verdict = self.gate.connect(
             endpoint, entry.required_clearance, self.flavor,
             skip_clearance_preflight=entry.skip_clearance_preflight,
         )
-        if connection.status is not ConnectStatus.ok:
-            return DispatchResult.denied(connection.verdict.reason, connection.verdict.detail)
+        if not verdict.allowed:
+            return DispatchResult.denied(verdict.reason, verdict.detail)
 
         try:
             result = jsonrpc_tools_call(entry.transport, call)

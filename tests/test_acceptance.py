@@ -21,7 +21,6 @@ from atsa import (
     AdmissionGate,
     AuditLog,
     BUILTIN_SCHEME_NAMES,
-    ConnectStatus,
     DenyReason,
     DispatchStatus,
     EVENT_CONNECT_ALLOW,
@@ -220,17 +219,16 @@ def test_criterion_04_flavor_semantics_audit_exactness(
         return gate.connect(SERVER_URL, "restricted-plus", flavor), audit.records
 
     denied, records = connect(baseline_doc, Flavor.enclaved)
-    assert denied.status == ConnectStatus.denied
+    assert not denied.allowed
     assert [r.event for r in records] == [EVENT_CONNECT_DENY]
     assert records[0].payload["reason"] == "unsigned"
 
     warned, records = connect(baseline_doc, Flavor.open)
-    assert warned.status == ConnectStatus.warn
-    assert warned.status != ConnectStatus.ok
+    assert not warned.allowed
     assert [r.event for r in records] == [EVENT_CONNECT_WARN]
 
     allowed, records = connect(signed_doc, Flavor.enclaved)
-    assert allowed.status == ConnectStatus.ok
+    assert allowed.allowed
     assert [r.event for r in records] == [EVENT_CONNECT_ALLOW]
     assert records[0].payload == {
         "level": "restricted-plus",
@@ -449,7 +447,7 @@ def test_criterion_09_end_to_end_loopback_with_zero_denied_posts():
         gateway = Gateway(registry=registry, gate=gate, audit=audit, flavor=Flavor.enclaved)
 
         connect = gate.connect(endpoint, vector1.required_level, Flavor.enclaved)
-        assert connect.status == ConnectStatus.ok
+        assert connect.allowed
 
         admitted = gateway.invoke(endpoint, ToolCall("echo", {"hello": "world"}))
         assert admitted.status == DispatchStatus.ok

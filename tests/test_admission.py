@@ -20,7 +20,6 @@ from atsa import (
     AdmissionGate,
     AttestationDocument,
     AuditLog,
-    ConnectStatus,
     DenyReason,
     EVENT_CONNECT_ALLOW,
     EVENT_CONNECT_DENY,
@@ -759,7 +758,7 @@ def _gate(scheme, trust_root, fetcher, audit=None):
 def test_connect_ok_records_allow(scheme, trust_root, fetcher, signer):
     gate = _gate(scheme, trust_root, fetcher)
     result = gate.connect(SERVER_URL, "restricted-plus", Flavor.enclaved)
-    assert result.status == ConnectStatus.ok
+    assert result.allowed
     (record,) = gate.audit.records
     assert record.event == EVENT_CONNECT_ALLOW
     assert record.payload == {
@@ -771,8 +770,8 @@ def test_connect_ok_records_allow(scheme, trust_root, fetcher, signer):
 def test_connect_enclaved_denies_and_records(scheme, trust_root, baseline_doc):
     gate = _gate(scheme, trust_root, fetcher_for(baseline_doc))  # unsigned doc
     result = gate.connect(SERVER_URL, "restricted-plus", Flavor.enclaved)
-    assert result.status == ConnectStatus.denied
-    assert result.verdict.reason == DenyReason.unsigned
+    assert not result.allowed
+    assert result.reason == DenyReason.unsigned
     (record,) = gate.audit.records
     assert record.event == EVENT_CONNECT_DENY
     assert record.payload["reason"] == "unsigned"
@@ -781,8 +780,7 @@ def test_connect_enclaved_denies_and_records(scheme, trust_root, baseline_doc):
 def test_connect_open_warns_never_ok(scheme, trust_root, baseline_doc):
     gate = _gate(scheme, trust_root, fetcher_for(baseline_doc))
     result = gate.connect(SERVER_URL, "restricted-plus", Flavor.open)
-    assert result.status == ConnectStatus.warn
-    assert result.status != ConnectStatus.ok
+    assert not result.allowed
     (record,) = gate.audit.records
     assert record.event == EVENT_CONNECT_WARN
     assert record.payload["reason"] == "unsigned"
@@ -791,7 +789,7 @@ def test_connect_open_warns_never_ok(scheme, trust_root, baseline_doc):
 def test_connect_open_allows_cleanly_on_success(scheme, trust_root, fetcher):
     gate = _gate(scheme, trust_root, fetcher)
     result = gate.connect(SERVER_URL, "restricted-plus", Flavor.open)
-    assert result.status == ConnectStatus.ok
+    assert result.allowed
 
 
 def test_skip_preflight_skips_fetch_but_not_audit(scheme, trust_root, fetcher):
@@ -799,7 +797,7 @@ def test_skip_preflight_skips_fetch_but_not_audit(scheme, trust_root, fetcher):
     result = gate.connect(
         SERVER_URL, "restricted-plus", Flavor.enclaved, skip_clearance_preflight=True
     )
-    assert result.status == ConnectStatus.ok
+    assert result.allowed
     assert fetcher.requests == []
     (record,) = gate.audit.records
     assert record.event == EVENT_CONNECT_ALLOW
@@ -877,6 +875,6 @@ def test_a_checked_decision_reads_the_clock_once_and_is_stamped_at_that_instant(
 def test_a_signer_checked_at_its_not_after_is_admitted_and_stamped_then(scheme, trust_root, fetcher):
     clock, _ = _stepping_clock(NOT_AFTER, [timedelta(microseconds=1)])
     gate = _gate(scheme, trust_root, fetcher, AuditLog(clock=clock))
-    assert gate.connect(SERVER_URL, "restricted-plus", Flavor.enclaved).status is ConnectStatus.ok
+    assert gate.connect(SERVER_URL, "restricted-plus", Flavor.enclaved).allowed
     (record,) = gate.audit.records
     assert (record.event, record.timestamp) == (EVENT_CONNECT_ALLOW, format_rfc3339(NOT_AFTER))

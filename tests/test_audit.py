@@ -789,11 +789,14 @@ def test_a_sink_takes_one_log(tmp_path):
     assert verify_chain(records) is None
 
 
-def test_concurrent_decisions_keep_every_audit_contract(tmp_path, capsys, scheme, trust_root, signed_doc):
+def test_concurrent_decisions_keep_every_audit_contract(
+    tmp_path, capsys, monkeypatch, scheme, trust_root, signed_doc
+):
     # Each thread calls tools of its own: an allowed one, an unlisted one and
     # one at an unregistered endpoint in turn, so every denial's record names
     # its call. With the shortest switch interval, threads interleave inside
-    # the gate, the log and the sink.
+    # the gate, the log and the sink. When a call reaches the transport, the
+    # allow line its thread just wrote is within the file's fsynced size.
     threads, calls = 8, 24
     allowed = frozenset(f"t{thread}-ok-{call}" for thread in range(threads) for call in range(0, calls, 3))
     path = tmp_path / "audit.jsonl"
@@ -806,6 +809,25 @@ def test_concurrent_decisions_keep_every_audit_contract(tmp_path, capsys, scheme
     gate = AdmissionGate(scheme, trust_root, fetcher_for(signed_doc), audit)
     gateway = Gateway(registry, gate, audit, Flavor.enclaved)
     start = threading.Barrier(threads)
+    fsynced, written = [0], threading.local()
+    real_fsync, real_write, real_request = os.fsync, sink.write, transport.request
+
+    def fsync(descriptor):
+        size = os.fstat(descriptor).st_size
+        real_fsync(descriptor)
+        fsynced[0] = max(fsynced[0], size)
+
+    def write(record):
+        real_write(record)
+        written.line = (record.event, path.stat().st_size)  # its end: appends are one at a time
+
+    def request(payload, headers):
+        event, end = written.line
+        assert event == EVENT_CONNECT_ALLOW and fsynced[0] >= end
+        return real_request(payload, headers)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    sink.write, transport.request = write, request
 
     def invoke_each(thread):
         start.wait()

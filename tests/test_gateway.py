@@ -352,8 +352,8 @@ def test_same_origin_redirect_of_well_known_get_is_not_followed(scheme, trust_ro
             audit=audit,
         )
         result = gate.connect(origin.url + "/mcp", "restricted-plus", Flavor.enclaved)
-        assert result.verdict.reason == DenyReason.fetch_failed
-        assert "returned status 302" in result.verdict.detail
+        assert result.reason == DenyReason.fetch_failed
+        assert "returned status 302" in result.detail
         assert [(method, path) for method, path, _ in origin.seen] == [("GET", WELL_KNOWN_PATHS[0])]
     finally:
         origin.close()

@@ -12,7 +12,8 @@ bridge is refused without fetching anything from it.
 
 Outside text of any length, a tool name, an endpoint or a document's
 members, enters the audit log bounded: every record's JSONL line stays
-under 2 KiB, and a bounded text keeps its size and SHA-256.
+under 2 KiB, a bounded field takes at most 256 bytes of it, escapes
+counted, and a bounded text keeps its size and SHA-256.
 
 Every loader of JSON from outside the program refuses text that is not
 UTF-8 or that nests past the recursion limit with its own error. The two
@@ -80,7 +81,7 @@ from atsa import (
 )
 from atsa import _json
 from atsa.admission import MAX_DOCUMENT_BYTES, redacted
-from atsa.audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, MAX_TEXT_BYTES, bounded
+from atsa.audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, MAX_TEXT_BYTES, bounded, record_from_wire
 from atsa.cli import EXIT_OK, EXIT_VERDICT, cli, main
 from atsa.conformance import KIND_ASSERTION, KIND_TOOL, CampaignReport
 from conftest import FIXED_NOW, SERVER_URL, examples, fetcher_for
@@ -94,9 +95,15 @@ SIGNERS = (SignerRecord(KEY.key_id, KEY.public_key, tuple(levels_up_to(SCHEME, "
 
 _surrogates = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=())
 _strings = st.text(alphabet=st.characters(exclude_categories=()) | _surrogates, max_size=8)
-# Strings that JSON text carries unchanged: a high surrogate written right
-# before a low one would be read back as a single astral character.
-_json_strings = _strings.filter(lambda text: json.loads(json.dumps(text)) == text)
+
+
+def _carried_by_json(text: str) -> bool:
+    """Whether JSON text carries ``text`` unchanged: a high surrogate written right
+    before a low one would be read back as a single astral character."""
+    return json.loads(json.dumps(text)) == text
+
+
+_json_strings = _strings.filter(_carried_by_json)
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | _strings,
     lambda inner: st.lists(inner, max_size=5)
@@ -149,7 +156,7 @@ def test_invoke_denies_any_tool_name_with_one_record(name):
     assert result.reason is DenyReason.tool_not_admitted
     (record,) = audit.records
     assert record.event == EVENT_TOOL_DENY
-    assert record.payload["toolName"] == name
+    _assert_bounded_form_of(record.payload["toolName"], name)
     assert transport.calls == 0
     assert fetcher.requests == []
 
@@ -416,10 +423,16 @@ def _as_logged(text: str) -> bytes:
     return text.encode("utf-8", "backslashreplace")
 
 
+def _escaped_size(text: str) -> int:
+    """The bytes ``text`` takes inside a JSON string of a line the sink writes."""
+    return len(_as_logged(json.dumps(text, ensure_ascii=False))) - 2
+
+
 def _assert_bounded_form_of(logged: str, text: str) -> None:
     whole = _as_logged(text)
-    assert len(_as_logged(logged)) <= MAX_TEXT_BYTES
-    if len(whole) <= MAX_TEXT_BYTES:
+    assert _escaped_size(logged) <= MAX_TEXT_BYTES
+    assert _carried_by_json(logged)
+    if _escaped_size(text) <= MAX_TEXT_BYTES and _carried_by_json(text):
         assert logged == text
         return
     prefix, size, digest = _BOUNDED.fullmatch(logged).groups()
@@ -475,6 +488,16 @@ _ROGUE_SIGNER = "k" * 60_000  # a peer's 60,000-character signerKeyId, in every 
     document=AttestationDocument("id", "p", "1", "\x01" * 10_000, ("mcp-server",)),
     signer=KEY.key_id, flavor=Flavor.enclaved,
 )
+@example(  # a high surrogate right before a low one, which JSON cannot carry: cut, though short
+    name="\udc00\ud800" * 2, endpoint=SERVER_URL + "x",
+    document=AttestationDocument("id", "p", "1", "\udc00\ud800" * 2, ("mcp-server",)),
+    signer=KEY.key_id, flavor=Flavor.open,
+)
+@example(  # such pairs past the bound: no raw surrogate may reach the prefix
+    name="\ud800\udc00" * 200, endpoint=SERVER_URL + "x",
+    document=AttestationDocument("id", "p", "1", "\ud800\udc00" * 200, ("mcp-server",)),
+    signer=KEY.key_id, flavor=Flavor.enclaved,
+)
 def test_every_record_is_bounded_for_any_tool_name_endpoint_and_document(name, endpoint, document, signer, flavor):
     assume(name not in ALLOWED and endpoint != SERVER_URL)
     raw = _wire(replace(sign_document(document, KEY), signer_key_id=signer))
@@ -485,6 +508,7 @@ def test_every_record_is_bounded_for_any_tool_name_endpoint_and_document(name, e
     lines = _logged_lines(gateway, calls)
     assert len(lines) == 3
     assert max(map(len, lines)) < LINE_BOUND
+    assert verify_chain([record_from_wire(json.loads(line)) for line in lines]) is None
     tool_deny, unregistered, connect = (json.loads(line)["payload"] for line in lines)
     _assert_bounded_form_of(tool_deny["toolName"], name)
     _assert_bounded_form_of(unregistered["detail"], f"no registered bridge for {redacted(endpoint)!r}")
@@ -521,9 +545,10 @@ def test_an_endpoints_userinfo_reaches_neither_the_prefix_nor_the_digest(userinf
     [("a" * MAX_TEXT_BYTES, True), ("a" * (MAX_TEXT_BYTES + 1), False),
      ("é" * (MAX_TEXT_BYTES // 2), True), ("é" * (MAX_TEXT_BYTES // 2) + "a", False),
      ("\ud800" * (MAX_TEXT_BYTES // 6), True), ("\ud800" * (MAX_TEXT_BYTES // 6 + 1), False),
-     ("\U0001f642" * MAX_TEXT_BYTES, False)],
+     ("\U0001f642" * MAX_TEXT_BYTES, False), ("\x01" * (MAX_TEXT_BYTES - 1), False),
+     ('"' * (MAX_TEXT_BYTES // 2), True), ('"' * (MAX_TEXT_BYTES // 2 + 1), False)],
     ids=["at-bound", "past-bound", "two-byte-at-bound", "two-byte-past-bound", "surrogates-at-bound",
-         "surrogates-past-bound", "astral"],
+         "surrogates-past-bound", "astral", "control-characters", "quotes-at-bound", "quotes-past-bound"],
 )
 def test_text_is_kept_whole_up_to_the_bound_in_the_bytes_the_log_writes(text, whole):
     assert (bounded(text) == text) is whole
