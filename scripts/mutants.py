@@ -52,6 +52,24 @@ TLS_DEADLINE = (
 JSON_READERS = "tests/test_untrusted_input.py::test_the_json_readers_read_each_text_as_json_loads_does"
 ONE_SCAN = "tests/test_untrusted_input.py::test_a_line_that_is_one_value_is_read_in_one_scan_and_tested_for_nothing_else"
 LINE_LOOP = "        for number, line in enumerate(handle):\n            try:\n"
+EXACT_TYPES = "tests/test_sad.py::test_canonical_json_takes_exact_types_only_and_refuses_a_subclass_or_another_mapping"
+ADMISSION = "tests/test_admission.py::"
+CAMPAIGN = "tests/test_conformance.py::test_campaign_denies_everything_and_writes_nothing"
+UNREGISTERED = "tests/test_gateway.py::test_invoke_unregistered_endpoint"
+EXPIRY = (
+    "    if signer.not_after is not None and signer.not_after < now:\n"
+    "        return Verdict.deny(\n"
+    "            DenyReason.signer_expired,\n"
+    '            f"signer {signer.key_id!r} expired at {signer.not_after.isoformat()}",\n'
+    "        )\n"
+)
+APPROVAL = (
+    "    if not signer.approves(scheme, document.clearance):\n"
+    "        return Verdict.deny(\n"
+    "            DenyReason.signer_not_approved,\n"
+    '            f"signer {signer.key_id!r} is not approved to assert {document.clearance!r}",\n'
+    "        )\n"
+)
 
 MUTANTS = (
     # The flavor picks only the record: each entry point holds the rule.
@@ -148,12 +166,132 @@ MUTANTS = (
         "wire-hash-length-unchecked", "src/atsa/audit.py",
         "    if len(prev_hash) != 32 or len(digest) != 32:", "    if False:", (WRONG_TYPE + "[31-byte-hash]",),
     ),
-    # Canonical JSON takes exact types only.
+    # Canonical JSON takes exact types only, and sorts an array by its members' escaped bytes.
     Mutant(
-        "prepare-accepts-subclasses", "src/atsa/sad.py",
-        "    if kind is str or kind is int or kind is bool or value is None:",
-        "    if isinstance(value, (str, int)) or value is None:",
-        ("tests/test_sad.py::test_canonical_json_takes_exact_types_only_and_refuses_a_subclass_or_another_mapping",),
+        "canonical-accepts-subclasses", "src/atsa/sad.py", "if kind is str:", "if isinstance(value, str):",
+        (EXACT_TYPES + "[str]",),
+    ),
+    Mutant(
+        "canonical-keys-unchecked", "src/atsa/sad.py", "            if type(key) is not str:", "            if False:",
+        (EXACT_TYPES + "[str-key]",),
+    ),
+    Mutant(
+        "canonical-arrays-by-code-point", "src/atsa/sad.py",
+        'texts.sort(key=lambda text: text.encode("utf-8", "backslashreplace"))', "texts.sort()",
+        ("tests/test_untrusted_input.py::test_surrogates_are_written_and_sorted_as_their_escapes",),
+    ),
+    # Each denial reason is the verdict of its own clause, in the documented order.
+    Mutant(
+        "fetch-past-a-non-404", "src/atsa/admission.py", "if status != 404:", "if False:",
+        (ADMISSION + "test_fetch_non_404_error_is_terminal",),
+    ),
+    Mutant(
+        "manifest-of-another-version-read", "src/atsa/sad.py", "    if version != DOCUMENT_VERSION:", "    if False:",
+        (ADMISSION + "test_reason_manifest_invalid",),
+    ),
+    Mutant(
+        "capability-unchecked", "src/atsa/admission.py",
+        "if MCP_SERVER_CAPABILITY not in document.capabilities:", "if False:",
+        (ADMISSION + "test_reason_not_mcp_server",),
+    ),
+    Mutant(
+        "unsigned-without-its-signature-test", "src/atsa/admission.py",
+        "if document.signer_key_id is None or document.signature is None:", "if document.signer_key_id is None:",
+        (ADMISSION + "test_reason_unsigned",),
+    ),
+    Mutant(
+        "unknown-signer-takes-the-first-trusted", "src/atsa/trustroot.py",
+        "return self._signers.get(key_id)", "return self._signers.get(key_id) or next(iter(self._signers.values()))",
+        (ADMISSION + "test_reason_signer_not_trusted",),
+    ),
+    Mutant(
+        "expiry-unchecked", "src/atsa/admission.py",
+        "if signer.not_after is not None and signer.not_after < now:", "if False:",
+        (ADMISSION + "test_reason_signer_expired",),
+    ),
+    Mutant(
+        "expiry-excludes-not-after", "src/atsa/admission.py", "signer.not_after < now", "signer.not_after <= now",
+        (ADMISSION + "test_a_signer_is_valid_through_its_not_after_inclusive[at-notAfter]",),
+    ),
+    Mutant(
+        "approval-unchecked", "src/atsa/admission.py",
+        "if not signer.approves(scheme, document.clearance):", "if False:",
+        (ADMISSION + "test_reason_signer_not_approved",),
+    ),
+    Mutant(
+        "signature-unchecked", "src/atsa/admission.py", "if not valid:", "if False:",
+        (ADMISSION + "test_reason_bad_signature",),
+    ),
+    Mutant(
+        "domination-unchecked", "src/atsa/admission.py",
+        "if not scheme.meets(document.clearance, required_level):", "if False:",
+        (ADMISSION + "test_reason_below_required",),
+    ),
+    Mutant(
+        "host-binding-unchecked", "src/atsa/admission.py",
+        "if origin not in {candidate.casefold() for candidate in hosts}:", "if False:",
+        (ADMISSION + "test_reason_host_not_bound",),
+    ),
+    Mutant(
+        "host-binding-case-sensitive", "src/atsa/admission.py",
+        "{candidate.casefold() for candidate in hosts}", "set(hosts)",
+        (ADMISSION + "test_host_binding_matches_case_insensitively",),
+    ),
+    Mutant(
+        "memo-without-its-public-key", "src/atsa/admission.py",
+        "if (valid := verified.get(signer.public_key)) is None:\n        valid = verified[signer.public_key] =",
+        "if (valid := verified.get(None)) is None:\n        valid = verified[None] =",
+        (ADMISSION + "test_the_signature_memo_is_per_public_key",),
+    ),
+    Mutant(
+        "expiry-after-approval", "src/atsa/admission.py", EXPIRY + "\n" + APPROVAL, APPROVAL + "\n" + EXPIRY,
+        (ADMISSION + "test_clause_order_first_failure_wins",),
+    ),
+    Mutant(
+        "tool-allowlist-unchecked", "src/atsa/gateway.py", "if call.tool_name not in entry.allowed_tools:", "if False:",
+        (CAMPAIGN,),
+    ),
+    Mutant(
+        "unregistered-endpoint-as-a-failed-fetch", "src/atsa/gateway.py",
+        "return DispatchResult.denied(DenyReason.no_registered_bridge, detail)",
+        "return DispatchResult.denied(DenyReason.fetch_failed, detail)",
+        (UNREGISTERED,),
+    ),
+    # The chain, the poisoned log, the lock, and one record per decision.
+    Mutant(
+        "chain-seq-unchecked", "src/atsa/audit.py",
+        "if record.seq != index or record.prev_hash != prev_hash:", "if record.prev_hash != prev_hash:",
+        ("tests/test_audit.py::test_a_log_rechained_from_genesis_past_a_dropped_record_breaks_at_its_first_seq",),
+    ),
+    Mutant(
+        "chain-prev-hash-unchecked", "src/atsa/audit.py",
+        "if record.seq != index or record.prev_hash != prev_hash:", "if record.seq != index:",
+        ("tests/test_audit.py::test_a_record_rehashed_after_its_payload_changed_breaks_the_link_to_the_next",),
+    ),
+    Mutant(
+        "poisoned-log-appends", "src/atsa/audit.py", "            if self._sink_failed:", "            if False:",
+        ("tests/test_audit.py::test_a_failed_fsync_refuses_later_appends_and_leaves_a_file_that_verifies",),
+    ),
+    Mutant(
+        "sink-without-its-flock", "src/atsa/audit.py", "fcntl.flock(self._handle, fcntl.LOCK_EX)", "pass",
+        ("tests/test_audit.py::test_eight_processes_resuming_one_file_extend_one_chain",),
+    ),
+    Mutant(
+        "tool-deny-unrecorded", "src/atsa/gateway.py",
+        'self.audit.append(EVENT_TOOL_DENY, {**tool, "reason": TOOL_DENY_DETAIL})', "pass", (CAMPAIGN,),
+    ),
+    Mutant(
+        "skipped-preflight-unrecorded", "src/atsa/admission.py",
+        "self.audit.append(EVENT_CONNECT_ALLOW, skipped)", "pass",
+        (ADMISSION + "test_skip_preflight_skips_fetch_but_not_audit",),
+    ),
+    Mutant(
+        "unregistered-endpoint-unrecorded", "src/atsa/gateway.py",
+        "            self.audit.append(\n"
+        '                EVENT_CONNECT_DENY, {"reason": DenyReason.no_registered_bridge.value, "detail": bounded(detail)}\n'
+        "            )\n",
+        "",
+        (UNREGISTERED,),
     ),
     # A peer's reply is read within its limit and its deadline.
     Mutant(

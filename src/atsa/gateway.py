@@ -199,10 +199,10 @@ def jsonrpc_tools_call(transport: Transport, call: ToolCall) -> Any:
     response = transport.request(envelope, headers)
     if not isinstance(response, dict) or response.get("jsonrpc") != "2.0":
         raise TransportError(f"malformed JSON-RPC response: {response!r}")
-    if response.get("id") != request_id:
-        raise TransportError(
-            f"response id {response.get('id')!r} does not match request id {request_id}"
-        )
+    reply_id = response.get("id")
+    # JSON-RPC 2.0, section 4: an id is a string, a number or null, so true is none of them, though it equals 1.
+    if reply_id != request_id or type(reply_id) is bool:
+        raise TransportError(f"response id {reply_id!r} does not match request id {request_id}")
     if "error" in response:
         error = response["error"]
         raise JsonRpcError(error if isinstance(error, Mapping) else {"message": error})

@@ -18,12 +18,14 @@ Canonical form rules:
   its lowercase ``\\uXXXX`` escape. Arrays sort by these escaped bytes;
   object keys keep code-point order, so such a key sorts before U+E000.
 
-The encoder is one pass: a pre-pass, then one ``json`` call whose text is
-encoded to UTF-8 with surrogates escaped. The pre-pass matches types exactly:
-it rejects floats, non-string keys, subclasses, non-``dict`` mappings and any
-other type, turns tuples into lists, and sorts every array by the escaped UTF-8
-bytes of its members' serialization, innermost arrays first; ``json`` sorts
-object keys by code point, their UTF-8 byte order for Unicode scalar values.
+The encoder is one walk that writes each value once, its text then encoded to
+UTF-8 with surrogates escaped. It matches types exactly and rejects floats,
+non-string keys, subclasses, non-``dict`` mappings and any other type. A string
+is escaped by ``json.encoder.encode_basestring``; an object checks its keys,
+then writes its members in insertion order and joins them with the keys in
+code-point order, their UTF-8 byte order for Unicode scalar values; an array
+or tuple writes each member, then sorts the members' texts by their escaped
+UTF-8 bytes. Nesting is bounded by the interpreter's recursion limit.
 
 Duplicate member names. An object that names a member twice, which I-JSON
 (RFC 7493, section 2.3) forbids, keeps the last one, as ``json`` does. The
@@ -45,6 +47,7 @@ import binascii
 import json
 import os
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring
 from typing import Any, Mapping
 
 from cryptography.exceptions import InvalidSignature
@@ -174,50 +177,32 @@ def canonical_json_bytes(value: Any) -> bytes:
     keys; anything else, a subclass or another mapping too, raises TypeError.
     Lone surrogates are written as ``\\uXXXX`` escapes (see the module docstring).
     """
-    return _escaped_bytes(_prepare(value))
-
-
-# json escapes exactly the mandatory set with ensure_ascii off: quote,
-# backslash, and control characters below U+0020. sort_keys orders keys by
-# code point, which is their UTF-8 byte order. The pre-pass hands it only
-# fresh dicts and lists, so there are no cycles to check for.
-_ENCODER = json.JSONEncoder(
-    ensure_ascii=False, separators=(",", ":"), sort_keys=True, check_circular=False
-)
-
-
-def _prepare(value: Any) -> Any:
-    """Copy of ``value`` that the encoder serializes canonically: tuples become
-    lists, and array members are sorted by their own serialization. Types are
-    matched exactly: anything else, a subclass included, raises TypeError."""
-    kind = type(value)
-    if kind is str or kind is int or kind is bool or value is None:
-        return value
-    if kind is dict:
-        return _prepare_object(value)
-    if kind is list or kind is tuple:
-        return _prepare_array(value)
-    raise TypeError(f"not canonicalizable: {kind.__name__}")
-
-
-def _prepare_object(value: dict[Any, Any]) -> dict[str, Any]:
-    for key in value:
-        if type(key) is not str:
-            raise TypeError(f"object keys must be strings, got {type(key).__name__}")
-    return {key: _prepare(member) for key, member in value.items()}
-
-
-def _prepare_array(value: Any) -> list[Any]:
-    members = [_prepare(member) for member in value]
-    if len(members) > 1:
-        # Members are already prepared, so each key is its canonical bytes.
-        members.sort(key=_escaped_bytes)
-    return members
-
-
-def _escaped_bytes(prepared: Any) -> bytes:
     # backslashreplace writes exactly \udxxx for a surrogate, and only for one.
-    return _ENCODER.encode(prepared).encode("utf-8", "backslashreplace")
+    return _text(value).encode("utf-8", "backslashreplace")
+
+
+def _text(value: Any) -> str:
+    """The canonical JSON text of ``value``, its types matched exactly."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is dict:
+        for key in value:
+            if type(key) is not str:
+                raise TypeError(f"object keys must be strings, got {type(key).__name__}")
+        members = {key: _text(member) for key, member in value.items()}
+        return "{" + ",".join(f"{encode_basestring(key)}:{members[key]}" for key in sorted(members)) + "}"
+    if kind is list or kind is tuple:
+        texts = [_text(member) for member in value]
+        texts.sort(key=lambda text: text.encode("utf-8", "backslashreplace"))
+        return "[" + ",".join(texts) + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"not canonicalizable: {kind.__name__}")
 
 
 def _registered_fields(doc: AttestationDocument) -> dict[str, Any]:

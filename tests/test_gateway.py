@@ -400,6 +400,23 @@ def test_invoke_maps_jsonrpc_error_to_transport_error(scheme, trust_root, signed
     assert result.error["code"] == -32000
 
 
+@pytest.mark.parametrize("reply_id", [1, True], ids=["one", "true"])
+def test_a_reply_whose_id_is_true_is_not_the_reply_to_request_1(scheme, trust_root, signed_doc, reply_id):
+    replying = _ScriptedTransport(lambda p: {"jsonrpc": "2.0", "id": reply_id, "result": {"labels": []}})
+    audit = AuditLog(clock=lambda: FIXED_NOW)
+    gate = AdmissionGate(scheme=scheme, trust_root=trust_root, fetcher=fetcher_for(signed_doc), audit=audit)
+    registry = ServerRegistry()
+    registry.register(_entry(replying))
+    gateway = Gateway(registry=registry, gate=gate, audit=audit, flavor=Flavor.enclaved)
+    result = gateway.invoke(SERVER_URL, ToolCall("list_labels", {}))
+    if reply_id is True:
+        assert result.status == DispatchStatus.transport_error
+        assert result.detail == "response id True does not match request id 1"
+    else:
+        assert result.status == DispatchStatus.ok
+        assert result.payload == {"labels": []}
+
+
 def test_load_registry_file_round_trip(monkeypatch):
     raw = json.dumps(
         {

@@ -113,7 +113,7 @@ _json_values = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(value=_json_values)
 def test_canonical_json_with_surrogates_matches_oracle(value):
     assert canonical_json_bytes(value) == reference_canonical(value)
@@ -122,6 +122,8 @@ def test_canonical_json_with_surrogates_matches_oracle(value):
 def test_surrogates_are_written_and_sorted_as_their_escapes():
     members = ["\U0001f642", "\udc00", "\\ud800", "\ud800"]
     assert canonical_json_bytes(members) == b'["\\\\ud800","\\ud800","\\udc00","\xf0\x9f\x99\x82"]'
+    # By code point "]" (U+005D) sorts before U+D800, by bytes after its escape, whose backslash is 0x5C.
+    assert canonical_json_bytes(["]", "\ud800"]) == b'["\\ud800","]"]'
     # Keys keep code-point order: a surrogate key sorts between U+D7FF and U+E000.
     keys = {"\ue000": 0, "\ud800": 1, "\ud7ff": 2}
     assert canonical_json_bytes(keys) == b'{"\xed\x9f\xbf":2,"\\ud800":1,"\xee\x80\x80":0}'
