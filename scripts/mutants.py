@@ -63,6 +63,23 @@ EXPIRY = (
     '            f"signer {signer.key_id!r} expired at {signer.not_after.isoformat()}",\n'
     "        )\n"
 )
+SIGNATURE = (
+    "    if (valid := verified.get(signer.public_key)) is None:\n"
+    "        valid = verified[signer.public_key] = verify_signature(document, signer.public_key)\n"
+    "    if not valid:\n"
+    "        return Verdict.deny(\n"
+    '            DenyReason.bad_signature, "signature does not verify over the canonical body"\n'
+    "        )\n"
+)
+DOMINATION = (
+    "    if not scheme.meets(document.clearance, required_level):\n"
+    "        return Verdict.deny(\n"
+    "            DenyReason.below_required,\n"
+    '            f"clearance {document.clearance!r} is below required {required_level!r}",\n'
+    "        )\n"
+)
+ENCODER_PARITY = "tests/test_audit.py::test_the_record_encoder_raises_what_canonical_json_raises"
+SINK_LINE = "tests/test_audit.py::test_the_sinks_line_is_json_dumps_of_the_wire_record"
 APPROVAL = (
     "    if not signer.approves(scheme, document.clearance):\n"
     "        return Verdict.deny(\n"
@@ -128,9 +145,9 @@ MUTANTS = (
         "                self._sink.write(record)\n"
         "                self._sink_failed = False\n"
         "            self._records.append(record)\n"
-        "            self._head = (seq + 1, record.hash)\n",
+        "            self._head = (seq + 1, digest)\n",
         "            self._records.append(record)\n"
-        "            self._head = (seq + 1, record.hash)\n"
+        "            self._head = (seq + 1, digest)\n"
         "        if self._sink is not None:\n"
         "            self._sink_failed = True\n"
         "            self._sink.write(record)\n"
@@ -144,6 +161,11 @@ MUTANTS = (
         (CONCURRENT,),
     ),
     Mutant(
+        "append-without-its-required-fields", "src/atsa/audit.py",
+        "            if name not in payload:", "            if False:",
+        ("tests/test_audit.py::test_an_incomplete_payload_is_refused_naming_every_missing_field_in_order",),
+    ),
+    Mutant(
         "sink-reads-by-path", "src/atsa/audit.py",
         "records = load_audit_jsonl(descriptor)", "records = load_audit_jsonl(self._handle.name)",
         ("tests/test_audit.py::test_a_sink_continues_the_file_it_locked_when_its_path_is_rotated_meanwhile",),
@@ -151,20 +173,36 @@ MUTANTS = (
     # record_from_wire refuses each member of the wrong type.
     Mutant(
         "wire-seq-unchecked", "src/atsa/audit.py",
-        "    if isinstance(seq, bool) or not isinstance(seq, int):", "    if False:", (WRONG_TYPE + "[string-seq]",),
+        "        if isinstance(seq, bool) or not isinstance(seq, int):", "        if False:",
+        (WRONG_TYPE + "[string-seq]",),
+    ),
+    Mutant(
+        "wire-fast-path-takes-a-bool-seq", "src/atsa/audit.py",
+        "exact = type(seq) is int and", "exact = isinstance(seq, int) and", (WRONG_TYPE + "[bool-seq]",),
     ),
     Mutant(
         "wire-event-unchecked", "src/atsa/audit.py",
-        "    if not isinstance(timestamp, str) or not isinstance(event, str):", "    if False:",
+        "        if not isinstance(timestamp, str) or not isinstance(event, str):", "        if False:",
         (WRONG_TYPE + "[non-string-event]",),
     ),
     Mutant(
         "wire-payload-unchecked", "src/atsa/audit.py",
-        "    if not isinstance(payload, dict):", "    if False:", (WRONG_TYPE + "[list-payload]",),
+        "        if not isinstance(payload, dict):", "        if False:", (WRONG_TYPE + "[list-payload]",),
     ),
     Mutant(
         "wire-hash-length-unchecked", "src/atsa/audit.py",
-        "    if len(prev_hash) != 32 or len(digest) != 32:", "    if False:", (WRONG_TYPE + "[31-byte-hash]",),
+        "        if len(prev_hash) != 32 or len(digest) != 32:", "        if False:",
+        (WRONG_TYPE + "[31-byte-hash]",),
+    ),
+    # The record encoder and the sink's line template take exact types only; other content goes to the general path.
+    Mutant(
+        "record-encoder-takes-a-str-subclass", "src/atsa/audit.py",
+        "                elif type(member) is str:", "                elif isinstance(member, str):",
+        (ENCODER_PARITY + "[str-subclass-value]",),
+    ),
+    Mutant(
+        "line-template-writes-a-non-string-value", "src/atsa/audit.py",
+        "\n            elif type(member) is str:", "\n            elif member is not None:", (SINK_LINE,),
     ),
     # Canonical JSON takes exact types only, and sorts an array by its members' escaped bytes.
     Mutant(
@@ -248,6 +286,17 @@ MUTANTS = (
         (ADMISSION + "test_clause_order_first_failure_wins",),
     ),
     Mutant(
+        "signature-after-domination", "src/atsa/admission.py",
+        SIGNATURE + "\n" + DOMINATION, DOMINATION + "\n" + SIGNATURE,
+        (ADMISSION + "test_clause_order_first_failure_wins",),
+    ),
+    Mutant(
+        "memo-stores-the-expiry", "src/atsa/admission.py",
+        "if signer.not_after is not None and signer.not_after < now:",
+        'if verified.setdefault("expired", signer.not_after is not None and signer.not_after < now):',
+        (ADMISSION + "test_memo_keeps_clock_and_config_clauses_live",),
+    ),
+    Mutant(
         "tool-allowlist-unchecked", "src/atsa/gateway.py", "if call.tool_name not in entry.allowed_tools:", "if False:",
         (CAMPAIGN,),
     ),
@@ -260,12 +309,12 @@ MUTANTS = (
     # The chain, the poisoned log, the lock, and one record per decision.
     Mutant(
         "chain-seq-unchecked", "src/atsa/audit.py",
-        "if record.seq != index or record.prev_hash != prev_hash:", "if record.prev_hash != prev_hash:",
+        "if seq != index or link != prev_hash:", "if link != prev_hash:",
         ("tests/test_audit.py::test_a_log_rechained_from_genesis_past_a_dropped_record_breaks_at_its_first_seq",),
     ),
     Mutant(
         "chain-prev-hash-unchecked", "src/atsa/audit.py",
-        "if record.seq != index or record.prev_hash != prev_hash:", "if record.seq != index:",
+        "if seq != index or link != prev_hash:", "if seq != index:",
         ("tests/test_audit.py::test_a_record_rehashed_after_its_payload_changed_breaks_the_link_to_the_next",),
     ),
     Mutant(
@@ -278,7 +327,13 @@ MUTANTS = (
     ),
     Mutant(
         "tool-deny-unrecorded", "src/atsa/gateway.py",
-        'self.audit.append(EVENT_TOOL_DENY, {**tool, "reason": TOOL_DENY_DETAIL})', "pass", (CAMPAIGN,),
+        "            self.audit.append(\n"
+        "                EVENT_TOOL_DENY,\n"
+        '                {"server": endpoint, "bridge": entry.bridge_id, "toolName": bounded(call.tool_name),\n'
+        '                 "reason": TOOL_DENY_DETAIL},\n'
+        "            )\n",
+        "",
+        (CAMPAIGN,),
     ),
     Mutant(
         "skipped-preflight-unrecorded", "src/atsa/admission.py",

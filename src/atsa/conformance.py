@@ -51,7 +51,6 @@ from .lattice import get_builtin_scheme, levels_up_to
 from .sad import (
     AttestationDocument,
     KeyPair,
-    generate_keypair,
     keypair_from_seed,
     serialize_document,
     sign_document,
@@ -151,9 +150,11 @@ def _flip_signature_byte(document: AttestationDocument, position: int = 0, bit: 
 def build_vectors(signing_key: KeyPair | None = None) -> list[ConformanceVector]:
     """Eleven vectors: admit baseline, nine denials covering eight reasons
     (all but fetch_failed and manifest_invalid; bad_signature twice), and a
-    host-bound admit. Each uses the same signer, approved up through
+    host-bound admit. Each uses the same signer, ``signing_key`` or else the
+    seeded pair ``keypair_from_seed("S", bytes(range(32)))``, so the fixtures
+    are the same files on every run; it is approved up through
     restricted-plus except where the vector says otherwise."""
-    key = signing_key if signing_key is not None else generate_keypair("S")
+    key = signing_key if signing_key is not None else keypair_from_seed("S", bytes(range(32)))
     trusted = SignerRecord(key.key_id, key.public_key, _APPROVED_FULL)
     expired = SignerRecord(key.key_id, key.public_key, _APPROVED_FULL, not_after=_EXPIRED_AT)
     low_approval = SignerRecord(key.key_id, key.public_key, ("public", "internal"))

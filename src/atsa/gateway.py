@@ -235,10 +235,13 @@ class Gateway:
             return DispatchResult.denied(DenyReason.no_registered_bridge, detail)
 
         if call.tool_name not in entry.allowed_tools:
-            tool = {"server": endpoint, "bridge": entry.bridge_id, "toolName": bounded(call.tool_name)}
-            self.audit.append(EVENT_TOOL_DENY, {**tool, "reason": TOOL_DENY_DETAIL})
+            self.audit.append(
+                EVENT_TOOL_DENY,
+                {"server": endpoint, "bridge": entry.bridge_id, "toolName": bounded(call.tool_name),
+                 "reason": TOOL_DENY_DETAIL},
+            )
             detail = f"tool {call.tool_name!r} is {TOOL_DENY_DETAIL}"
-            return DispatchResult.denied(DenyReason.tool_not_admitted, detail)
+            return DispatchResult(DispatchStatus.denied, None, DenyReason.tool_not_admitted, detail)
 
         verdict = self.gate.connect(
             endpoint, entry.required_clearance, self.flavor,

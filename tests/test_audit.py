@@ -1,7 +1,8 @@
 """Hash-chained audit log: linkage, vocabulary, durability, tamper evidence,
 one writer per JSONL file, the head a new sink reads after a failed append or
-from mutated bytes, the record encoder against two oracles, a record member of
-the wrong type refused, and decisions made on many threads at once."""
+from mutated bytes, the record encoder against two oracles and its errors
+against canonical JSON's, the sink's line against ``json.dumps``, a record
+member of the wrong type refused, and decisions made on many threads at once."""
 
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from atsa import (
     verify_chain,
 )
 from atsa import audit, sad
-from atsa.audit import GENESIS_PREV_HASH, compute_record_hash, record_from_wire, record_to_wire
+from atsa.audit import GENESIS_PREV_HASH, AuditRecord, compute_record_hash, record_from_wire, record_to_wire
 from atsa.cli import main
 from atsa.gateway import TOOL_DENY_DETAIL
 from atsa.trustroot import format_rfc3339
@@ -180,6 +181,14 @@ def test_append_rejects_incomplete_payload(event, payload):
     log = _ticking_log()
     with pytest.raises(AuditError):
         log.append(event, payload)
+
+
+def test_an_incomplete_payload_is_refused_naming_every_missing_field_in_order():
+    log = _ticking_log()
+    with pytest.raises(AuditError) as refusal:
+        log.append(EVENT_TOOL_DENY, {"server": "s", "reason": "r"})
+    assert str(refusal.value) == "event 'mcp.tool.deny' payload missing fields: bridge, toolName"
+    assert log.records == ()
 
 
 def test_allow_payload_may_carry_null_signer():
@@ -532,8 +541,9 @@ def test_load_audit_jsonl_rejects_garbage(tmp_path):
     [("seq", "0", "audit record 'seq' must be an integer"),
      ("event", 5, "audit record 'timestamp' and 'event' must be strings"),
      ("payload", [], "audit record 'payload' must be an object"),
-     ("hash", "ab" * 31, "audit record hashes must be 32 bytes of hex")],
-    ids=["string-seq", "non-string-event", "list-payload", "31-byte-hash"],
+     ("hash", "ab" * 31, "audit record hashes must be 32 bytes of hex"),
+     ("seq", True, "audit record 'seq' must be an integer")],
+    ids=["string-seq", "non-string-event", "list-payload", "31-byte-hash", "bool-seq"],
 )
 def test_a_record_member_of_the_wrong_type_is_refused_by_the_loader_the_cli_and_a_sink(
     tmp_path, capsys, field, value, message
@@ -1146,6 +1156,34 @@ def test_record_encoder_refuses_a_non_string_payload_key_as_canonical_json_does(
         audit.canonical_json_bytes(**content)
 
 
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"seq": 1, "timestamp": "t", "event": "e", "payload": {1: "a", "b": "c"}},
+        {"seq": 1, "timestamp": "t", "event": "e", "payload": {"b": "c", 1: "a"}},
+        {"seq": 1, "timestamp": "t", "event": "e", "payload": {"k": _Text("v")}},
+        {"seq": 1, "timestamp": _Text("t"), "event": "e", "payload": {}},
+        {"seq": True, "timestamp": "t", "event": "e", "payload": {"k": "v"}},
+        {"seq": 1, "timestamp": "t", "event": "e", "payload": {"k": 1.5}},
+    ],
+    ids=["int-key-first", "int-key-last", "str-subclass-value", "str-subclass-timestamp", "bool-seq", "float"],
+)
+def test_the_record_encoder_raises_what_canonical_json_raises(content):
+    def outcome(encode, *args, **kwargs):
+        try:
+            return encode(*args, **kwargs)
+        except Exception as exc:  # the exception is the outcome compared
+            return type(exc), str(exc)
+
+    expected = outcome(sad.canonical_json_bytes, content)
+    assert outcome(audit.canonical_json_bytes, **content) == expected
+    assert isinstance(expected, bytes) == (content["seq"] is True)
+
+
 def _nested_past_the_recursion_limit():
     value = []
     for _ in range(sys.getrecursionlimit() + 10):
@@ -1160,3 +1198,30 @@ def test_a_record_whose_payload_cannot_be_canonicalized_is_the_first_bad_index(m
     records = list(log.records)
     records[2] = records[2]._replace(payload={**records[2].payload, "detail": member})
     assert verify_chain(records) == 2
+
+
+# Content the line template leaves to json.dumps besides the encoder's: int keys, mixed with string keys.
+_int_keyed_contents = st.fixed_dictionaries(
+    {"seq": st.integers(), "timestamp": _text, "event": _text,
+     "payload": st.dictionaries(st.integers() | _text, st.none() | _text, max_size=4)}
+)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(content=_flat_contents | _other_contents | _int_keyed_contents,
+       prev_hash=st.binary(min_size=32, max_size=32), digest=st.binary(min_size=32, max_size=32))
+# A lone high surrogate, a joined pair, a quote, a backslash, controls, non-ASCII and a null value.
+@example(content={"seq": 3, "timestamp": "\ud800", "event": EVENT_TOOL_DENY,
+                  "payload": {"toolName": "\ud83d\ude42\"\\\x00\x1f\x7f\u00e9", "\udfff": None, "": "\U0001f642"}},
+         prev_hash=bytes(32), digest=bytes(range(32)))
+def test_the_sinks_line_is_json_dumps_of_the_wire_record(content, prev_hash, digest):
+    record = AuditRecord(**content, prev_hash=prev_hash, hash=digest)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "audit.jsonl"
+        sink = JsonlAuditSink(path)
+        try:
+            sink.write(record)
+        finally:
+            sink.close()
+        line = json.dumps(record_to_wire(record), ensure_ascii=False, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == line.encode("utf-8", "backslashreplace")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
 import os
@@ -322,6 +323,19 @@ def test_vectors_command(runner, tmp_path):
     assert report["summary"] == "11/11 pass"
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert len(manifest["vectors"]) == 11
+
+
+def test_vector_fixtures_are_the_same_files_on_every_run(runner, tmp_path):
+    digests = []
+    for name in ("first", "second"):
+        out_dir = tmp_path / name
+        assert runner.invoke(cli, ["vectors", "--out", str(out_dir)]).exit_code == EXIT_OK
+        digest = hashlib.sha256()
+        for path in sorted(out_dir.iterdir()):
+            digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+        digests.append(digest.hexdigest())
+    # The digest of tests/test_golden.py's fixtures, signed by the seeded pair the CLI signs with.
+    assert digests == ["921aa940ca4ce967501b0e872e4cbac25d6af7d594abb31ceaa9facf7656cf14"] * 2
 
 
 def test_fuzz_is_deterministic_per_seed(runner):
