@@ -56,6 +56,7 @@ EXACT_TYPES = "tests/test_sad.py::test_canonical_json_takes_exact_types_only_and
 ADMISSION = "tests/test_admission.py::"
 CAMPAIGN = "tests/test_conformance.py::test_campaign_denies_everything_and_writes_nothing"
 UNREGISTERED = "tests/test_gateway.py::test_invoke_unregistered_endpoint"
+STUB = "tests/test_wellknown.py::"
 EXPIRY = (
     "    if signer.not_after is not None and signer.not_after < now:\n"
     "        return Verdict.deny(\n"
@@ -366,6 +367,28 @@ MUTANTS = (
         "tls-deadline-keeps-the-socket-open", "src/atsa/admission.py",
         "    except TimeoutError:\n        sock.close()\n        raise\n", "    except TimeoutError:\n        raise\n",
         (TLS_DEADLINE,),
+    ),
+    # The stub reads a request head by the field rules of a reply, and refuses what breaks them.
+    Mutant(
+        "head-field-limit-removed", "src/atsa/admission.py",
+        "for _ in range(_MAX_FIELDS + 1):", "for _ in iter(int, 1):", (STUB + "test_a_head_over_its_limits_is_431",),
+    ),
+    Mutant(
+        "refused-head-keeps-the-connection", "src/atsa/wellknown.py",
+        """return 400, b'{"error": "malformed request"}', False""",
+        """return 400, b'{"error": "malformed request"}', True""",
+        (STUB + "test_a_malformed_field_line_or_content_length_is_400",),
+    ),
+    Mutant(
+        "oversized-body-read", "src/atsa/wellknown.py",
+        '            raise _Refused(413, "request body too large")\n',
+        '            requests.take(length)\n            raise _Refused(413, "request body too large")\n',
+        (STUB + "test_an_over_long_body_is_413_before_a_byte_of_it_is_sent",),
+    ),
+    Mutant(
+        "content-length-digits-unchecked", "src/atsa/wellknown.py",
+        "not (size := sizes.pop()).isdigit()", "not (size := sizes.pop())",
+        (STUB + "test_a_malformed_field_line_or_content_length_is_400",),
     ),
     # A JSON text is read as json.loads reads it, a log line in one scan.
     Mutant(

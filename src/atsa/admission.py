@@ -190,7 +190,7 @@ PEER_TIMEOUT_S = 10.0
 # Idle connections one thread keeps, one per origin; the least recently used is closed.
 MAX_IDLE_ORIGINS = 8
 
-_MAX_LINE_BYTES, _MAX_FIELDS = 65536, 100  # the longest reply line, the most fields in a head
+_MAX_LINE_BYTES, _MAX_FIELDS = 65536, 100  # the longest head line, the most fields in a head
 
 
 @functools.lru_cache
@@ -246,9 +246,13 @@ _THREAD = _PerThread()
 atexit.register(lambda: _THREAD.idle.close())  # finalizers at exit run in no set order
 
 
+class _TooLarge(ValueError):
+    """A head line or field count over its limit, which a server answers with 431."""
+
+
 class _Reply:
     """A reply on ``sock``, read by the rules of ``exchange`` until its ``deadline``; bytes
-    after it stay in ``buffer``."""
+    after it stay in ``buffer``. The stub reads a request head with ``line`` and ``fields``."""
 
     def __init__(self, sock, deadline: float) -> None:
         self.sock, self.deadline = sock, deadline
@@ -260,8 +264,10 @@ class _Reply:
 
     def line(self) -> bytes:
         while (end := self.buffer.find(b"\n", 0, _MAX_LINE_BYTES)) < 0:
-            if len(self.buffer) >= _MAX_LINE_BYTES or not (chunk := self.recv()):
-                raise ValueError(f"a reply line is cut short or over {_MAX_LINE_BYTES} bytes")
+            if len(self.buffer) >= _MAX_LINE_BYTES:
+                raise _TooLarge(f"a head line is over {_MAX_LINE_BYTES} bytes")
+            if not (chunk := self.recv()):
+                raise ValueError("a head line is cut short")
             self.buffer += chunk
         line, self.buffer[: end + 1] = bytes(self.buffer[:end]), b""
         return line.removesuffix(b"\r")
@@ -286,7 +292,7 @@ class _Reply:
                 raise ValueError(f"obs-fold or a malformed header line: {line[:64]!r}")
             name, value = name.lower(), value.strip()
             fields[name] = fields[name] + b", " + value if name in fields else value
-        raise ValueError(f"more than {_MAX_FIELDS} header fields")
+        raise _TooLarge(f"more than {_MAX_FIELDS} header fields")
 
     def read(self, limit: int) -> tuple[int, bytes, bool]:
         version, _, rest = self.line().partition(b" ")

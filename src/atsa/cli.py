@@ -421,7 +421,7 @@ def serve(config_path: str) -> None:
         server = StubServer(config)
     except (OSError, OverflowError) as exc:  # OverflowError: port outside 0-65535
         raise ConfigError(f"cannot bind {config.host}:{config.port}: {exc}") from exc
-    with server:  # server_close on the way out, as ``python -m http.server`` does
+    with server:  # server_close on the way out ends every kept-alive connection too
         try:
             click.echo(f"serving at {server.url}")
             server.serve_forever(poll_interval=0.05)

@@ -20,6 +20,7 @@ CACHED_ELSEWHERE_BY_DESIGN = {
     "admission._tls_context": "one TLS client context per CA bundle setting, not attestation work",
     "admission.split_url": "a pure function of one URL string, not attestation work",
     "conformance.campaign_setup": "the keys and trust root one fuzz seed fixes, not attestation work",
+    "wellknown._http_date": "the stub's Date field for the current second, not attestation work",
 }
 
 

@@ -928,3 +928,12 @@ def test_serve_exits_promptly_with_an_idle_keep_alive_client(tmp_path, signed_do
             proc.wait(timeout=10)
         proc.stdout.close()
         proc.stderr.close()
+
+
+def test_importing_the_cli_loads_no_http_client_or_email_package():
+    # Every command is a fresh process. The stub reads requests itself, so no
+    # command pays for ``http.server`` and the email header parser it imports.
+    probe = "import sys, atsa.cli; print(sorted({'http.server', 'http.client', 'email'} & set(sys.modules)))"
+    environment = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=environment, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

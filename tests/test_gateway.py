@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -26,6 +27,8 @@ from atsa import (
     RegistryError,
     RegistryFrozenError,
     ServerRegistry,
+    StubServer,
+    StubServerConfig,
     ToolCall,
     TransportError,
     WELL_KNOWN_PATHS,
@@ -521,3 +524,41 @@ def test_load_registry_file_refuses_a_transport_url_with_userinfo(url):
 def test_load_registry_file_allows_another_path_on_the_endpoint_origin():
     (entry,) = load_registry_file(_registry_with_transport_url("https://TOOLS.example:443/rpc"))
     assert entry.transport.url == "https://TOOLS.example:443/rpc"
+
+
+def test_an_unset_bearer_token_variable_ends_an_admitted_call_before_its_post(monkeypatch, scheme, trust_root, signed_doc):
+    monkeypatch.delenv("ATSA_UNSET_TOKEN", raising=False)
+    stub = StubServer(StubServerConfig.for_document(signed_doc, {"list_labels": {"labels": []}})).start()
+    try:
+        registry = ServerRegistry()
+        for entry in load_registry_file(json.dumps([{
+            "endpoint": stub.url + "/mcp", "bridgeId": "b", "requiredClearance": "restricted-plus",
+            "allowedTools": ["list_labels"], "transport": {"bearerTokenEnv": "ATSA_UNSET_TOKEN"},
+        }])):
+            registry.register(entry)
+        registry.freeze()
+        audit = AuditLog(clock=lambda: FIXED_NOW)
+        gate = AdmissionGate(scheme=scheme, trust_root=trust_root, fetcher=HttpFetcher(), audit=audit)
+        gateway = Gateway(registry=registry, gate=gate, audit=audit, flavor=Flavor.enclaved)
+        result = gateway.invoke(stub.url + "/mcp", ToolCall("list_labels"))
+    finally:
+        stub.shutdown()
+    assert result.status == DispatchStatus.transport_error
+    assert result.detail == "bearer token environment variable 'ATSA_UNSET_TOKEN' is not set"
+    assert [record.event for record in audit.records] == [EVENT_CONNECT_ALLOW]
+    assert stub.tools_call_count() == 0
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("endpoint", "entry endpoint must be non-empty"), ("bridge_id", "entry bridge_id must be non-empty")],
+)
+def test_a_registry_entry_with_an_empty_endpoint_or_bridge_id_is_refused(field, message):
+    with pytest.raises(RegistryError, match=f"^{message}$"):
+        dataclasses.replace(_entry(CountingTransport()), **{field: ""})
+
+
+@pytest.mark.parametrize("item", ["1", "null", '"entry"', "[]"])
+def test_a_registry_entry_that_is_not_an_object_is_refused(item):
+    with pytest.raises(RegistryError, match="^each registry entry must be a JSON object$"):
+        load_registry_file(f'{{"entries": [{item}]}}')

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
+import re
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atsa import (
     HttpFetcher,
@@ -18,6 +23,7 @@ from atsa import (
     WELL_KNOWN_PATHS,
     serialize_document,
 )
+from atsa.wellknown import MAX_REQUEST_BYTES
 
 
 def _get(url):
@@ -272,3 +278,230 @@ def test_oversized_post_body_is_413_and_the_stub_keeps_serving(server):
         {"jsonrpc": "2.0", "id": 8, "method": "tools/call", "params": {"name": "list_labels"}},
     )
     assert resp == {"jsonrpc": "2.0", "id": 8, "result": {"labels": ["inbox", "sent"]}}
+
+
+# The request reader, over raw sockets: what the stub answers to bytes that no
+# well-behaved client sends, and how its replies are framed on the wire.
+def _raw(stub, data: bytes) -> bytes:
+    """All the stub sends on one connection after ``data``, until it closes. A reset
+    that follows a refusal of a request it did not read whole ends the read too."""
+    with socket.create_connection(stub.server_address[:2], timeout=5) as sock:
+        sock.sendall(data)
+        chunks = []
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass
+    return b"".join(chunks)
+
+
+def _replies(stream: bytes) -> list[tuple[int, dict[bytes, bytes], bytes]]:
+    """The ``(status, fields, body)`` of each whole reply in ``stream``, in order; every one has a Content-Length."""
+    replies = []
+    while stream:
+        head, separator, stream = stream.partition(b"\r\n\r\n")
+        assert separator, f"a reply head with no end: {head[:80]!r}"
+        status_line, *lines = head.split(b"\r\n")
+        version, status, _ = status_line.split(b" ", 2)
+        assert version == b"HTTP/1.1"
+        fields = {name.lower(): value.strip() for name, _, value in (line.partition(b":") for line in lines)}
+        if int(status) == 100:
+            replies.append((100, fields, b""))
+            continue
+        length = int(fields[b"content-length"])
+        assert len(stream) >= length, "a reply body cut short"
+        replies.append((int(status), fields, stream[:length]))
+        stream = stream[length:]
+    return replies
+
+
+def _refused(stub, data: bytes, status: int) -> dict:
+    """The one reply to ``data``: ``status``, a JSON error body, and ``Connection: close``."""
+    [(got, fields, body)] = _replies(_raw(stub, data))
+    assert got == status
+    assert fields[b"connection"] == b"close" and fields[b"content-type"] == b"application/json"
+    return json.loads(body)
+
+
+DOCUMENT_GET = b"GET " + WELL_KNOWN_PATHS[0].encode() + b" HTTP/1.1\r\n"
+
+
+@pytest.mark.parametrize(
+    "request_line, status",
+    [
+        (b"GARBAGE", 400),
+        (b"GET /", 400),
+        (b"GET  / HTTP/1.1", 400),
+        (b"GET /caf\xc3\xa9 HTTP/1.1", 400),
+        (b"GET / HTTP/1.1 extra", 400),
+        (b"GET / HTTP/2.0", 505),
+        (b"GET / HTTP/0.9", 505),
+    ],
+    ids=["garbage", "no-version", "two-spaces", "non-ascii-target", "four-parts", "http-2", "http-0.9"],
+)
+def test_a_malformed_request_line_or_other_version_gets_a_status_line_and_a_json_error(server, request_line, status):
+    assert "error" in _refused(server, request_line + b"\r\nHost: x\r\n\r\n", status)
+    assert server.counters == {}
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        DOCUMENT_GET + b"Connection: close\r\nX-Long: " + b"a" * (65537 - len(b"X-Long: \r\n")) + b"\r\n\r\n",
+        DOCUMENT_GET + b"Connection: close\r\n" + b"".join(b"X-%d: y\r\n" % n for n in range(100)) + b"\r\n",
+    ],
+    ids=["65537-byte-line-with-its-crlf", "101-fields"],
+)
+def test_a_head_over_its_limits_is_431(server, head):
+    _refused(server, head, 431)
+    assert server.counters == {}
+
+
+def test_a_head_at_its_limits_is_served(server, signed_doc):
+    fields = [b"X-Long: " + b"a" * (65536 - len(b"X-Long: \r\n"))] + [b"X-%d: y" % n for n in range(98)]
+    head = DOCUMENT_GET + b"".join(line + b"\r\n" for line in fields) + b"Connection: close\r\n\r\n"
+    [(status, _, body)] = _replies(_raw(server, head))
+    assert (status, body) == (200, serialize_document(signed_doc).encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        b"X-Note: one\r\n  two\r\n",
+        b"X-Note: one\r\n\ttwo\r\n",
+        b"no colon here\r\n",
+        b": no name\r\n",
+        b"X-Note : space before the colon\r\n",
+        b"Content-Length: 2\r\nContent-Length: 3\r\n",
+        b"Content-Length: 2, 3\r\n",
+        b"Content-Length: +2\r\n",
+        b"Content-Length: " + b"9" * 5000 + b"\r\n",
+    ],
+    ids=["obs-fold", "obs-fold-tab", "no-colon", "no-name", "space-before-colon", "two-lengths", "length-list",
+         "signed-length", "5000-digit-length"],
+)
+def test_a_malformed_field_line_or_content_length_is_400(server, fields):
+    request = b"POST /mcp HTTP/1.1\r\nConnection: close\r\n" + fields + b"\r\n{}"
+    assert "error" in _refused(server, request, 400)
+    # The stub still serves a request on another connection.
+    assert _post(server.url + "/mcp", {"jsonrpc": "2.0", "id": 9, "method": "tools/call",
+                                       "params": {"name": "list_labels"}})[0] == 200
+
+
+def test_identical_repeated_content_lengths_are_one_length(server):
+    call = json.dumps({"jsonrpc": "2.0", "id": 3, "method": "tools/call", "params": {"name": "list_labels"}}).encode()
+    length = b"%d" % len(call)
+    request = (
+        b"POST /mcp HTTP/1.1\r\nContent-Length: " + length + b"\r\nContent-Length: " + length
+        + b"\r\nConnection: close\r\n\r\n" + call
+    )
+    [(status, _, body)] = _replies(_raw(server, request))
+    assert (status, json.loads(body)) == (200, {"jsonrpc": "2.0", "id": 3, "result": {"labels": ["inbox", "sent"]}})
+
+
+@pytest.mark.parametrize("method", [b"PUT", b"HEAD", b"DELETE"])
+def test_a_method_other_than_get_and_post_is_501(server, method):
+    _refused(server, method + b" /mcp HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 501)
+    assert server.counters == {}
+
+
+def test_a_transfer_coding_is_501(server):
+    _refused(server, b"POST /mcp HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", 501)
+
+
+def test_an_over_long_body_is_413_before_a_byte_of_it_is_sent(server):
+    head = b"POST /mcp HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: %d\r\n\r\n" % (MAX_REQUEST_BYTES + 1)
+    with socket.create_connection(server.server_address[:2], timeout=2) as sock:
+        sock.sendall(head)  # and no body: a stub that waits for it fails the read below
+        [(status, fields, body)] = _replies(b"".join(iter(lambda: sock.recv(65536), b"")))
+    assert (status, fields[b"connection"], json.loads(body)) == (413, b"close", {"error": "request body too large"})
+
+
+def test_http_1_0_closes_after_its_reply_unless_kept_alive(server, signed_doc):
+    document = serialize_document(signed_doc).encode("utf-8")
+    get = b"GET " + WELL_KNOWN_PATHS[0].encode() + b" HTTP/1.0\r\n"
+    [(status, fields, body)] = _replies(_raw(server, get + b"\r\n" + get + b"\r\n"))
+    assert (status, fields[b"connection"], body) == (200, b"close", document)
+    replies = _replies(_raw(server, get + b"Connection: keep-alive\r\n\r\n" + get + b"\r\n"))
+    assert [(status, body) for status, _, body in replies] == [(200, document)] * 2
+    assert b"connection" not in replies[0][1] and replies[1][1][b"connection"] == b"close"
+
+
+def test_pipelined_requests_in_one_write_are_answered_in_order(server, signed_doc):
+    call = json.dumps({"jsonrpc": "2.0", "id": 4, "method": "tools/call", "params": {"name": "list_labels"}}).encode()
+    stream = (
+        DOCUMENT_GET + b"\r\n"
+        + b"POST /mcp HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(call) + call
+        + b"GET /nowhere HTTP/1.1\r\nConnection: close\r\n\r\n"
+    )
+    replies = _replies(_raw(server, stream))
+    assert [(status, body) for status, _, body in replies] == [
+        (200, serialize_document(signed_doc).encode("utf-8")),
+        (200, b'{"jsonrpc": "2.0", "id": 4, "result": {"labels": ["inbox", "sent"]}}'),
+        (404, b'{"error": "not found"}'),
+    ]
+
+
+def test_expect_100_continue_gets_100_and_then_the_reply(server):
+    call = json.dumps({"jsonrpc": "2.0", "id": 5, "method": "tools/call", "params": {"name": "list_labels"}}).encode()
+    head = b"POST /mcp HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(call)
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(head)
+        assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(call)
+        [(status, _, body)] = _replies(sock.recv(65536))
+    assert (status, json.loads(body)["result"]) == (200, {"labels": ["inbox", "sent"]})
+    assert server.tools_call_count() == 1
+
+
+def test_each_reply_arrives_whole_in_one_read(server, signed_doc):
+    # The status line, the fields and the body leave in one write, so the first
+    # read after a request already holds the whole reply.
+    document = serialize_document(signed_doc).encode("utf-8")
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        for _ in range(30):
+            sock.sendall(DOCUMENT_GET + b"\r\n")
+            [(status, fields, body)] = _replies(sock.recv(65536))
+            assert (status, body) == (200, document)
+            assert set(fields) == {b"content-type", b"content-length", b"date"}
+            assert re.fullmatch(rb"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d [A-Z][a-z]{2} \d{4} \d\d:\d\d:\d\d GMT", fields[b"date"])
+
+
+# Bytes that look like requests, or parts of them, and bytes that do not.
+_PIECES = st.sampled_from(
+    [
+        b"GET ", b"POST ", b"PUT ", b"/mcp", WELL_KNOWN_PATHS[0].encode(), b" HTTP/1.1", b" HTTP/1.0",
+        b" HTTP/2.0", b"\r\n", b"\n", b"\r\n\r\n", b": ", b" ", b"\t", b"Content-Length: ", b"Content-Length: 2",
+        b"Connection: close", b"Connection: keep-alive", b"Expect: 100-continue", b"Transfer-Encoding: chunked",
+        b"0", b"99", b"-1", b"{}", b'{"jsonrpc": "2.0", "id": 1, "method": "tools/call"}', b"\x00", b"\xff",
+    ]
+)
+_STREAMS = st.lists(st.one_of(_PIECES, st.binary(max_size=24)), max_size=40).map(b"".join)
+
+
+DOCUMENT = b'{"served": "as configured, byte for byte"}'
+
+
+@pytest.fixture(scope="module")
+def lasting_stub():
+    """One stub for every example of a property, so that each meets what the ones before it left."""
+    stub = StubServer(StubServerConfig(sad_bytes=DOCUMENT, tool_behaviors={"list_labels": {}})).start()
+    yield stub
+    stub.shutdown()
+
+
+@given(stream=_STREAMS)
+@settings(deadline=None)
+def test_no_bytes_on_one_connection_stop_the_stub(lasting_stub, stream):
+    with socket.create_connection(lasting_stub.server_address[:2], timeout=5) as sock:
+        try:
+            sock.sendall(stream)
+            with contextlib.suppress(OSError):  # not connected: the stub has already reset it
+                sock.shutdown(socket.SHUT_WR)
+            while sock.recv(65536):
+                pass
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the stub refused the stream and closed before reading all of it
+    [(status, _, body)] = _replies(_raw(lasting_stub, DOCUMENT_GET + b"Connection: close\r\n\r\n"))
+    assert (status, body) == (200, DOCUMENT)
