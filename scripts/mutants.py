@@ -79,8 +79,7 @@ DOMINATION = (
     '            f"clearance {document.clearance!r} is below required {required_level!r}",\n'
     "        )\n"
 )
-ENCODER_PARITY = "tests/test_audit.py::test_the_record_encoder_raises_what_canonical_json_raises"
-SINK_LINE = "tests/test_audit.py::test_the_sinks_line_is_json_dumps_of_the_wire_record"
+NOT_FLAT = "tests/test_audit.py::test_content_that_is_not_flat_raises_type_error_from_both_templates"
 APPROVAL = (
     "    if not signer.approves(scheme, document.clearance):\n"
     "        return Verdict.deny(\n"
@@ -195,15 +194,19 @@ MUTANTS = (
         "        if len(prev_hash) != 32 or len(digest) != 32:", "        if False:",
         (WRONG_TYPE + "[31-byte-hash]",),
     ),
-    # The record encoder and the sink's line template take exact types only; other content goes to the general path.
+    # The record encoder and the sink's line template take flat content only, and append refuses any other.
     Mutant(
         "record-encoder-takes-a-str-subclass", "src/atsa/audit.py",
-        "                elif type(member) is str:", "                elif isinstance(member, str):",
-        (ENCODER_PARITY + "[str-subclass-value]",),
+        "elif type(member) is str:", "elif isinstance(member, str):", (NOT_FLAT + "[str-subclass-value]",),
     ),
     Mutant(
         "line-template-writes-a-non-string-value", "src/atsa/audit.py",
-        "\n            elif type(member) is str:", "\n            elif member is not None:", (SINK_LINE,),
+        "type(timestamp) is not str", "not isinstance(timestamp, str)", (NOT_FLAT + "[str-subclass-timestamp]",),
+    ),
+    Mutant(
+        "append-lets-a-non-flat-payload-through", "src/atsa/audit.py",
+        'raise AuditError(f"event {event!r} payload is not flat: {exc}") from exc', "raise",
+        ("tests/test_audit.py::test_append_refuses_a_payload_that_is_not_flat_and_writes_nothing",),
     ),
     # Canonical JSON takes exact types only, and sorts an array by its members' escaped bytes.
     Mutant(

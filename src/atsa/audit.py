@@ -7,31 +7,29 @@ chain at a detectable index. Append failures must abort the guarded action;
 nothing in this module swallows sink errors. A sink is any object with
 ``write(record)``; ``JsonlAuditSink`` is the durable one.
 
-A record's content is hashed as its canonical JSON (``sad.canonical_json_bytes``),
-and ``append`` and ``verify_chain`` both reach it through one record encoder,
-``canonical_json_bytes`` here, which takes the record's four fields. Flat
-content, whose ``seq`` is an ``int`` (not a ``bool``), whose ``timestamp`` and
-``event`` are ``str`` and whose ``payload`` is a ``dict`` of ``str`` keys to
-``str`` or ``None`` values, as in every record the admission gate and the
-gateway append, fills a fixed hash template::
+A record is flat: its ``seq`` is an ``int`` (not a ``bool``), its
+``timestamp`` and ``event`` are ``str`` and its ``payload`` is a ``dict`` of
+``str`` keys to ``str`` or ``None`` values. ``append`` and ``verify_chain``
+hash its content through one record encoder, ``canonical_json_bytes`` here,
+which fills a fixed hash template::
 
     {"event":E,"payload":{K:V,...},"seq":N,"timestamp":T}
 
-with the payload keys in code-point order, and ``JsonlAuditSink`` writes a
-flat record's line from a fixed line template::
+with the payload keys in code-point order: the bytes of canonical JSON (the
+``sad`` module's ``canonical_json_bytes``) of the record's dict.
+``JsonlAuditSink`` writes a record's line from a fixed line template::
 
     {"seq":N,"timestamp":T,"event":E,"payload":{K:V,...},"prevHash":"…","hash":"…"}
 
-with the payload in insertion order, the bytes ``json.dumps(record_to_wire(record),
-ensure_ascii=False, separators=(",", ":"))`` gives. In both, every string is
-escaped by ``json.encoder.encode_basestring``, the C escaper the canonical
-encoder and ``json.dumps`` use, and each check of a member's exact type is made
+with the payload in insertion order: the bytes the standard library's JSON
+encoder writes for ``record_to_wire(record)``, compact and with
+``ensure_ascii=False``. In both, every string is escaped by
+``json.encoder.encode_basestring``, and each member's exact type is checked
 in the loop that escapes it. The text is encoded to UTF-8 with
-``backslashreplace``, so a lone surrogate is written as ``\\udxxx``, as the
-canonical encoder writes it. Any other content (an int, bool or nested payload
-value, a non-string key, a ``bool`` seq) is hashed as a dict by
-``sad.canonical_json_bytes``, which raises what it raises, and its line is
-written by ``json.dumps``.
+``backslashreplace``, so a lone surrogate is written as ``\\udxxx``, as
+canonical JSON writes it. Content that is not flat raises ``TypeError`` from
+both templates: ``append`` refuses it with ``AuditError`` and writes nothing,
+and ``verify_chain`` reports a record read back with it as bad.
 """
 
 from __future__ import annotations
@@ -40,15 +38,13 @@ import bisect
 import fcntl
 import functools
 import hashlib
-import json
 import os
 import re
 import threading
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
-from typing import Any, Callable, Mapping, NamedTuple, Protocol, Sequence, TextIO
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence, TextIO
 
-from . import sad
 from ._json import read_jsonl
 from .trustroot import format_rfc3339
 
@@ -130,7 +126,7 @@ class AuditRecord(NamedTuple):
     seq: int
     timestamp: str
     event: str
-    payload: Mapping[str, Any]
+    payload: dict[str, str | None]
     prev_hash: bytes
     hash: bytes
 
@@ -140,64 +136,54 @@ _new_record = functools.partial(tuple.__new__, AuditRecord)
 
 
 def compute_record_hash(
-    prev_hash: bytes, seq: int, timestamp: str, event: str, payload: Mapping[str, Any]
+    prev_hash: bytes, seq: int, timestamp: str, event: str, payload: dict[str, str | None]
 ) -> bytes:
     """SHA-256 over the previous hash concatenated with the canonical JSON of
     the record content (hash fields excluded)."""
     return hashlib.sha256(prev_hash + canonical_json_bytes(seq, timestamp, event, payload)).digest()
 
 
-def canonical_json_bytes(seq: int, timestamp: str, event: str, payload: Mapping[str, Any]) -> bytes:
-    """``sad.canonical_json_bytes`` of the record content with these four fields.
-    Flat content fills the hash template of the module docstring; only other
-    content is built into a dict, for ``sad.canonical_json_bytes``."""
-    if type(seq) is int and type(timestamp) is str and type(event) is str and type(payload) is dict:
-        keys = list(payload)
-        for key in keys:  # before the sort, which raises its own TypeError on mixed keys
-            if type(key) is not str:
-                break
+def _check_shape(seq: int, timestamp: str, event: str, payload: dict[str, str | None]) -> None:
+    """Raise TypeError unless the four fields are a flat record's exact types."""
+    if type(seq) is not int or type(timestamp) is not str or type(event) is not str or type(payload) is not dict:
+        raise TypeError("an audit record is an int seq, a str timestamp and event, and a dict payload")
+
+
+def _members(payload: dict[str, str | None], keys: Iterable[str]) -> str:
+    """The payload's members in the order of ``keys``, each ``"K":V`` and joined by commas.
+    A key that is not a ``str`` or a value that is neither a ``str`` nor ``None`` raises TypeError."""
+    members = []
+    for key in keys:
+        member = payload[key]
+        if type(key) is not str:
+            raise TypeError(f"audit payload keys must be str, not {type(key).__name__}")
+        if member is None:
+            members.append(encode_basestring(key) + ":null")
+        elif type(member) is str:
+            members.append(f"{encode_basestring(key)}:{encode_basestring(member)}")
         else:
-            keys.sort()
-            members = []
-            for key in keys:
-                member = payload[key]
-                if member is None:
-                    members.append(encode_basestring(key) + ":null")
-                elif type(member) is str:
-                    members.append(f"{encode_basestring(key)}:{encode_basestring(member)}")
-                else:
-                    break
-            else:
-                text = (
-                    f'{{"event":{encode_basestring(event)},"payload":{{{",".join(members)}}},'
-                    f'"seq":{seq},"timestamp":{encode_basestring(timestamp)}}}'
-                )
-                return text.encode("utf-8", "backslashreplace")
-    return sad.canonical_json_bytes({"seq": seq, "timestamp": timestamp, "event": event, "payload": payload})
+            raise TypeError(f"audit payload values must be str or None, not {type(member).__name__}")
+    return ",".join(members)
+
+
+def canonical_json_bytes(seq: int, timestamp: str, event: str, payload: dict[str, str | None]) -> bytes:
+    """The hash template of the module docstring, filled with these four fields."""
+    _check_shape(seq, timestamp, event, payload)
+    text = (
+        f'{{"event":{encode_basestring(event)},"payload":{{{_members(payload, sorted(payload))}}},'
+        f'"seq":{seq},"timestamp":{encode_basestring(timestamp)}}}'
+    )
+    return text.encode("utf-8", "backslashreplace")
 
 
 def _jsonl_line(record: AuditRecord) -> str:
-    """``json.dumps(record_to_wire(record), ensure_ascii=False, separators=(",", ":"))``.
-    A flat record fills the line template of the module docstring; only another
-    goes to ``json.dumps``."""
+    """The line template of the module docstring, filled with ``record``."""
     seq, timestamp, event, payload, prev_hash, digest = record
-    if type(seq) is int and type(timestamp) is str and type(event) is str and type(payload) is dict:
-        members = []
-        for key, member in payload.items():
-            if type(key) is not str:
-                break
-            if member is None:
-                members.append(encode_basestring(key) + ":null")
-            elif type(member) is str:
-                members.append(f"{encode_basestring(key)}:{encode_basestring(member)}")
-            else:
-                break
-        else:
-            return (
-                f'{{"seq":{seq},"timestamp":{encode_basestring(timestamp)},"event":{encode_basestring(event)},'
-                f'"payload":{{{",".join(members)}}},"prevHash":"{prev_hash.hex()}","hash":"{digest.hex()}"}}'
-            )
-    return json.dumps(record_to_wire(record), ensure_ascii=False, separators=(",", ":"))
+    _check_shape(seq, timestamp, event, payload)
+    return (
+        f'{{"seq":{seq},"timestamp":{encode_basestring(timestamp)},"event":{encode_basestring(event)},'
+        f'"payload":{{{_members(payload, payload)}}},"prevHash":"{prev_hash.hex()}","hash":"{digest.hex()}"}}'
+    )
 
 
 class AuditSink(Protocol):
@@ -222,10 +208,10 @@ class JsonlAuditSink:
     wait forever, raises AuditError. So does a torn last line, where a record
     written now would land, a line that is not a record, or a broken chain,
     which a record appended now would launder. The file is left as it is, and unlocked. ``close`` unlocks the file even
-    when its fsync or its flush fails, and then raises. A flat record's line
+    when its fsync or its flush fails, and then raises. A record's line
     fills the line template of the module docstring: appending a tool denial
-    through the sink takes about 11 µs, where ``json.dumps`` made it about
-    15 µs (one pinned core of a 2-vCPU x86_64 VM, Python 3.11)."""
+    through the sink takes about 11 µs, where the standard library's encoder
+    made it about 15 µs (one pinned core of a 2-vCPU x86_64 VM, Python 3.11)."""
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         # Opened for reading too, so the last byte can be read under the lock.
@@ -304,10 +290,12 @@ class AuditLog:
     then ``AuditLog(sink)``): a later record would repeat the failed one's
     seq and break the chain for ``verify_chain``. A ``JsonlAuditSink`` takes
     one log: a second would start from the same head and repeat the first's
-    seqs, so it raises AuditError. A record is stamped with ``at``, the
-    instant the gate read from ``clock`` outside the mutex and checked at, or
-    else with a read of ``clock`` under the mutex; so timestamps may run out
-    of seq order, and the log is ordered by seq, not by timestamp."""
+    seqs, so it raises AuditError. So does a payload that is not flat (see
+    the module docstring), before anything is written. A record is stamped
+    with ``at``, the instant the gate read from ``clock`` outside the mutex
+    and checked at, or else with a read of ``clock`` under the mutex; so
+    timestamps may run out of seq order, and the log is ordered by seq, not
+    by timestamp."""
 
     def __init__(
         self,
@@ -344,7 +332,7 @@ class AuditLog:
     def records(self) -> tuple[AuditRecord, ...]:
         return tuple(self._records)
 
-    def append(self, event: str, payload: Mapping[str, Any], *, at: datetime | None = None) -> AuditRecord:
+    def append(self, event: str, payload: Mapping[str, str | None], *, at: datetime | None = None) -> AuditRecord:
         required = EVENT_PAYLOAD_FIELDS.get(event)
         if required is None:
             raise AuditError(f"unknown audit event {event!r}")
@@ -358,7 +346,10 @@ class AuditLog:
             seq, prev_hash = self._head
             timestamp = self._stamp(self.clock() if at is None else at)
             stored = dict(payload)
-            digest = compute_record_hash(prev_hash, seq, timestamp, event, stored)
+            try:
+                digest = compute_record_hash(prev_hash, seq, timestamp, event, stored)
+            except TypeError as exc:
+                raise AuditError(f"event {event!r} payload is not flat: {exc}") from exc
             record = _new_record((seq, timestamp, event, stored, prev_hash, digest))
             if self._sink is not None:
                 self._sink_failed = True  # stays set if the write raises
@@ -372,15 +363,14 @@ class AuditLog:
 def verify_chain(records: Sequence[AuditRecord]) -> int | None:
     """Check a complete log. Returns None when intact, else the index of the
     first record whose sequencing, linkage, or content hash is wrong. Content
-    that cannot be canonicalized (a float, or nesting past the recursion
-    limit) has no valid hash, so its record is the bad index."""
+    that is not flat has no hash, so its record is the bad index."""
     prev_hash = GENESIS_PREV_HASH
     for index, (seq, timestamp, event, payload, link, digest) in enumerate(records):
         if seq != index or link != prev_hash:
             return index
         try:
             recomputed = hashlib.sha256(link + canonical_json_bytes(seq, timestamp, event, payload)).digest()
-        except (TypeError, RecursionError):
+        except TypeError:
             return index
         if recomputed != digest:
             return index

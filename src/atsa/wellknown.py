@@ -182,7 +182,7 @@ class _Handler(socketserver.StreamRequestHandler):
         path = target.decode("ascii")
         if method not in (b"GET", b"POST"):
             raise _Refused(501, "method not implemented")
-        self.server._count(f"{method.decode('ascii')} {path}")  # type: ignore[attr-defined]
+        self.server._count(method.decode("ascii"), path)  # type: ignore[attr-defined]
         sizes = {size.strip() for size in fields.get(b"content-length", b"0").split(b",")}
         if len(sizes) > 1 or not (size := sizes.pop()).isdigit():
             # The body's end is unknown, so the connection cannot be reused.
@@ -244,14 +244,19 @@ class StubServer(socketserver.ThreadingTCPServer):
 
     @property
     def counters(self) -> dict[str, int]:
-        """Requests served, keyed ``"METHOD path"``."""
+        """Requests served, keyed ``"METHOD path"`` for the two well-known paths
+        and the MCP path, and ``"METHOD (other)"`` for any other path, so a
+        client cannot grow them past eight keys."""
         with self._lock:
             return dict(self._counts)
 
     def tools_call_count(self) -> int:
         return self.counters.get(f"POST {self.config.mcp_path}", 0)
 
-    def _count(self, key: str) -> None:
+    def _count(self, method: str, path: str) -> None:
+        if path not in WELL_KNOWN_PATHS and path != self.config.mcp_path:
+            path = "(other)"
+        key = f"{method} {path}"
         with self._lock:
             self._counts[key] = self._counts.get(key, 0) + 1
 

@@ -173,6 +173,19 @@ def test_counters_track_routes(server):
     assert server.tools_call_count() == 1
 
 
+def test_paths_the_stub_does_not_serve_share_one_counter_per_method(server):
+    # 5,000 distinct 404 paths on one connection, sent while the replies are read.
+    requests = b"".join(b"GET /missing/%d HTTP/1.1\r\nHost: x\r\n\r\n" % n for n in range(4999))
+    requests += b"GET /missing/4999 HTTP/1.1\r\nConnection: close\r\n\r\n"
+    with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+        sender = threading.Thread(target=sock.sendall, args=(requests,))
+        sender.start()
+        stream = b"".join(iter(lambda: sock.recv(65536), b""))
+        sender.join()
+    assert [status for status, _, _ in _replies(stream)] == [404] * 5000
+    assert server.counters == {"GET (other)": 5000}
+
+
 def test_tools_call_count_uses_the_configured_path(signed_doc):
     stub = StubServer(StubServerConfig.for_document(signed_doc, {"list_labels": {}}, mcp_path="/rpc")).start()
     try:
