@@ -301,8 +301,19 @@ MUTANTS = (
         (ADMISSION + "test_memo_keeps_clock_and_config_clauses_live",),
     ),
     Mutant(
-        "tool-allowlist-unchecked", "src/atsa/gateway.py", "if call.tool_name not in entry.allowed_tools:", "if False:",
+        "tool-allowlist-unchecked", "src/atsa/gateway.py", "or call.tool_name not in entry.allowed_tools:", "or False:",
         (CAMPAIGN,),
+    ),
+    Mutant(
+        "tool-name-type-unchecked", "src/atsa/gateway.py", "named = type(call.tool_name) is str", "named = True",
+        ("tests/test_untrusted_input.py::test_a_tool_name_that_is_not_exactly_a_str_is_denied_with_one_record",),
+    ),
+    Mutant(
+        "registry-entry-types-unchecked", "src/atsa/gateway.py",
+        "            if type(value := getattr(self, name)) is not str:\n"
+        '                raise RegistryError(f"entry {name} must be a str, not {type(value).__name__}")\n',
+        "            value = getattr(self, name)\n",
+        ("tests/test_gateway.py::test_a_registry_entry_field_that_is_not_exactly_a_str_is_refused",),
     ),
     Mutant(
         "unregistered-endpoint-as-a-failed-fetch", "src/atsa/gateway.py",
@@ -333,7 +344,7 @@ MUTANTS = (
         "tool-deny-unrecorded", "src/atsa/gateway.py",
         "            self.audit.append(\n"
         "                EVENT_TOOL_DENY,\n"
-        '                {"server": endpoint, "bridge": entry.bridge_id, "toolName": bounded(call.tool_name),\n'
+        '                {"server": endpoint, "bridge": entry.bridge_id, "toolName": bounded(call.tool_name) if named else None,\n'
         '                 "reason": TOOL_DENY_DETAIL},\n'
         "            )\n",
         "",
@@ -354,7 +365,7 @@ MUTANTS = (
     ),
     # A peer's reply is read within its limit and its deadline.
     Mutant(
-        "read-to-close-without-its-limit", "src/atsa/admission.py",
+        "read-to-close-without-its-limit", "src/atsa/_http.py",
         "            if len(body := self.take(limit + 1)) > limit:\n"
         '                raise ValueError(f"the body is over {limit} bytes")\n',
         "            body = self.take(limit + 1)\n",
@@ -373,7 +384,7 @@ MUTANTS = (
     ),
     # The stub reads a request head by the field rules of a reply, and refuses what breaks them.
     Mutant(
-        "head-field-limit-removed", "src/atsa/admission.py",
+        "head-field-limit-removed", "src/atsa/_http.py",
         "for _ in range(_MAX_FIELDS + 1):", "for _ in iter(int, 1):", (STUB + "test_a_head_over_its_limits_is_431",),
     ),
     Mutant(
@@ -392,6 +403,12 @@ MUTANTS = (
         "content-length-digits-unchecked", "src/atsa/wellknown.py",
         "not (size := sizes.pop()).isdigit()", "not (size := sizes.pop())",
         (STUB + "test_a_malformed_field_line_or_content_length_is_400",),
+    ),
+    # Each command imports what it runs, so ``atsa serve`` loads no verifier.
+    Mutant(
+        "cli-imports-conformance-at-its-top", "src/atsa/cli.py",
+        "from ._json import read_json\n", "from ._json import read_json\nfrom .conformance import build_vectors\n",
+        ("tests/test_cli.py::test_each_command_loads_only_what_it_runs",),
     ),
     # A JSON text is read as json.loads reads it, a log line in one scan.
     Mutant(

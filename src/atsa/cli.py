@@ -20,49 +20,23 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
 from ._json import read_json
-from .admission import AdmissionGate, Flavor, HttpFetcher, serving
-from .audit import EVENT_CONNECT_ALLOW, EVENT_CONNECT_DENY, EVENT_CONNECT_WARN, AuditLog, JsonlAuditSink, load_audit_jsonl, verify_chain, AuditError
-from .conformance import (
-    build_vectors,
-    dump_corpus_jsonl,
-    generate_corpus,
-    load_corpus_jsonl,
-    run_campaign,
-    run_vectors,
-    write_vector_fixtures,
-)
-from .gateway import RegistryError, load_registry_file
-from .lattice import (
-    BUILTIN_SCHEME_NAMES,
-    ClassificationScheme,
-    LevelNotFoundError,
-    SchemeError,
-    get_builtin_scheme,
-    load_scheme,
-)
-from .sad import (
-    DocumentError,
-    KeyPair,
-    generate_keypair,
-    keypair_from_seed,
-    parse_document,
-    serialize_document,
-    sign_document,
-)
-from .trustroot import TrustRoot, TrustRootError, load_trust_root_file
-from .wellknown import StubServer, StubServerConfig
+
+# Each command imports what it runs in its own body, so its process loads only that.
+if TYPE_CHECKING:
+    from .audit import AuditLog
+    from .lattice import ClassificationScheme
+    from .sad import KeyPair
+    from .trustroot import TrustRoot
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
-
-# ``verify --json``'s status word for the record the gate appended.
-_STATUS_OF_EVENT = {EVENT_CONNECT_ALLOW: "ok", EVENT_CONNECT_DENY: "denied", EVENT_CONNECT_WARN: "warn"}
 
 DEFAULT_FUZZ_ALLOWLIST = "list_labels,create_draft"
 
@@ -74,6 +48,7 @@ class ConfigError(click.ClickException):
 
 
 def _load_scheme_spec(spec: str) -> ClassificationScheme:
+    from .lattice import BUILTIN_SCHEME_NAMES, SchemeError, get_builtin_scheme, load_scheme
     if spec in BUILTIN_SCHEME_NAMES:
         return get_builtin_scheme(spec)
     path = Path(spec)
@@ -88,6 +63,7 @@ def _load_scheme_spec(spec: str) -> ClassificationScheme:
 
 
 def _load_trust_root(path: str, lock: bool) -> TrustRoot:
+    from .trustroot import TrustRoot, TrustRootError, load_trust_root_file
     try:
         records = load_trust_root_file(Path(path).read_bytes())
     except OSError as exc:
@@ -106,6 +82,7 @@ def _open_audit_log(audit_path: str | None) -> AuditLog:
     locks the file and reads its verified head under the lock, so another
     run on the same file waits until this one exits. The sink is closed when
     the command exits, whichever way it exits."""
+    from .audit import AuditError, AuditLog, JsonlAuditSink
     if not audit_path:
         return AuditLog()
     try:
@@ -116,6 +93,7 @@ def _open_audit_log(audit_path: str | None) -> AuditLog:
 
 
 def _load_keypair(path: str) -> KeyPair:
+    from .sad import keypair_from_seed
     try:
         data = read_json(Path(path).read_bytes(), ConfigError, f"invalid key file {path}")
         if not isinstance(data["keyId"], str) or not data["keyId"]:
@@ -144,6 +122,7 @@ def cli() -> None:
 @click.option("--key-id", default=None, help="Signer key id embedded in both files (default: file name).")
 def keygen(out_path: str, key_id: str | None) -> None:
     """Generate an Ed25519 signing keypair."""
+    from .sad import generate_keypair
     private_path = Path(out_path)
     public_path = Path(out_path + ".pub")
     if private_path.exists() or public_path.exists():
@@ -178,6 +157,7 @@ def keygen(out_path: str, key_id: str | None) -> None:
 @click.option("--out", "out_path", default=None, type=click.Path(), help="Output path (default: rewrite SAD_PATH in place).")
 def sign(sad_path: str, key_path: str, out_path: str | None) -> None:
     """Sign an attestation document. Re-signing replaces any prior signature."""
+    from .sad import DocumentError, parse_document, serialize_document, sign_document
     pair = _load_keypair(key_path)
     try:
         document = parse_document(Path(sad_path).read_bytes())
@@ -197,7 +177,7 @@ def sign(sad_path: str, key_path: str, out_path: str | None) -> None:
 @click.option("--origin", default=None, help="Host standing in for the serving origin when TARGET is a file.")
 @click.option("--trust-root", "trust_root_path", envvar="ATSA_TRUST_ROOT", required=True, type=click.Path(exists=True, dir_okay=False), help="Trust root JSON (env: ATSA_TRUST_ROOT).")
 @click.option("--scheme", "scheme_spec", envvar="ATSA_SCHEME", default="default", show_default=True, help="Builtin scheme name or path to a scheme JSON file (env: ATSA_SCHEME).")
-@click.option("--flavor", envvar="ATSA_FLAVOR", type=click.Choice([f.value for f in Flavor]), default=Flavor.open.value, show_default=True, help="Deployment posture: open warns on gate failures, enclaved denies (env: ATSA_FLAVOR).")
+@click.option("--flavor", envvar="ATSA_FLAVOR", type=click.Choice(["open", "enclaved"]), default="open", show_default=True, help="Deployment posture: open warns on gate failures, enclaved denies (env: ATSA_FLAVOR).")
 @click.option("--audit", "audit_path", envvar="ATSA_AUDIT_LOG", default=None, type=click.Path(), help="Append the decision to this JSONL audit log (env: ATSA_AUDIT_LOG).")
 @click.option("--lock", is_flag=True, help="Lock the trust root after loading; nothing can widen it for the process lifetime.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON report on stdout.")
@@ -216,6 +196,9 @@ def verify(
 
     The denial reason code is printed verbatim on stderr.
     """
+    from .admission import AdmissionGate, Flavor, HttpFetcher, serving
+    from .audit import EVENT_CONNECT_ALLOW, EVENT_CONNECT_DENY, EVENT_CONNECT_WARN
+    from .lattice import LevelNotFoundError
     scheme = _load_scheme_spec(scheme_spec)
     trust_root = _load_trust_root(trust_root_path, lock)
     audit = _open_audit_log(audit_path)
@@ -239,7 +222,7 @@ def verify(
 
     if as_json:
         # The gate's one record says what the flavor made of the verdict.
-        status = _STATUS_OF_EVENT[audit.records[-1].event]
+        status = {EVENT_CONNECT_ALLOW: "ok", EVENT_CONNECT_DENY: "denied", EVENT_CONNECT_WARN: "warn"}[audit.records[-1].event]
         click.echo(
             json.dumps(
                 {
@@ -269,6 +252,7 @@ def verify(
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON report on stdout.")
 def vectors(fixtures_dir: str | None, as_json: bool) -> None:
     """Build and run the conformance vector set; expect '11/11 pass'."""
+    from .conformance import build_vectors, run_vectors, write_vector_fixtures
     vector_set = build_vectors()
     report = run_vectors(vector_set)
     if fixtures_dir:
@@ -318,6 +302,8 @@ def fuzz(
     as_json: bool,
 ) -> None:
     """Run the seeded adversarial campaign against a fully wired gateway."""
+    from .conformance import dump_corpus_jsonl, generate_corpus, load_corpus_jsonl, run_campaign
+    from .gateway import RegistryError, load_registry_file
     if registry_path:
         try:
             entries = load_registry_file(Path(registry_path).read_bytes())
@@ -357,6 +343,7 @@ def fuzz(
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON report on stdout.")
 def audit_verify(log_path: str, as_json: bool) -> None:
     """Check an audit log's hash chain. Exit 1 with the first bad index on tampering."""
+    from .audit import AuditError, load_audit_jsonl, verify_chain
     try:
         records = load_audit_jsonl(log_path)
     except AuditError as exc:
@@ -388,6 +375,7 @@ def serve(config_path: str) -> None:
     An absent or null "sad" serves no attestation, and an absent or null
     "tools" serves no tools.
     """
+    from .wellknown import StubServer, StubServerConfig
     spec = read_json(Path(config_path).read_bytes(), ConfigError, f"invalid server config {config_path}")
     if not isinstance(spec, dict):
         raise ConfigError("server config must be a JSON object")

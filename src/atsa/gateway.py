@@ -97,10 +97,11 @@ class RegistryEntry:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "allowed_tools", frozenset(self.allowed_tools))
-        if not self.endpoint:
-            raise RegistryError("entry endpoint must be non-empty")
-        if not self.bridge_id:
-            raise RegistryError("entry bridge_id must be non-empty")
+        for name in ("endpoint", "bridge_id", "required_clearance"):  # each is written to the log as a string
+            if type(value := getattr(self, name)) is not str:
+                raise RegistryError(f"entry {name} must be a str, not {type(value).__name__}")
+            if not value:
+                raise RegistryError(f"entry {name} must be non-empty")
 
 
 class ServerRegistry:
@@ -234,13 +235,16 @@ class Gateway:
             )
             return DispatchResult.denied(DenyReason.no_registered_bridge, detail)
 
-        if call.tool_name not in entry.allowed_tools:
+        # Only an exact str is looked up, as a subclass can match any name; any other is logged as null.
+        named = type(call.tool_name) is str
+        if not named or call.tool_name not in entry.allowed_tools:
             self.audit.append(
                 EVENT_TOOL_DENY,
-                {"server": endpoint, "bridge": entry.bridge_id, "toolName": bounded(call.tool_name),
+                {"server": endpoint, "bridge": entry.bridge_id, "toolName": bounded(call.tool_name) if named else None,
                  "reason": TOOL_DENY_DETAIL},
             )
-            detail = f"tool {call.tool_name!r} is {TOOL_DENY_DETAIL}"
+            shown = repr(call.tool_name) if named else f"name of type {type(call.tool_name).__name__}"
+            detail = f"tool {shown} is {TOOL_DENY_DETAIL}"
             return DispatchResult(DispatchStatus.denied, None, DenyReason.tool_not_admitted, detail)
 
         verdict = self.gate.connect(

@@ -14,10 +14,12 @@ import re
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ._json import read_json
-from .lattice import ClassificationScheme
+
+if TYPE_CHECKING:  # named in annotations only, so ``audit``, which imports this module, loads no lattice
+    from .lattice import ClassificationScheme
 
 __all__ = [
     "SignerRecord",

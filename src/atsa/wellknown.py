@@ -10,7 +10,7 @@ counters remain readable after ``server_close``.
 Each connection is one thread that reads request after request, HTTP/1.1 kept
 alive unless ``Connection: close``, HTTP/1.0 only with ``Connection:
 keep-alive``. A head is read by the field rules ``exchange`` applies to a
-reply, with ``admission._Reply``'s ``line`` and ``fields``: a line of at most
+reply, with ``_http._Reply``'s ``line`` and ``fields``: a line of at most
 65,536 bytes ending in (CR)LF, at most 100 fields, no obs-fold and no line
 without a name and colon. A refused request is answered with a JSON error and
 ``Connection: close``: 400 for a malformed request line or head, or for a
@@ -32,11 +32,13 @@ import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
+from ._http import WELL_KNOWN_PATHS, _Reply, _TooLarge
 from ._json import read_json
-from .admission import WELL_KNOWN_PATHS, _Reply, _TooLarge
-from .sad import AttestationDocument, serialize_document
+
+if TYPE_CHECKING:
+    from .sad import AttestationDocument
 
 __all__ = ["StubServer", "StubServerConfig"]
 
@@ -96,6 +98,7 @@ class StubServerConfig:
     def for_document(
         cls, document: AttestationDocument, tool_behaviors: Mapping[str, Any] | None = None, **kwargs: Any
     ) -> "StubServerConfig":
+        from .sad import serialize_document
         return cls(
             sad_bytes=serialize_document(document).encode("utf-8"),
             tool_behaviors=dict(tool_behaviors or {}),

@@ -22,6 +22,7 @@ from atsa import (
     EVENT_CONNECT_ALLOW,
     EVENT_CONNECT_DENY,
     AttestationDocument,
+    Flavor,
     JsonlAuditSink,
     StubServer,
     generate_keypair,
@@ -631,12 +632,13 @@ def test_lock_flag_freezes_trust_root(runner, workspace):
 
 
 def test_main_maps_internal_errors_to_exit_3(monkeypatch, capsys):
-    import atsa.cli as cli_module
+    import atsa.conformance
 
     def explode():
         raise RuntimeError("wired wrong")
 
-    monkeypatch.setattr(cli_module, "build_vectors", explode)
+    # ``vectors`` imports ``build_vectors`` as it runs, so the patch is read.
+    monkeypatch.setattr(atsa.conformance, "build_vectors", explode)
     with pytest.raises(SystemExit) as exc_info:
         main(["vectors"])
     assert exc_info.value.code == EXIT_INTERNAL
@@ -838,14 +840,14 @@ def test_fuzz_allowlist_too_short_for_quota_is_config_error(capsys):
     assert "cannot produce 5 distinct cases" in capsys.readouterr().err
 
 
-def _start_serve(config_path):
+def _start_serve(config_path, *options):
     """``atsa serve`` as a child process that dumps every thread's stack on
-    SIGABRT. The child starts with SIGINT's default action even where this
-    process ignores SIGINT, as it does when a shell starts it in the
-    background: Python leaves an ignored SIGINT ignored, and the child would
-    never see the KeyboardInterrupt these tests send."""
+    SIGABRT, its interpreter given ``options`` too. The child starts with
+    SIGINT's default action even where this process ignores SIGINT, as it does
+    when a shell starts it in the background: Python leaves an ignored SIGINT
+    ignored, and the child would never see the KeyboardInterrupt these tests send."""
     return subprocess.Popen(
-        [sys.executable, "-X", "faulthandler", "-m", "atsa.cli", "serve", str(config_path)],
+        [sys.executable, "-X", "faulthandler", *options, "-m", "atsa.cli", "serve", str(config_path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -937,3 +939,49 @@ def test_importing_the_cli_loads_no_http_client_or_email_package():
     environment = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=environment, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def _imported(stderr):
+    """The modules a ``python -X importtime`` run imported, read from its stderr."""
+    return {line.rpartition("|")[2].strip() for line in stderr.splitlines() if line.startswith("import time:")}
+
+
+def _among(modules, packages):
+    """The modules in ``modules`` that are one of ``packages`` or inside one."""
+    return {module for module in modules if any(module == name or module.startswith(name + ".") for name in packages)}
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    # ``atsa serve`` frames HTTP and serves bytes: no verifier, TLS or fuzz corpus.
+    config_path = tmp_path / "serve.json"
+    config_path.write_text(json.dumps({"sad": None, "host": "127.0.0.1", "port": 0}))
+    proc = _start_serve(config_path, "-X", "importtime")
+    try:
+        line = proc.stdout.readline()
+    finally:
+        returncode = _interrupt(proc, 10)
+        stderr = proc.stderr.read()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert line.startswith("serving at http://127.0.0.1:") and returncode == 0
+    served = _imported(stderr)
+    assert "atsa.wellknown" in served
+    assert _among(served, ["cryptography", "ssl", "atsa.sad", "atsa.admission", "atsa.conformance"]) == set()
+
+    # ``atsa audit-verify`` reads and hashes a file: no signature, network or lattice code.
+    (log_path := tmp_path / "audit.jsonl").write_bytes(b"")
+    environment = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-X", "importtime", "-m", "atsa.cli", "audit-verify", str(log_path)]
+    done = subprocess.run(command, capture_output=True, text=True, env=environment, timeout=60)
+    assert (done.returncode, done.stdout) == (EXIT_OK, "ok (0 records)\n")
+    verified = _imported(done.stderr)
+    assert "atsa.audit" in verified
+    forbidden = ["cryptography", "ssl", "socket", "http.server", "atsa.sad", "atsa.admission", "atsa.lattice"]
+    assert _among(verified, forbidden) == set()
+
+
+def test_the_flavor_choice_is_every_flavor():
+    # ``--flavor`` spells its choices out, so ``atsa --help`` needs no admission import.
+    (option,) = [param for param in cli.commands["verify"].params if param.name == "flavor"]
+    assert list(option.type.choices) == [flavor.value for flavor in Flavor]
+    assert option.default == Flavor.open.value

@@ -558,6 +558,23 @@ def test_a_registry_entry_with_an_empty_endpoint_or_bridge_id_is_refused(field, 
         dataclasses.replace(_entry(CountingTransport()), **{field: ""})
 
 
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("field", ["endpoint", "bridge_id", "required_clearance"])
+@pytest.mark.parametrize("value", [7, None, b"bridge", ["bridge"], _Text("bridge")], ids=repr)
+def test_a_registry_entry_field_that_is_not_exactly_a_str_is_refused(field, value):
+    # A bridge id of 7 once made a tool denial raise out of invoke, with no record written.
+    with pytest.raises(RegistryError, match=f"^entry {field} must be a str, not {type(value).__name__}$"):
+        dataclasses.replace(_entry(CountingTransport()), **{field: value})
+
+
+def test_a_registry_entry_with_an_empty_required_clearance_is_refused():
+    with pytest.raises(RegistryError, match="^entry required_clearance must be non-empty$"):
+        dataclasses.replace(_entry(CountingTransport()), required_clearance="")
+
+
 @pytest.mark.parametrize("item", ["1", "null", '"entry"', "[]"])
 def test_a_registry_entry_that_is_not_an_object_is_refused(item):
     with pytest.raises(RegistryError, match="^each registry entry must be a JSON object$"):

@@ -23,11 +23,12 @@ SHIPPED = sorted(
     for path in root.glob("*.py")
     if not path.name.startswith("test_")
 )
-# The modules whose ``__all__`` the package re-exports with ``import *``.
+# The modules whose ``__all__`` the package re-exports, named in its ``_MODULES``.
 MODULES = [
-    SRC / f"{node.module}.py"
+    SRC / f"{name}.py"
     for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
-    if isinstance(node, ast.ImportFrom) and node.names[0].name == "*"
+    if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["_MODULES"]
+    for name in ast.literal_eval(node.value)
 ]
 
 
@@ -64,9 +65,17 @@ def test_every_export_is_used_by_shipped_code(path):
 
 
 def test_the_guard_reads_every_export_list():
-    assert "sad.py" in {path.name for path in MODULES}
+    assert len(MODULES) == 8 and "sad.py" in {path.name for path in MODULES}
     assert all(_exports(path) for path in MODULES)
     assert {"sad.py", "cli.py"} <= {path.name for path in SHIPPED}
+
+
+def test_a_star_import_binds_every_export_and_every_module():
+    # The package imports a module on first use; ``import *`` still binds every name.
+    namespace: dict = {}
+    exec("from atsa import *", namespace)
+    expected = {name for path in MODULES for name in _exports(path)} | {path.stem for path in MODULES}
+    assert set(namespace) - {"__builtins__"} == expected
 
 
 # Every defaulted parameter of a public function, method or constructor in the

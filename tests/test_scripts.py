@@ -1,6 +1,8 @@
 """The advertised experiments run end to end: the loopback demo in both
 flavors (the only script that drives ``HttpFetcher``, ``HttpTransport`` and
-the stub server together) and a small seeded campaign through ``atsa fuzz``.
+the stub server together), a small seeded campaign through ``atsa fuzz``, and
+the standard-library smoke check, which imports neither ``cryptography`` nor
+``click``.
 Each runs as a subprocess in development mode with resource warnings as
 errors."""
 
@@ -22,8 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
         ([str(ROOT / "scripts" / "demo_loopback.py"), "--flavor", "enclaved"], "chain check: intact"),
         ([str(ROOT / "scripts" / "demo_loopback.py"), "--flavor", "open"], "chain check: intact"),
         (["-m", "atsa.cli", "fuzz", "--seed", "1", "--per-category", "2"], "result: PASS"),
+        ([str(ROOT / "scripts" / "stdlib_smoke.py")], "stdlib smoke: ok"),
     ],
-    ids=["demo-enclaved", "demo-open", "campaign"],
+    ids=["demo-enclaved", "demo-open", "campaign", "stdlib-smoke"],
 )
 def test_script_runs_clean(command, verdict):
     env = dict(os.environ)

@@ -8,7 +8,10 @@ verification returns a ``Verdict`` and ``atsa sign`` keeps such a document,
 and a corpus of such cases survives a JSONL dump and load and replays to a
 report, from the library and from ``atsa fuzz``.
 A test holds, in both flavors, that an endpoint without a registered
-bridge is refused without fetching anything from it.
+bridge is refused without fetching anything from it. A tool name that is
+not exactly a ``str`` (any other JSON value, bytes, or a ``str`` subclass
+that equals every name) is a denial value too, with one record whose
+``toolName`` is null, and nothing is sent.
 
 Outside text of any length, a tool name, an endpoint or a document's
 members, enters the audit log bounded: every record's JSONL line stays
@@ -84,6 +87,7 @@ from atsa.admission import MAX_DOCUMENT_BYTES, redacted
 from atsa.audit import EVENT_CONNECT_DENY, EVENT_TOOL_DENY, MAX_TEXT_BYTES, bounded, record_from_wire
 from atsa.cli import EXIT_OK, EXIT_VERDICT, cli, main
 from atsa.conformance import KIND_ASSERTION, KIND_TOOL, CampaignReport
+from atsa.gateway import TOOL_DENY_DETAIL
 from conftest import FIXED_NOW, SERVER_URL, examples, fetcher_for
 from doubles import CountingTransport, StaticFetcher
 from reference_impl import reference_canonical, reference_read_json, reference_read_jsonl
@@ -159,6 +163,37 @@ def test_invoke_denies_any_tool_name_with_one_record(name):
     (record,) = audit.records
     assert record.event == EVENT_TOOL_DENY
     _assert_bounded_form_of(record.payload["toolName"], name)
+    assert transport.calls == 0
+    assert fetcher.requests == []
+
+
+class _AnyName(str):
+    """A tool name that claims to equal every name, and hashes as an allowlisted one."""
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return hash("list_labels")
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(
+    name=_json_values.filter(lambda value: type(value) is not str)
+    | st.floats()
+    | st.binary(max_size=8)
+    | _strings.map(_AnyName)
+)
+@example(name=_AnyName("list_labels"))
+def test_a_tool_name_that_is_not_exactly_a_str_is_denied_with_one_record(name):
+    audit = AuditLog(clock=lambda: FIXED_NOW)
+    gateway, transport, fetcher = _gateway(audit)
+    result = gateway.invoke(SERVER_URL, ToolCall(name))
+    assert result.reason is DenyReason.tool_not_admitted
+    assert result.detail == f"tool name of type {type(name).__name__} is {TOOL_DENY_DETAIL}"
+    (record,) = audit.records
+    assert (record.event, record.payload["toolName"]) == (EVENT_TOOL_DENY, None)
+    assert verify_chain(audit.records) is None
     assert transport.calls == 0
     assert fetcher.requests == []
 
